@@ -24,7 +24,7 @@ from qnetcode import codes, ratecalc
 from qnetcode.decoders import BpDecoder, LookupDecoder, MatchingDecoder, logical_failure
 from qnetcode.ftec import KnillNoise, knill_ec_round
 from qnetcode.netchain import ChainConfig, compare_latency, run_chain
-from qnetcode.noise import NoiseModel, sample_error, werner
+from qnetcode.noise import NoiseModel, effective_error_rate, sample_error, werner
 from qnetcode.pauli import PauliOperator
 from qnetcode.protocols import superdense, swap_chain, teleport
 from qnetcode.rng import stream
@@ -32,6 +32,33 @@ from qnetcode.rng import stream
 
 class UsageError(Exception):
     pass
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+def _probability(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be a probability in [0, 1], got {text!r}")
+    return value
+
+
+def _noise_spec(text: str) -> NoiseModel:
+    try:
+        return NoiseModel.from_spec(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(f"malformed noise spec {text!r}: {e}") from None
 
 
 def random_regular_check_matrix(r: int, n: int, row_weight: int, seed: int) -> np.ndarray:
@@ -59,6 +86,9 @@ def parse_code(code_id: str) -> codes.CssCode:
             return codes.rotated_surface(int(parts[1]))
         if name == "hgp":
             seed, r, n, w = (int(p) for p in parts[1:5])
+            if r < 1 or n < 1 or not 1 <= w <= n or r * w < n:
+                # r rows of weight w cover at most r*w of the n columns
+                raise UsageError(f"code id {code_id!r} needs r >= 1, n >= 1, 1 <= w <= n and r*w >= n")
             h = random_regular_check_matrix(r, n, w, seed)
             return codes.hypergraph_product(h, h, name=code_id)
     except (IndexError, ValueError) as e:
@@ -141,8 +171,7 @@ def cmd_rate(args) -> list[dict]:
 
 
 def cmd_protocol(args) -> list[dict]:
-    noise = NoiseModel.from_spec(args.noise)
-    rows = []
+    noise = args.noise
 
     def run_one(t: int) -> dict:
         rng = stream(args.seed, t)
@@ -177,16 +206,13 @@ def cmd_protocol(args) -> list[dict]:
             }
         raise UsageError(f"unknown protocol {args.name!r}")
 
-    rows = _map_trials(run_one, args.trials, args.threads)
-    return rows
+    return _map_trials(run_one, args.trials, args.threads)
 
 
 def cmd_decode(args) -> list[dict]:
     code = parse_code(args.code)
     decoder = build_decoder(args.decoder, code, args.p)
     noise = NoiseModel.independent_xz(args.p, args.p)
-    failures = 0
-    iter_total = 0
     t0 = time.perf_counter()
 
     def run_one(t: int):
@@ -216,17 +242,15 @@ def cmd_decode(args) -> list[dict]:
 
 
 def cmd_knill(args) -> list[dict]:
+    if args.pc or args.pg:
+        if args.noise is not None:
+            raise UsageError("--noise cannot be combined with --pc/--pg")
+        data_noise = NoiseModel.depolarizing(effective_error_rate(args.pc, args.pg))
+    else:
+        data_noise = args.noise if args.noise is not None else NoiseModel.none()
     code = parse_code(args.code)
     decoder = build_decoder(args.decoder, code, 0.01)
-    if args.pc or args.pg:
-        data_noise = NoiseModel.depolarizing(min(args.pc + 5 * args.pg, 1.0))
-    else:
-        data_noise = NoiseModel.from_spec(args.noise)
-    noise = KnillNoise(
-        epr_error=NoiseModel.from_spec(args.epr_noise),
-        meas_flip=NoiseModel.from_spec(args.meas_flip),
-        data_noise=data_noise,
-    )
+    noise = KnillNoise(epr_error=args.epr_noise, meas_flip=args.meas_flip, data_noise=data_noise)
     identity = PauliOperator.identity(code.n)
     t0 = time.perf_counter()
 
@@ -240,8 +264,8 @@ def cmd_knill(args) -> list[dict]:
             "code_id": args.code,
             "p_c": args.pc,
             "p_g": args.pg,
-            "p_eff": min(args.pc + 5 * args.pg, 1.0) if (args.pc or args.pg) else data_noise.p,
-            "meas_flip_p": NoiseModel.from_spec(args.meas_flip).flip_probability(),
+            "p_eff": data_noise.p,
+            "meas_flip_p": args.meas_flip.flip_probability(),
             "trials": args.trials,
             "logical_failures": failures,
             "failure_rate": failures / max(args.trials, 1),
@@ -308,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=1000)
+        p.add_argument("--trials", type=_positive_int, default=1000)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--threads", type=int, default=1)
@@ -318,13 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qubits", type=int, required=True)
     p.add_argument("--code", action="append", required=True, help="repeatable; custom:<n>:<k> allowed")
     p.add_argument("--cycle", type=int, default=4)
-    p.add_argument("--pc", type=float, default=0.0)
-    p.add_argument("--pg", type=float, default=0.0)
+    p.add_argument("--pc", type=_probability, default=0.0)
+    p.add_argument("--pg", type=_probability, default=0.0)
 
     p = sub.add_parser("protocol", help="protocol trial logs")
     common(p)
     p.add_argument("--name", choices=("teleport", "superdense", "swap"), required=True)
-    p.add_argument("--noise", default="none")
+    p.add_argument("--noise", type=_noise_spec, default="none")
     p.add_argument("--links", type=int, default=3)
 
     p = sub.add_parser("decode", help="decoder benchmark")
@@ -337,11 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--code", required=True)
     p.add_argument("--decoder", choices=("lookup", "mwpm", "bp"), default="lookup")
-    p.add_argument("--noise", default="none", help="data noise spec, e.g. depolarizing:0.001")
-    p.add_argument("--epr-noise", default="none")
-    p.add_argument("--meas-flip", default="none")
-    p.add_argument("--pc", type=float, default=0.0)
-    p.add_argument("--pg", type=float, default=0.0)
+    p.add_argument("--noise", type=_noise_spec, default=None,
+                   help="data noise spec, e.g. depolarizing:0.001 (default none; not with --pc/--pg)")
+    p.add_argument("--epr-noise", type=_noise_spec, default="none")
+    p.add_argument("--meas-flip", type=_noise_spec, default="none")
+    p.add_argument("--pc", type=_probability, default=0.0)
+    p.add_argument("--pg", type=_probability, default=0.0)
 
     p = sub.add_parser("chain", help="repeater chain scenario")
     common(p)
@@ -354,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delay", type=float, default=None)
     p.add_argument("--code", default=None)
     p.add_argument("--decoder", choices=("lookup", "mwpm", "bp"), default="lookup")
-    p.add_argument("--pc", type=float, default=None)
-    p.add_argument("--pg", type=float, default=None)
+    p.add_argument("--pc", type=_probability, default=None)
+    p.add_argument("--pg", type=_probability, default=None)
     return parser
 
 

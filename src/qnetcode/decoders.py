@@ -98,10 +98,6 @@ class LookupDecoder:
         return DecodeResult(correction=self.table[key], converged=True)
 
 
-def lookup_decode(code: CssCode, syn: Syndrome, weight_cap: int = 4) -> DecodeResult:
-    return LookupDecoder(code, weight_cap).decode(syn)
-
-
 # --- minimum-weight perfect matching ----------------------------------------
 
 _BOUNDARY = "boundary"
@@ -168,31 +164,24 @@ class MatchingDecoder:
         return DecodeResult(correction=PauliOperator(self.code.n, e_x, e_z), converged=True)
 
 
-def mwpm_decode(code: CssCode, syn: Syndrome, error_prior: float | None = None) -> DecodeResult:
-    return MatchingDecoder(code, error_prior).decode(syn)
-
-
 # --- belief propagation -----------------------------------------------------
 
 
 class BpDecoder:
     """Sum-product syndrome BP on the Tanner graphs of h_z and h_x.
 
-    Default schedule is serial (layered by check) with no damping; a
-    flooding schedule is available as a config knob. Hard decision after
-    every sweep, stopping early once the tentative correction reproduces
-    the syndrome.
+    Serial schedule (layered by check: each check's update is visible to
+    the checks after it in the same sweep) with no damping. Hard decision
+    after every sweep, stopping early once the tentative correction
+    reproduces the syndrome.
     """
 
-    def __init__(self, code: CssCode, channel_prior: float, max_iters: int = 100, schedule: str = "serial"):
+    def __init__(self, code: CssCode, channel_prior: float, max_iters: int = 100):
         if not 0.0 < channel_prior < 0.5:
             raise ValueError(f"channel prior must lie in (0, 0.5), got {channel_prior}")
-        if schedule not in ("serial", "flooding"):
-            raise ValueError(f"unknown schedule {schedule!r}")
         self.code = code
         self.p = channel_prior
         self.max_iters = max_iters
-        self.schedule = schedule
         self._adj_z = [np.nonzero(code.h_z[c])[0] for c in range(code.r_z)]
         self._adj_x = [np.nonzero(code.h_x[c])[0] for c in range(code.r_x)]
 
@@ -205,42 +194,22 @@ class BpDecoder:
         total = np.full(n, l0, dtype=np.float64)
         c2v = [np.zeros(len(vs), dtype=np.float64) for vs in adj]
         for it in range(1, self.max_iters + 1):
-            if self.schedule == "serial":
-                for c, vs in enumerate(adj):
-                    v2c = total[vs] - c2v[c]
-                    t = np.tanh(np.clip(v2c, -30, 30) / 2.0)
-                    prod = np.prod(t)
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        leave_one_out = np.where(t != 0.0, prod / t, 0.0)
-                    if (t == 0.0).sum() == 1:
-                        # the single zeroed message gets the product of the rest
-                        mask = t == 0.0
-                        leave_one_out[mask] = np.prod(t[~mask])
-                    elif (t == 0.0).sum() > 1:
-                        leave_one_out[t == 0.0] = 0.0
-                    sign = -1.0 if syn[c] else 1.0
-                    new = 2.0 * np.arctanh(np.clip(sign * leave_one_out, -1 + 1e-12, 1 - 1e-12))
-                    total[vs] += new - c2v[c]
-                    c2v[c] = new
-            else:  # flooding
-                new_c2v = []
-                for c, vs in enumerate(adj):
-                    v2c = total[vs] - c2v[c]
-                    t = np.tanh(np.clip(v2c, -30, 30) / 2.0)
-                    prod = np.prod(t)
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        leave_one_out = np.where(t != 0.0, prod / t, 0.0)
-                    if (t == 0.0).sum() == 1:
-                        mask = t == 0.0
-                        leave_one_out[mask] = np.prod(t[~mask])
-                    elif (t == 0.0).sum() > 1:
-                        leave_one_out[t == 0.0] = 0.0
-                    sign = -1.0 if syn[c] else 1.0
-                    new_c2v.append(2.0 * np.arctanh(np.clip(sign * leave_one_out, -1 + 1e-12, 1 - 1e-12)))
-                total = np.full(n, l0, dtype=np.float64)
-                for c, vs in enumerate(adj):
-                    total[vs] += new_c2v[c]
-                c2v = new_c2v
+            for c, vs in enumerate(adj):
+                v2c = total[vs] - c2v[c]
+                t = np.tanh(np.clip(v2c, -30, 30) / 2.0)
+                prod = np.prod(t)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    leave_one_out = np.where(t != 0.0, prod / t, 0.0)
+                if (t == 0.0).sum() == 1:
+                    # the single zeroed message gets the product of the rest
+                    mask = t == 0.0
+                    leave_one_out[mask] = np.prod(t[~mask])
+                elif (t == 0.0).sum() > 1:
+                    leave_one_out[t == 0.0] = 0.0
+                sign = -1.0 if syn[c] else 1.0
+                new = 2.0 * np.arctanh(np.clip(sign * leave_one_out, -1 + 1e-12, 1 - 1e-12))
+                total[vs] += new - c2v[c]
+                c2v[c] = new
             decision = (total < 0.0).astype(np.uint8)
             if np.array_equal(gf2.matvec(h, decision), syn):
                 return decision, True, it
@@ -256,12 +225,3 @@ class BpDecoder:
             iterations=max(it_x, it_z),
         )
 
-
-def bp_decode(
-    code: CssCode,
-    syn: Syndrome,
-    channel_prior: float,
-    max_iters: int = 100,
-    schedule: str = "serial",
-) -> DecodeResult:
-    return BpDecoder(code, channel_prior, max_iters, schedule).decode(syn)

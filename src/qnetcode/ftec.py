@@ -21,7 +21,7 @@ import numpy as np
 from qnetcode import gf2
 from qnetcode.codes import CssCode
 from qnetcode.decoders import DecodeResult, UndecodableError
-from qnetcode.noise import NoiseModel
+from qnetcode.noise import NoiseModel, sample_error
 from qnetcode.pauli import PauliOperator
 from qnetcode.stabsim import StabilizerState
 
@@ -118,25 +118,17 @@ def prepare_logical_epr(
             state.apply_pauli(_row_pauli(n_total, off_a, code.logical_z[i], "Z"))
 
 
-def _sample_flips(model: NoiseModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    p = model.flip_probability()
-    if p == 0.0:
-        return np.zeros(n, dtype=np.uint8)
-    return (rng.random(n) < p).astype(np.uint8)
-
-
 def _run_round(
     code: CssCode,
     data_error: PauliOperator,
     epr_error: PauliOperator,
-    meas_flip: NoiseModel,
     rng: np.random.Generator,
-    logical_twirl: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ):
     """Full tableau execution of one encoded Bell measurement.
 
-    Returns (outcomes, state, flips_u, flips_v); the post-state holds the
-    (uncorrected) output block at offset 2n.
+    Returns (outcomes, state): the noiseless readout of the transversal
+    Bell measurement, and the post-state, which holds the (uncorrected)
+    output block at offset 2n.
     """
     n = code.n
     if data_error.num_qubits != n:
@@ -145,13 +137,6 @@ def _run_round(
         raise ValueError("EPR error must span the 2n EPR qubits")
     state = StabilizerState(3 * n)
     prepare_logical_zero(state, code, 0, rng)
-    if logical_twirl is not None:
-        a_bits, b_bits = logical_twirl
-        for i in range(code.k):
-            if a_bits[i]:
-                state.apply_pauli(_row_pauli(3 * n, 0, code.logical_x[i], "X"))
-            if b_bits[i]:
-                state.apply_pauli(_row_pauli(3 * n, 0, code.logical_z[i], "Z"))
     prepare_logical_epr(state, code, n, 2 * n, rng)
     state.apply_pauli(_block_pauli(3 * n, 0, data_error.x_bits, data_error.z_bits))
     state.apply_pauli(_block_pauli(3 * n, n, epr_error.x_bits, epr_error.z_bits))
@@ -161,9 +146,16 @@ def _run_round(
         state.h(i)
     u = np.array([state.measure_z(i, rng) for i in range(n)], dtype=np.uint8)
     v = np.array([state.measure_z(n + i, rng) for i in range(n)], dtype=np.uint8)
-    flips_u = _sample_flips(meas_flip, n, rng)
-    flips_v = _sample_flips(meas_flip, n, rng)
-    return BellOutcomeBlock(u=u ^ flips_u, v=v ^ flips_v), state, flips_u, flips_v
+    return BellOutcomeBlock(u=u, v=v), state
+
+
+def _flip_readout(outcomes: BellOutcomeBlock, meas_flip: NoiseModel, rng: np.random.Generator):
+    """Classical readout flips, drawn for u and then for v; returns
+    (flipped outcomes, flips_u, flips_v)."""
+    n = len(outcomes.u)
+    p = meas_flip.flip_probability()
+    flips = (rng.random((2, n)) < p).astype(np.uint8) if p else np.zeros((2, n), dtype=np.uint8)
+    return BellOutcomeBlock(u=outcomes.u ^ flips[0], v=outcomes.v ^ flips[1]), flips[0], flips[1]
 
 
 def encoded_bell_measure(
@@ -172,12 +164,11 @@ def encoded_bell_measure(
     epr_error: PauliOperator,
     meas_flip: NoiseModel,
     rng: np.random.Generator,
-    logical_twirl: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> BellOutcomeBlock:
     """Transversal Bell measurement of the data block against an encoded
     EPR pair, with the given errors injected."""
-    outcomes, _, _, _ = _run_round(code, data_error, epr_error, meas_flip, rng, logical_twirl)
-    return outcomes
+    outcomes, _ = _run_round(code, data_error, epr_error, rng)
+    return _flip_readout(outcomes, meas_flip, rng)[0]
 
 
 def extract(outcomes: BellOutcomeBlock, code: CssCode):
@@ -246,24 +237,24 @@ def knill_ec_round(
     rng: np.random.Generator,
 ) -> KnillReport:
     """One single-shot EC round: encoded Bell measurement, extraction,
-    one decode, corrections on the output block, failure accounting.
+    one decode, failure accounting.
 
     logical_failure compares the frame plus correction against the known
     injected errors; an undecodable syndrome is recorded as a failure.
+    The output block itself is never corrected: the failure account
+    reads the residual from the linear error model, which is checked
+    against the tableau syndrome on every call (apply_output_corrections
+    and verify_output are the oracle for that model in the tests).
     """
-    from qnetcode.noise import sample_error
-
     n = code.n
     data = data_error
     if noise.data_noise.variant != "none":
         extra = sample_error(noise.data_noise, n, rng)
         data = PauliOperator(n, data.x_bits ^ extra.x_bits, data.z_bits ^ extra.z_bits)
     epr = sample_error(noise.epr_error, 2 * n, rng)
-    outcomes, state, _, _ = _run_round(code, data, epr, NoiseModel.none(), rng)
-    # meas flips are sampled here so they stay known to the failure account
-    flips_u = _sample_flips(noise.meas_flip, n, rng)
-    flips_v = _sample_flips(noise.meas_flip, n, rng)
-    outcomes = BellOutcomeBlock(u=outcomes.u ^ flips_u, v=outcomes.v ^ flips_v)
+    outcomes, _ = _run_round(code, data, epr, rng)
+    # the flips stay known to the failure account
+    outcomes, flips_u, flips_v = _flip_readout(outcomes, noise.meas_flip, rng)
     s_x, s_z, logical_xx, logical_zz = extract(outcomes, code)
 
     epr_a_x, epr_b_x = epr.x_bits[:n], epr.x_bits[n:]
@@ -284,7 +275,6 @@ def knill_ec_round(
             s_x, s_z, logical_xx, logical_zz, None, logical_failure=True,
             residual_logical_x=ones, residual_logical_z=ones,
         )
-    apply_output_corrections(state, code, result.correction, logical_xx, logical_zz)
 
     residual_x = e_v ^ result.correction.x_bits ^ epr_b_x
     residual_z = e_u ^ result.correction.z_bits ^ epr_b_z

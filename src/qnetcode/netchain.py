@@ -23,7 +23,7 @@ import numpy as np
 
 from qnetcode import gf2
 from qnetcode.codes import CssCode
-from qnetcode.noise import BellDiagonalState, LABEL_XZ, NoiseModel, effective_error_rate
+from qnetcode.noise import BellDiagonalState, LABEL_INDEX, LABEL_XZ, NoiseModel, effective_error_rate
 from qnetcode.pauli import PauliOperator
 from qnetcode.protocols import purify_pair_dist
 from qnetcode.rng import stream
@@ -35,11 +35,10 @@ SCHEDULES = ("sequential", "nested")
 
 def compose_swap(a: BellDiagonalState, b: BellDiagonalState) -> BellDiagonalState:
     """Label convolution of two pair-error distributions under swapping."""
-    label_of = {xz: i for i, xz in enumerate(LABEL_XZ)}
     out = np.zeros(4, dtype=np.float64)
     for i, (xi, zi) in enumerate(LABEL_XZ):
         for j, (xj, zj) in enumerate(LABEL_XZ):
-            out[label_of[(xi ^ xj, zi ^ zj)]] += a.probs[i] * b.probs[j]
+            out[LABEL_INDEX[(xi ^ xj, zi ^ zj)]] += a.probs[i] * b.probs[j]
     return BellDiagonalState(out)
 
 
@@ -121,20 +120,6 @@ def _fold(states: list[BellDiagonalState], schedule: str) -> BellDiagonalState:
     return states[0]
 
 
-def _bell_from_xz(p_x: float, p_z: float) -> BellDiagonalState:
-    """Independent X/Z flip probabilities as a Bell-diagonal distribution."""
-    return BellDiagonalState(
-        np.array(
-            [
-                (1 - p_x) * (1 - p_z),
-                p_x * (1 - p_z),
-                p_x * p_z,
-                (1 - p_x) * p_z,
-            ]
-        )
-    )
-
-
 def _logical_channel(config: ChainConfig, epr_model: NoiseModel, data_model: NoiseModel, hop: int) -> BellDiagonalState:
     """Per-hop logical error distribution from a seeded knill Monte Carlo."""
     from qnetcode.ftec import KnillNoise, knill_ec_round
@@ -146,13 +131,12 @@ def _logical_channel(config: ChainConfig, epr_model: NoiseModel, data_model: Noi
         meas_flip=NoiseModel.bit_flip(config.p_g) if config.p_g else NoiseModel.none(),
         data_noise=data_model,
     )
-    label_of = {xz: i for i, xz in enumerate(LABEL_XZ)}
     identity = PauliOperator.identity(code.n)
     for t in range(config.mc_trials):
         rep = knill_ec_round(code, config.decoder, identity, noise, stream(config.seed, 900 + hop, t))
         x_bad = int(rep.residual_logical_x.any())
         z_bad = int(rep.residual_logical_z.any())
-        counts[label_of[(x_bad, z_bad)]] += 1
+        counts[LABEL_INDEX[(x_bad, z_bad)]] += 1
     return BellDiagonalState(counts / counts.sum())
 
 
@@ -271,5 +255,4 @@ def sample_chain_trial(config: ChainConfig, rng: np.random.Generator):
     if frame_z:
         state.z_gate(end_q)
     xx, zz = state.bell_measure(first_a, end_q, rng)
-    label_of = {xz: i for i, xz in enumerate(LABEL_XZ)}
-    return True, label_of[(zz, xx)]
+    return True, LABEL_INDEX[(zz, xx)]

@@ -133,6 +133,7 @@ def effective_error_rate(p_c: float, p_g: float) -> float:
 # (sigma_l x I)|Phi+>; fidelity is the I probability.
 LABELS = ("I", "X", "Y", "Z")
 LABEL_XZ = ((0, 0), (1, 0), (1, 1), (0, 1))
+LABEL_INDEX = {xz: i for i, xz in enumerate(LABEL_XZ)}  # (x, z) bits -> label index
 
 
 @dataclass(frozen=True)

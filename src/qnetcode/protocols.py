@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from qnetcode.noise import BellDiagonalState, LABEL_XZ, NoiseModel, sample_error
+from qnetcode.noise import BellDiagonalState, LABEL_INDEX, LABEL_XZ, NoiseModel, sample_error
 from qnetcode.pauli import PauliOperator
 from qnetcode.stabsim import StabilizerState, prepare_bell
 
@@ -164,7 +164,6 @@ def purify_pair_dist(
         raise ValueError(f"basis must be one of {_BASES}")
     out = np.zeros(4, dtype=np.float64)
     success = 0.0
-    label_of = {xz: i for i, xz in enumerate(LABEL_XZ)}
     for ia, (xa, za) in enumerate(LABEL_XZ):
         pa = a.probs[ia]
         for ib, (xb, zb) in enumerate(LABEL_XZ):
@@ -177,7 +176,7 @@ def purify_pair_dist(
                 kept = (xa ^ xb, za)
             if keep:
                 success += p
-                out[label_of[kept]] += p
+                out[LABEL_INDEX[kept]] += p
     if success <= 0.0:
         return 0.0, BellDiagonalState(np.array([1.0, 0.0, 0.0, 0.0]))
     return float(success), BellDiagonalState(out / success)

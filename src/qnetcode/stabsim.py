@@ -2,7 +2,11 @@
 
 The tableau holds n destabilizer rows followed by n stabilizer rows; each
 row is an (x_bits, z_bits, sign) triple. Updates follow the standard
-conjugation rules, O(n^2) per measurement.
+conjugation rules, O(n^2) per measurement. Row products use the rowsum
+phase rule of Aaronson & Gottesman (arXiv:quant-ph/0406196), written once
+in ``_phase_exponents``: a random measurement multiplies one pivot row into
+many rows at once, and a deterministic measurement or an expectation value
+multiplies the selected stabilizer rows together in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -10,6 +14,23 @@ from __future__ import annotations
 import numpy as np
 
 from qnetcode.pauli import PauliOperator
+
+
+def _phase_exponents(x1, z1, x2, z2) -> np.ndarray:
+    """Power of i picked up by the product (x1, z1) * (x2, z2), summed over
+    the qubit axis (the last one); leading axes broadcast."""
+    x1 = x1.astype(np.int64)
+    z1 = z1.astype(np.int64)
+    x2 = x2.astype(np.int64)
+    z2 = z2.astype(np.int64)
+    g = np.where(
+        (x1 == 1) & (z1 == 1), z2 - x2,
+        np.where(
+            (x1 == 1) & (z1 == 0), z2 * (2 * x2 - 1),
+            np.where((x1 == 0) & (z1 == 1), x2 * (1 - 2 * z2), 0),
+        ),
+    )
+    return g.sum(axis=-1)
 
 
 class StabilizerState:
@@ -46,18 +67,19 @@ class StabilizerState:
         self.x[:, t] ^= self.x[:, c]
         self.z[:, c] ^= self.z[:, t]
 
-    def apply_pauli(self, p: PauliOperator):
-        """Conjugation by a Pauli only flips signs of anticommuting rows."""
+    def _anticommutes(self, p: PauliOperator) -> np.ndarray:
+        """Bit per tableau row: 1 where the row anticommutes with p."""
         if p.num_qubits != self.num_qubits:
             raise ValueError("Pauli length does not match state size")
         comm = (self.x @ p.z_bits.astype(np.int64) + self.z @ p.x_bits.astype(np.int64)) % 2
-        self.r ^= comm.astype(np.uint8)
+        return comm.astype(np.uint8)
+
+    def apply_pauli(self, p: PauliOperator):
+        """Conjugation by a Pauli only flips signs of anticommuting rows."""
+        self.r ^= self._anticommutes(p)
 
     def x_gate(self, q: int):
         self.apply_pauli(PauliOperator.single(self.num_qubits, q, "X"))
-
-    def y_gate(self, q: int):
-        self.apply_pauli(PauliOperator.single(self.num_qubits, q, "Y"))
 
     def z_gate(self, q: int):
         self.apply_pauli(PauliOperator.single(self.num_qubits, q, "Z"))
@@ -76,48 +98,30 @@ class StabilizerState:
 
     # --- row arithmetic ---------------------------------------------------
 
-    def _phase_exponent(self, x1, z1, x2, z2) -> int:
-        """Sum over qubits of the i-power from multiplying (x1,z1)*(x2,z2)."""
-        x1 = x1.astype(np.int64)
-        z1 = z1.astype(np.int64)
-        x2 = x2.astype(np.int64)
-        z2 = z2.astype(np.int64)
-        g = np.where(
-            (x1 == 1) & (z1 == 1), z2 - x2,
-            np.where(
-                (x1 == 1) & (z1 == 0), z2 * (2 * x2 - 1),
-                np.where((x1 == 0) & (z1 == 1), x2 * (1 - 2 * z2), 0),
-            ),
-        )
-        return int(g.sum())
-
-    def _rowsum_into(self, xh, zh, rh, i: int):
-        """Multiply row i into the scratch row (xh, zh, rh); returns new rh."""
-        total = 2 * rh + 2 * int(self.r[i]) + self._phase_exponent(self.x[i], self.z[i], xh, zh)
-        xh ^= self.x[i]
-        zh ^= self.z[i]
-        return (total % 4) // 2
-
-    def _rowsum(self, h: int, i: int):
-        self.r[h] = self._rowsum_into(self.x[h], self.z[h], int(self.r[h]), i)
-
     def _rowsum_many(self, rows: np.ndarray, i: int):
         """Multiply row i into every row in ``rows`` at once."""
-        x1 = self.x[i].astype(np.int64)[None, :]
-        z1 = self.z[i].astype(np.int64)[None, :]
-        x2 = self.x[rows].astype(np.int64)
-        z2 = self.z[rows].astype(np.int64)
-        g = np.where(
-            (x1 == 1) & (z1 == 1), z2 - x2,
-            np.where(
-                (x1 == 1) & (z1 == 0), z2 * (2 * x2 - 1),
-                np.where((x1 == 0) & (z1 == 1), x2 * (1 - 2 * z2), 0),
-            ),
-        ).sum(axis=1)
+        g = _phase_exponents(self.x[i], self.z[i], self.x[rows], self.z[rows])
         total = 2 * self.r[rows].astype(np.int64) + 2 * int(self.r[i]) + g
         self.r[rows] = ((total % 4) // 2).astype(np.uint8)
         self.x[rows] ^= self.x[i]
         self.z[rows] ^= self.z[i]
+
+    def _stabilizer_product(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        """(x_bits, z_bits, sign bit) of the product of the given stabilizer rows.
+
+        Row j is multiplied onto the running product of the rows before
+        it. The stabilizer rows commute, so every partial product is
+        Hermitian and its phase exponent is even: reducing it to a sign
+        bit after each step loses nothing, and the sign bit of the whole
+        product is half the summed exponents mod 4.
+        """
+        x = self.x[rows]
+        z = self.z[rows]
+        # XOR with its own row turns the running product into the product before that row
+        before_x = np.bitwise_xor.accumulate(x, axis=0) ^ x
+        before_z = np.bitwise_xor.accumulate(z, axis=0) ^ z
+        total = 2 * int(self.r[rows].sum()) + int(_phase_exponents(x, z, before_x, before_z).sum())
+        return np.bitwise_xor.reduce(x, axis=0), np.bitwise_xor.reduce(z, axis=0), (total % 4) // 2
 
     # --- measurement ------------------------------------------------------
 
@@ -128,12 +132,8 @@ class StabilizerState:
         +/-p is in the stabilizer group, else uniformly random with a
         tableau update.
         """
-        if p.num_qubits != self.num_qubits:
-            raise ValueError("Pauli length does not match state size")
         n = self.num_qubits
-        comm = (
-            (self.x @ p.z_bits.astype(np.int64) + self.z @ p.x_bits.astype(np.int64)) % 2
-        ).astype(np.uint8)
+        comm = self._anticommutes(p)
         anti_stab = np.nonzero(comm[n:])[0]
         if anti_stab.size:
             piv = n + int(anti_stab[0])
@@ -149,13 +149,8 @@ class StabilizerState:
             self.z[piv] = p.z_bits
             self.r[piv] = outcome
             return outcome
-        # deterministic: accumulate the stabilizer product equal to +/-p
-        xh = np.zeros(n, dtype=np.uint8)
-        zh = np.zeros(n, dtype=np.uint8)
-        rh = 0
-        for i in np.nonzero(comm[:n])[0]:
-            rh = self._rowsum_into(xh, zh, rh, n + int(i))
-        return rh
+        # deterministic: the stabilizer product equal to +/-p carries the sign
+        return self._stabilizer_product(n + np.nonzero(comm[:n])[0])[2]
 
     def measure_z(self, q: int, rng: np.random.Generator) -> int:
         self._check_qubit(q)
@@ -183,16 +178,10 @@ class StabilizerState:
     def expectation(self, p: PauliOperator) -> int:
         """+1/-1 if +/-p stabilizes the state, 0 if the outcome is random."""
         n = self.num_qubits
-        comm = (
-            (self.x @ p.z_bits.astype(np.int64) + self.z @ p.x_bits.astype(np.int64)) % 2
-        ).astype(np.uint8)
+        comm = self._anticommutes(p)
         if comm[n:].any():
             return 0
-        xh = np.zeros(n, dtype=np.uint8)
-        zh = np.zeros(n, dtype=np.uint8)
-        rh = 0
-        for i in np.nonzero(comm[:n])[0]:
-            rh = self._rowsum_into(xh, zh, rh, n + int(i))
+        xh, zh, rh = self._stabilizer_product(n + np.nonzero(comm[:n])[0])
         if not (np.array_equal(xh, p.x_bits) and np.array_equal(zh, p.z_bits)):
             raise AssertionError("destabilizer bookkeeping out of sync")
         return 1 if rh == 0 else -1
@@ -208,10 +197,6 @@ class StabilizerState:
         want[:n, n:] = np.eye(n, dtype=np.int64)
         want[n:, :n] = np.eye(n, dtype=np.int64)
         return bool(np.array_equal(sym, want))
-
-
-def new_state(n: int) -> StabilizerState:
-    return StabilizerState(n)
 
 
 def prepare_bell(state: StabilizerState, q1: int, q2: int):

@@ -134,3 +134,37 @@ def test_decode_hgp_code_id(capsys):
 def test_custom_code_is_rate_only(capsys):
     code, _, err = run_cli(capsys, "decode", "--code", "custom:10:2", "--decoder", "bp")
     assert code == 1
+
+
+
+KNILL = ["knill", "--code", "rep3", "--trials", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["knill", "--code", "rep3", "--trials", "-5"], "--trials"),
+        (["knill", "--code", "rep3", "--trials", "0"], "--trials"),
+        (["protocol", "--name", "swap", "--trials", "many"], "--trials"),
+        (KNILL + ["--noise", "depolarizing:0.01", "--pc", "0.01"], "--noise cannot"),
+        (KNILL + ["--noise", "none", "--pg", "0.001"], "--noise cannot"),
+        (KNILL + ["--pc", "-1"], "probability"),
+        (KNILL + ["--pg", "1.5"], "probability"),
+        (["rate", "--qubits", "100", "--code", "rep3", "--pc", "-1"], "probability"),
+        (["rate", "--qubits", "100", "--code", "rep3", "--pg", "nan"], "probability"),
+        (["protocol", "--name", "swap", "--noise", "depolarizing:abc"], "noise spec"),
+        (KNILL + ["--noise", "depolarizing:2"], "noise spec"),
+        (KNILL + ["--epr-noise", "gaussian:0.1"], "noise spec"),
+        (KNILL + ["--meas-flip", "independent_xz:0.1"], "noise spec"),
+        (["decode", "--code", "hgp:1:0:4:2", "--decoder", "bp"], "r*w >= n"),
+        (["decode", "--code", "hgp:1:3:0:1", "--decoder", "bp"], "r*w >= n"),
+        (["decode", "--code", "hgp:1:3:4:0", "--decoder", "bp"], "r*w >= n"),
+        (["decode", "--code", "hgp:1:3:4:9", "--decoder", "bp"], "r*w >= n"),
+        (["decode", "--code", "hgp:1:1:12:4", "--decoder", "bp"], "r*w >= n"),
+    ],
+)
+def test_bad_input_is_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err

@@ -9,10 +9,7 @@ from qnetcode.decoders import (
     LookupDecoder,
     MatchingDecoder,
     UndecodableError,
-    bp_decode,
     logical_failure,
-    lookup_decode,
-    mwpm_decode,
 )
 from qnetcode.noise import NoiseModel, sample_error
 from qnetcode.pauli import PauliOperator
@@ -100,7 +97,7 @@ def test_lookup_is_deterministic():
         syn = codes.syndrome(code, err)
         assert a.decode(syn).correction == b.decode(syn).correction
     syn = codes.syndrome(code, PauliOperator.single(9, 4, "Y"))
-    assert lookup_decode(code, syn).correction == a.decode(syn).correction
+    assert LookupDecoder(code).decode(syn).correction == a.decode(syn).correction
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -150,7 +147,7 @@ def test_mwpm_requires_matching_structure():
 
 def test_mwpm_empty_syndrome():
     code = codes.rotated_surface(3)
-    res = mwpm_decode(code, codes.syndrome(code, PauliOperator.identity(code.n)))
+    res = MatchingDecoder(code).decode(codes.syndrome(code, PauliOperator.identity(code.n)))
     assert res.correction.is_identity()
 
 
@@ -159,14 +156,11 @@ def test_bp_prior_validation():
     for bad in (0.0, 0.5, -0.1, 0.7):
         with pytest.raises(ValueError):
             BpDecoder(code, bad)
-    with pytest.raises(ValueError):
-        BpDecoder(code, 0.01, schedule="zigzag")
 
 
-@pytest.mark.parametrize("schedule", ["serial", "flooding"])
-def test_bp_corrects_single_errors(schedule):
+def test_bp_corrects_single_errors():
     code = sparse_hgp()
-    dec = BpDecoder(code, 0.01, schedule=schedule)
+    dec = BpDecoder(code, 0.01)
     hits = 0
     total = 0
     for err in single_qubit_paulis(code.n):
@@ -179,10 +173,11 @@ def test_bp_corrects_single_errors(schedule):
 
 def test_bp_reports_iterations_and_converged():
     code = small_hgp()
-    res = bp_decode(code, codes.syndrome(code, PauliOperator.single(code.n, 3, "X")), 0.01)
+    dec = BpDecoder(code, 0.01)
+    res = dec.decode(codes.syndrome(code, PauliOperator.single(code.n, 3, "X")))
     assert res.converged
     assert res.iterations >= 1
-    trivial = bp_decode(code, codes.syndrome(code, PauliOperator.identity(code.n)), 0.01)
+    trivial = dec.decode(codes.syndrome(code, PauliOperator.identity(code.n)))
     assert trivial.iterations == 0 and trivial.correction.is_identity()
 
 

@@ -151,7 +151,7 @@ def test_epr_half_b_logical_error_corrupts_output_silently():
     )
     for t in range(10):
         rng = stream(45, t)
-        outcomes, state, _, _ = _run_round(code, PauliOperator.identity(n), epr, NoiseModel.none(), rng)
+        outcomes, state = _run_round(code, PauliOperator.identity(n), epr, rng)
         s_x, s_z, lxx, lzz = extract(outcomes, code)
         assert not s_x.any() and not s_z.any()
         apply_output_corrections(state, code, PauliOperator.identity(n), lxx, lzz)

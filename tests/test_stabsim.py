@@ -3,7 +3,7 @@ import pytest
 
 from qnetcode.pauli import PauliOperator
 from qnetcode.rng import stream
-from qnetcode.stabsim import StabilizerState, new_state, prepare_bell
+from qnetcode.stabsim import StabilizerState, prepare_bell
 
 from dense_oracle import DenseState
 
@@ -29,7 +29,7 @@ def all_pauli_strings(n):
         yield "".join("IXYZ"[(code // 4 ** i) % 4] for i in range(n))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_expectations_match_dense_oracle(n):
     """After random circuits, every Pauli expectation agrees with a dense
     statevector simulation."""
@@ -48,7 +48,7 @@ def test_expectations_match_dense_oracle(n):
             assert got == pytest.approx(want, abs=1e-9), (s, gates)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_measurements_match_dense_oracle(n):
     """Feed the tableau's measurement outcomes into dense projections and
     compare probabilities and post-measurement expectations."""
@@ -85,7 +85,7 @@ def test_repeated_measurement_is_stable():
 
 def test_bell_pair_measurements():
     rng = stream(2)
-    state = new_state(2)
+    state = StabilizerState(2)
     prepare_bell(state, 0, 1)
     assert state.expectation(PauliOperator.from_string("XX")) == 1
     assert state.expectation(PauliOperator.from_string("ZZ")) == 1
@@ -100,7 +100,7 @@ def test_bell_pair_measurements():
 def test_bell_measure_reads_error_labels(letter, expected):
     """An error sigma on one Bell half shows up as (xx, zz) = (z, x)."""
     rng = stream(3)
-    state = new_state(2)
+    state = StabilizerState(2)
     prepare_bell(state, 0, 1)
     state.apply_pauli(PauliOperator.from_string(letter + "I"))
     assert state.bell_measure(0, 1, rng) == expected
