@@ -22,10 +22,9 @@ import numpy as np
 
 from qnetcode import codes, ratecalc
 from qnetcode.decoders import BpDecoder, LookupDecoder, MatchingDecoder, logical_failure
-from qnetcode.ftec import KnillNoise, knill_ec_round
+from qnetcode.ftec import KnillNoise, knill_residuals
 from qnetcode.netchain import ChainConfig, compare_latency, run_chain
 from qnetcode.noise import NoiseModel, effective_error_rate, sample_error, werner
-from qnetcode.pauli import PauliOperator
 from qnetcode.protocols import superdense, swap_chain, teleport
 from qnetcode.rng import stream
 
@@ -34,14 +33,21 @@ class UsageError(Exception):
     pass
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(minimum: int):
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return value
+
+    return convert
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _probability(text: str) -> float:
@@ -62,7 +68,14 @@ def _noise_spec(text: str) -> NoiseModel:
 
 
 def random_regular_check_matrix(r: int, n: int, row_weight: int, seed: int) -> np.ndarray:
-    """Random sparse classical parity checks with full column coverage."""
+    """Random sparse classical parity checks with full column coverage.
+
+    Draws up to 1000 matrices with independent rows of weight row_weight
+    and returns the first that covers every column. If none does, the
+    last draw is repaired: each uncovered column takes over a row slot
+    of the most-covered column. That keeps every row weight and always
+    succeeds when r * row_weight >= n.
+    """
     g = stream(seed, 777)
     for _ in range(1000):
         h = np.zeros((r, n), dtype=np.uint8)
@@ -70,7 +83,13 @@ def random_regular_check_matrix(r: int, n: int, row_weight: int, seed: int) -> n
             h[i, g.choice(n, row_weight, replace=False)] = 1
         if h.sum(axis=0).min() > 0:
             return h
-    raise RuntimeError("failed to draw a column-covering check matrix")
+    if r * row_weight < n:
+        raise ValueError(f"{r} rows of weight {row_weight} cannot cover {n} columns")
+    for col in np.flatnonzero(h.sum(axis=0) == 0):
+        donor = int(np.argmax(h.sum(axis=0)))  # covered at least twice
+        row = int(np.flatnonzero(h[:, donor])[0])
+        h[row, donor], h[row, col] = 0, 1
+    return h
 
 
 def parse_code(code_id: str) -> codes.CssCode:
@@ -251,13 +270,9 @@ def cmd_knill(args) -> list[dict]:
     code = parse_code(args.code)
     decoder = build_decoder(args.decoder, code, 0.01)
     noise = KnillNoise(epr_error=args.epr_noise, meas_flip=args.meas_flip, data_noise=data_noise)
-    identity = PauliOperator.identity(code.n)
     t0 = time.perf_counter()
-
-    def run_one(t: int) -> bool:
-        return knill_ec_round(code, decoder, identity, noise, stream(args.seed, t)).logical_failure
-
-    failures = sum(_map_trials(run_one, args.trials, args.threads))
+    x_bad, z_bad = knill_residuals(code, decoder, noise, args.seed, (), args.trials)
+    failures = int(np.count_nonzero(x_bad | z_bad))
     seconds = time.perf_counter() - t0
     return [
         {
@@ -280,15 +295,23 @@ def cmd_chain(args) -> list[dict]:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
 
-    def pick(flag_value, key, default):
+    def pick(flag_value, key, default, convert=None):
+        """The flag if given, else the file's value through the flag's converter."""
         if flag_value is not None:
             return flag_value
-        return file_cfg.get(key, default)
+        if key not in file_cfg:
+            return default
+        if convert is None:
+            return file_cfg[key]
+        try:
+            return convert(str(file_cfg[key]))
+        except argparse.ArgumentTypeError as e:
+            raise UsageError(f"--config {key}: {e}") from None
 
     mode = pick(args.mode, "mode", "physical")
-    m = int(pick(args.links, "links", 4))
-    fidelity = float(pick(args.fidelity, "fidelity", 0.95))
-    rounds = int(pick(args.rounds, "rounds", 2))
+    m = pick(args.links, "links", 4, _positive_int)
+    fidelity = pick(args.fidelity, "fidelity", 0.95, _probability)
+    rounds = pick(args.rounds, "rounds", 2, _nonnegative_int)
     schedule = pick(args.schedule, "schedule", "nested")
     delay = float(pick(args.delay, "delay", 10.0))
     code_id = pick(args.code, "code_id", None)
@@ -299,8 +322,10 @@ def cmd_chain(args) -> list[dict]:
         code = parse_code(code_id)
         kwargs["code"] = code
         kwargs["decoder"] = build_decoder(args.decoder, code, 0.01)
-        kwargs["p_g"] = float(pick(args.pg, "p_g", 0.001))
-        kwargs["p_c"] = float(pick(args.pc, "p_c", 0.05))
+        kwargs["p_g"] = pick(args.pg, "p_g", 0.001, _probability)
+        kwargs["p_c"] = pick(args.pc, "p_c", 0.05, _probability)
+        if args.trials is not None:
+            kwargs["mc_trials"] = args.trials
     cfg = ChainConfig(
         num_links=m,
         link_state=werner(fidelity),
@@ -330,9 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qnetcode", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, trials_default=1000, trials_help=None):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=_positive_int, default=1000)
+        p.add_argument("--trials", type=_positive_int, default=trials_default, help=trials_help)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--threads", type=int, default=1)
@@ -355,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--code", required=True)
     p.add_argument("--decoder", choices=("lookup", "mwpm", "bp"), required=True)
-    p.add_argument("--p", type=float, default=0.01)
+    p.add_argument("--p", type=_probability, default=0.01)
 
     p = sub.add_parser("knill", help="Knill EC Monte Carlo")
     common(p)
@@ -369,12 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pg", type=_probability, default=0.0)
 
     p = sub.add_parser("chain", help="repeater chain scenario")
-    common(p)
+    common(p, trials_default=None, trials_help="Knill rounds per hop in the encoded modes (default 400)")
     p.add_argument("--config", default=None, help="JSON scenario file; flags win on conflict")
     p.add_argument("--mode", choices=("physical", "encoded_teleport", "encoded_direct"), default=None)
-    p.add_argument("--links", type=int, default=None)
-    p.add_argument("--fidelity", type=float, default=None)
-    p.add_argument("--rounds", type=int, default=None)
+    p.add_argument("--links", type=_positive_int, default=None)
+    p.add_argument("--fidelity", type=_probability, default=None)
+    p.add_argument("--rounds", type=_nonnegative_int, default=None)
     p.add_argument("--schedule", choices=("sequential", "nested"), default=None)
     p.add_argument("--delay", type=float, default=None)
     p.add_argument("--code", default=None)

@@ -9,6 +9,18 @@ Block layout inside the simulator: data block [0, n), EPR half A
 [n, 2n) (consumed by the Bell measurement), EPR half B [2n, 3n)
 (the output block). One round costs 4 time units: ancilla preparation,
 two CNOT steps, one measurement step.
+
+Two engines share one failure account (_frame_account):
+
+- knill_residuals samples rounds as Pauli frames. Pauli errors propagate
+  linearly through the round's Clifford circuit, so the outcome flips,
+  the syndromes and the residual on the output block are GF(2) products
+  of the injected error bits; no tableau is needed. This is the Monte
+  Carlo engine of the knill command and the encoded chain modes.
+- knill_ec_round runs one round on the 3n-qubit stabilizer tableau and
+  asserts that the tableau syndrome equals the linear model's. It is the
+  oracle of the frame engine; the tests check the two against each
+  other on every single-qubit error and readout flip.
 """
 
 from __future__ import annotations
@@ -23,9 +35,12 @@ from qnetcode.codes import CssCode
 from qnetcode.decoders import DecodeResult, UndecodableError
 from qnetcode.noise import NoiseModel, sample_error
 from qnetcode.pauli import PauliOperator
+from qnetcode.rng import stream
 from qnetcode.stabsim import StabilizerState
 
 ROUND_COST_T = 4
+# trials per batch of knill_residuals: bounds the memory of large runs
+FRAME_CHUNK = 4096
 
 
 @dataclass
@@ -149,13 +164,16 @@ def _run_round(
     return BellOutcomeBlock(u=u, v=v), state
 
 
-def _flip_readout(outcomes: BellOutcomeBlock, meas_flip: NoiseModel, rng: np.random.Generator):
-    """Classical readout flips, drawn for u and then for v; returns
-    (flipped outcomes, flips_u, flips_v)."""
-    n = len(outcomes.u)
+def _draw_flips(meas_flip: NoiseModel, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Classical readout flips as a (2, n) array: row 0 flips u, row 1 v."""
     p = meas_flip.flip_probability()
-    flips = (rng.random((2, n)) < p).astype(np.uint8) if p else np.zeros((2, n), dtype=np.uint8)
-    return BellOutcomeBlock(u=outcomes.u ^ flips[0], v=outcomes.v ^ flips[1]), flips[0], flips[1]
+    return (rng.random((2, n)) < p).astype(np.uint8) if p else np.zeros((2, n), dtype=np.uint8)
+
+
+def _flip_readout(outcomes: BellOutcomeBlock, meas_flip: NoiseModel, rng: np.random.Generator):
+    """Readout flips drawn after the round; returns (flipped outcomes, flips)."""
+    flips = _draw_flips(meas_flip, len(outcomes.u), rng)
+    return BellOutcomeBlock(u=outcomes.u ^ flips[0], v=outcomes.v ^ flips[1]), flips
 
 
 def encoded_bell_measure(
@@ -229,6 +247,79 @@ def verify_output(
     return True
 
 
+def _frame_account(code: CssCode, decoder, data_x, data_z, epr_x, epr_z):
+    """Failure account of a batch of rounds from the linear error model.
+
+    data_x, data_z: (T, n) errors on the data block; a readout flip of u
+    (v) enters as a Z (X) data error, which shifts the outcomes the same
+    way. epr_x, epr_z: (T, 2n) errors on EPR halves A and B.
+
+    Each trial's syndrome is decoded on its own. The residual on the
+    output block is (outcome flips + correction + half-B error); its
+    logical class is its commutation with the logical operators. An
+    undecodable syndrome leaves the correction out and sets every class
+    bit. Returns (s_x, s_z, acts_as_x, acts_as_z, results): syndromes
+    (T, r), residual classes (T, k) and each trial's DecodeResult, or
+    None where the syndrome was undecodable.
+    """
+    n = code.n
+    e_u = data_z ^ epr_z[:, :n]  # flips of the X-basis data outcomes u
+    e_v = data_x ^ epr_x[:, :n]  # flips of the Z-basis ancilla outcomes v
+    s_x = gf2.matmul(e_u, code.h_x.T)
+    s_z = gf2.matmul(e_v, code.h_z.T)
+    res_x = e_v ^ epr_x[:, n:]
+    res_z = e_u ^ epr_z[:, n:]
+    results = []
+    for t in range(len(e_u)):
+        try:
+            result = decoder.decode((s_x[t], s_z[t]))
+        except UndecodableError:
+            result = None
+        else:
+            res_x[t] ^= result.correction.x_bits
+            res_z[t] ^= result.correction.z_bits
+        results.append(result)
+    acts_as_x = gf2.matmul(res_x, code.logical_z.T)
+    acts_as_z = gf2.matmul(res_z, code.logical_x.T)
+    undecodable = np.array([r is None for r in results], dtype=bool)
+    acts_as_x[undecodable] = 1
+    acts_as_z[undecodable] = 1
+    return s_x, s_z, acts_as_x, acts_as_z, results
+
+
+def knill_residuals(
+    code: CssCode, decoder, noise: KnillNoise, seed: int, key: tuple[int, ...], trials: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial (x_bad, z_bad) bool arrays of `trials` Knill rounds.
+
+    Trial t draws from stream(seed, *key, t): data noise, then EPR noise,
+    then readout flips (u, then v), as knill_ec_round does minus the
+    tableau's own draws. x_bad (z_bad) is set where the residual acts as
+    a logical X (Z) on the output; an undecodable syndrome sets both.
+    """
+    n = code.n
+    x_bad = np.zeros(trials, dtype=bool)
+    z_bad = np.zeros(trials, dtype=bool)
+    for start in range(0, trials, FRAME_CHUNK):
+        count = min(FRAME_CHUNK, trials - start)
+        data_x, data_z = np.zeros((2, count, n), dtype=np.uint8)
+        epr_x, epr_z = np.zeros((2, count, 2 * n), dtype=np.uint8)
+        for i in range(count):
+            rng = stream(seed, *key, start + i)
+            data = sample_error(noise.data_noise, n, rng)
+            epr = sample_error(noise.epr_error, 2 * n, rng)
+            flips = _draw_flips(noise.meas_flip, n, rng)
+            data_x[i] = data.x_bits ^ flips[1]
+            data_z[i] = data.z_bits ^ flips[0]
+            epr_x[i] = epr.x_bits
+            epr_z[i] = epr.z_bits
+        _, _, acts_as_x, acts_as_z, results = _frame_account(code, decoder, data_x, data_z, epr_x, epr_z)
+        undecodable = np.array([r is None for r in results], dtype=bool)
+        x_bad[start : start + count] = acts_as_x.any(axis=1) | undecodable
+        z_bad[start : start + count] = acts_as_z.any(axis=1) | undecodable
+    return x_bad, z_bad
+
+
 def knill_ec_round(
     code: CssCode,
     decoder,
@@ -236,15 +327,14 @@ def knill_ec_round(
     noise: KnillNoise,
     rng: np.random.Generator,
 ) -> KnillReport:
-    """One single-shot EC round: encoded Bell measurement, extraction,
-    one decode, failure accounting.
+    """One single-shot EC round on the stabilizer tableau: encoded Bell
+    measurement, extraction, one decode, failure accounting.
 
-    logical_failure compares the frame plus correction against the known
-    injected errors; an undecodable syndrome is recorded as a failure.
-    The output block itself is never corrected: the failure account
-    reads the residual from the linear error model, which is checked
-    against the tableau syndrome on every call (apply_output_corrections
-    and verify_output are the oracle for that model in the tests).
+    The failure account is _frame_account's, fed with the injected
+    errors; the tableau syndrome must equal the account's on every call.
+    The output block itself is never corrected (apply_output_corrections
+    and verify_output are the tableau oracle of the residual in the
+    tests). An undecodable syndrome is recorded as a failure.
     """
     n = code.n
     data = data_error
@@ -254,34 +344,18 @@ def knill_ec_round(
     epr = sample_error(noise.epr_error, 2 * n, rng)
     outcomes, _ = _run_round(code, data, epr, rng)
     # the flips stay known to the failure account
-    outcomes, flips_u, flips_v = _flip_readout(outcomes, noise.meas_flip, rng)
+    outcomes, flips = _flip_readout(outcomes, noise.meas_flip, rng)
     s_x, s_z, logical_xx, logical_zz = extract(outcomes, code)
 
-    epr_a_x, epr_b_x = epr.x_bits[:n], epr.x_bits[n:]
-    epr_a_z, epr_b_z = epr.z_bits[:n], epr.z_bits[n:]
-    # outcome-flip vectors implied by the injected errors (linear model)
-    e_u = data.z_bits ^ epr_a_z ^ flips_u
-    e_v = data.x_bits ^ epr_a_x ^ flips_v
-    if code.r_x and not np.array_equal(s_x, gf2.matvec(code.h_x, e_u)):
+    frame_s_x, frame_s_z, acts_as_x, acts_as_z, (result,) = _frame_account(
+        code, decoder,
+        (data.x_bits ^ flips[1])[None], (data.z_bits ^ flips[0])[None],
+        epr.x_bits[None], epr.z_bits[None],
+    )
+    if not (np.array_equal(s_x, frame_s_x[0]) and np.array_equal(s_z, frame_s_z[0])):
         raise AssertionError("tableau syndrome disagrees with the linear error model")
-    if code.r_z and not np.array_equal(s_z, gf2.matvec(code.h_z, e_v)):
-        raise AssertionError("tableau syndrome disagrees with the linear error model")
-
-    try:
-        result = decoder.decode((s_x, s_z))
-    except UndecodableError:
-        ones = np.ones(code.k, dtype=np.uint8)
-        return KnillReport(
-            s_x, s_z, logical_xx, logical_zz, None, logical_failure=True,
-            residual_logical_x=ones, residual_logical_z=ones,
-        )
-
-    residual_x = e_v ^ result.correction.x_bits ^ epr_b_x
-    residual_z = e_u ^ result.correction.z_bits ^ epr_b_z
-    acts_as_x = gf2.matvec(code.logical_z, residual_x) if code.k else np.zeros(0, dtype=np.uint8)
-    acts_as_z = gf2.matvec(code.logical_x, residual_z) if code.k else np.zeros(0, dtype=np.uint8)
-    failure = bool(acts_as_x.any() or acts_as_z.any())
     return KnillReport(
-        s_x, s_z, logical_xx, logical_zz, result, logical_failure=failure,
-        residual_logical_x=acts_as_x, residual_logical_z=acts_as_z,
+        s_x, s_z, logical_xx, logical_zz, result,
+        logical_failure=bool(result is None or acts_as_x.any() or acts_as_z.any()),
+        residual_logical_x=acts_as_x[0], residual_logical_z=acts_as_z[0],
     )

@@ -21,12 +21,11 @@ from typing import Optional
 
 import numpy as np
 
-from qnetcode import gf2
 from qnetcode.codes import CssCode
+from qnetcode.ftec import KnillNoise, knill_residuals
 from qnetcode.noise import BellDiagonalState, LABEL_INDEX, LABEL_XZ, NoiseModel, effective_error_rate
 from qnetcode.pauli import PauliOperator
 from qnetcode.protocols import purify_pair_dist
-from qnetcode.rng import stream
 from qnetcode.stabsim import StabilizerState, prepare_bell
 
 MODES = ("physical", "encoded_teleport", "encoded_direct")
@@ -122,21 +121,14 @@ def _fold(states: list[BellDiagonalState], schedule: str) -> BellDiagonalState:
 
 def _logical_channel(config: ChainConfig, epr_model: NoiseModel, data_model: NoiseModel, hop: int) -> BellDiagonalState:
     """Per-hop logical error distribution from a seeded knill Monte Carlo."""
-    from qnetcode.ftec import KnillNoise, knill_ec_round
-
-    code = config.code
-    counts = np.zeros(4, dtype=np.int64)
     noise = KnillNoise(
         epr_error=epr_model,
         meas_flip=NoiseModel.bit_flip(config.p_g) if config.p_g else NoiseModel.none(),
         data_noise=data_model,
     )
-    identity = PauliOperator.identity(code.n)
-    for t in range(config.mc_trials):
-        rep = knill_ec_round(code, config.decoder, identity, noise, stream(config.seed, 900 + hop, t))
-        x_bad = int(rep.residual_logical_x.any())
-        z_bad = int(rep.residual_logical_z.any())
-        counts[LABEL_INDEX[(x_bad, z_bad)]] += 1
+    x_bad, z_bad = knill_residuals(config.code, config.decoder, noise, config.seed, (900 + hop,), config.mc_trials)
+    labels = [LABEL_INDEX[xz] for xz in zip(x_bad.astype(int).tolist(), z_bad.astype(int).tolist())]
+    counts = np.bincount(labels, minlength=4)
     return BellDiagonalState(counts / counts.sum())
 
 

@@ -1,10 +1,11 @@
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
-from qnetcode import cli
+from qnetcode import cli, codes
 
 
 def run_cli(capsys, *argv):
@@ -161,6 +162,12 @@ KNILL = ["knill", "--code", "rep3", "--trials", "5"]
         (["decode", "--code", "hgp:1:3:4:0", "--decoder", "bp"], "r*w >= n"),
         (["decode", "--code", "hgp:1:3:4:9", "--decoder", "bp"], "r*w >= n"),
         (["decode", "--code", "hgp:1:1:12:4", "--decoder", "bp"], "r*w >= n"),
+        (["decode", "--code", "surface:3", "--decoder", "mwpm", "--p", "1.5"], "probability"),
+        (["decode", "--code", "surface:3", "--decoder", "mwpm", "--p", "-0.1"], "probability"),
+        (["chain", "--links", "0"], "--links"),
+        (["chain", "--fidelity", "1.5"], "probability"),
+        (["chain", "--rounds", "-1"], "--rounds"),
+        (["chain", "--mode", "encoded_teleport", "--code", "rep3", "--trials", "0"], "--trials"),
     ],
 )
 def test_bad_input_is_usage_error(capsys, argv, message):
@@ -168,3 +175,66 @@ def test_bad_input_is_usage_error(capsys, argv, message):
     assert code == 1
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("fidelity", 1.5, "probability"),
+        ("fidelity", "high", "probability"),
+        ("p_c", -0.1, "probability"),
+        ("p_g", 2, "probability"),
+        ("links", 0, "integer >= 1"),
+        ("links", 2.5, "integer >= 1"),
+        ("rounds", -1, "integer >= 0"),
+    ],
+)
+def test_bad_chain_config_value_is_usage_error(tmp_path, capsys, key, value, message):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"mode": "encoded_direct", "code_id": "rep3", key: value}))
+    code, out, err = run_cli(capsys, "chain", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert f"--config {key}" in err and message in err
+
+
+def test_chain_trials_sets_rounds_per_hop(monkeypatch, capsys):
+    seen = []
+    run_chain = cli.run_chain
+
+    def spy(cfg):
+        seen.append(cfg.mc_trials)
+        return run_chain(cfg)
+
+    monkeypatch.setattr(cli, "run_chain", spy)
+    base = ["chain", "--mode", "encoded_teleport", "--links", "2", "--code", "rep3", "--seed", "4"]
+    assert run_cli(capsys, *base)[0] == 0
+    assert run_cli(capsys, *(base + ["--trials", "50"]))[0] == 0
+    assert seen == [400, 50]
+
+
+def test_knill_surface5_seeded_row_is_pinned(capsys):
+    code, out, _ = run_cli(
+        capsys, "knill", "--code", "surface:5", "--decoder", "mwpm", "--pc", "0.01", "--pg", "0.001",
+        "--trials", "400", "--seed", "1", "--format", "json",
+    )
+    assert code == 0
+    row = json.loads(out)[0]
+    assert (row["p_eff"], row["trials"], row["logical_failures"]) == (0.015, 400, 1)
+
+
+def test_check_matrix_draws_are_pinned():
+    """Ids whose draw covered every column keep their exact matrix."""
+    h = cli.random_regular_check_matrix(9, 12, 4, 2)  # hgp:2:9:12:4
+    assert hashlib.sha256(h.tobytes()).hexdigest() == (
+        "fd44fd0127be4439074304cd781758cbf99387df688631a9b2d890690dd3f7ea"
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 4, 5])
+def test_tight_check_matrix_is_repaired(seed):
+    """r*w == n: a covering draw is rare, so the last draw is repaired."""
+    h = cli.random_regular_check_matrix(3, 12, 4, seed)
+    assert (h.sum(axis=1) == 4).all() and (h.sum(axis=0) >= 1).all()
+    code = cli.parse_code(f"hgp:{seed}:3:12:4")
+    assert code.n == 12 * 12 + 3 * 3 and codes.validate(code).ok

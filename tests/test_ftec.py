@@ -3,18 +3,23 @@ import itertools
 import numpy as np
 import pytest
 
-from qnetcode import codes, gf2
-from qnetcode.decoders import LookupDecoder, MatchingDecoder
+from qnetcode import codes, ftec, gf2
+from qnetcode.decoders import BpDecoder, LookupDecoder, MatchingDecoder
 from qnetcode.ftec import (
     ROUND_COST_T,
     BellOutcomeBlock,
     KnillNoise,
+    _frame_account,
     _row_pauli,
+    _run_round,
+    apply_output_corrections,
     encoded_bell_measure,
     extract,
     knill_ec_round,
+    knill_residuals,
     prepare_logical_epr,
     prepare_logical_zero,
+    verify_output,
 )
 from qnetcode.noise import NoiseModel
 from qnetcode.pauli import PauliOperator
@@ -197,3 +202,142 @@ def test_undecodable_syndrome_counts_as_failure():
     assert rep.logical_failure
     assert rep.decode is None
     assert rep.residual_logical_x.all() and rep.residual_logical_z.all()
+
+
+def _single_faults(n):
+    """Every single-qubit X and Z on the 3n round qubits, then every single
+    readout flip of u and of v, as (data_x, data_z, epr_x, epr_z, flips)."""
+    for q in range(3 * n):
+        for kind in (0, 1):  # X, Z
+            bits = np.zeros((2, 3 * n), dtype=np.uint8)
+            bits[kind, q] = 1
+            yield bits[0, :n], bits[1, :n], bits[0, n:], bits[1, n:], np.zeros((2, n), dtype=np.uint8)
+    for side in (0, 1):  # u, v
+        for j in range(n):
+            flips = np.zeros((2, n), dtype=np.uint8)
+            flips[side, j] = 1
+            zero, zero2 = np.zeros(n, dtype=np.uint8), np.zeros(2 * n, dtype=np.uint8)
+            yield zero, zero, zero2, zero2, flips
+
+
+def _plus_data_block(original):
+    """prepare_logical_zero, except that the data block (offset 0) ends in
+    logical |+...+>: measure every logical X, then fix the -1 outcomes with
+    a combination of logical Zs."""
+
+    def prepare(state, code, offset, rng):
+        original(state, code, offset, rng)
+        if offset:
+            return
+        n_total = state.num_qubits
+        outcomes = np.array(
+            [state.measure_pauli(_row_pauli(n_total, 0, row, "X"), rng) for row in code.logical_x],
+            dtype=np.uint8,
+        )
+        fix = gf2.solve(gf2.matmul(code.logical_x, code.logical_z.T), outcomes)
+        for i in np.flatnonzero(fix):
+            state.apply_pauli(_row_pauli(n_total, 0, code.logical_z[i], "Z"))
+
+    return prepare
+
+
+BASIS_CODES = [
+    (codes.rep3(), LookupDecoder),
+    (codes.shor9(), LookupDecoder),
+    (codes.rotated_surface(3), MatchingDecoder),
+    (codes.rotated_surface(5), MatchingDecoder),
+    # [[20, 4]] hypergraph product: k > 1, qubits on more than two checks
+    (codes.hypergraph_product([[0, 1, 1, 0], [1, 0, 0, 1]], [[0, 1, 1, 0], [1, 0, 0, 1]]),
+     lambda code: BpDecoder(code, 0.05, max_iters=10)),
+]
+
+
+@pytest.mark.parametrize("code,make_decoder", BASIS_CODES, ids=[c.name for c, _ in BASIS_CODES])
+def test_frame_engine_matches_tableau_on_pauli_basis(code, make_decoder, monkeypatch):
+    """The frame engine agrees with the tableau on every single-qubit X
+    and Z of the 3n round qubits and every single readout flip.
+
+    Pauli propagation through the round's Clifford circuit is linear over
+    GF(2), and the decoder sees the same syndrome in both, so agreement on
+    this basis proves agreement on every error. The output block reads
+    the residual class directly: on a logical |0> input its logical Z
+    eigenvalues give the X class; on a logical |+> input its logical X
+    eigenvalues give the Z class. Those eigenvalues are defined even when
+    the output syndrome is not clean, because the input is an eigenstate
+    of the logical operator and the residual is a Pauli.
+    """
+    n = code.n
+    decoder = make_decoder(code)
+    prepare_zero = ftec.prepare_logical_zero
+    for attr, logical in (("Z", code.logical_z), ("X", code.logical_x)):
+        if attr == "X":  # logical |+> input
+            monkeypatch.setattr(ftec, "prepare_logical_zero", _plus_data_block(prepare_zero))
+        for idx, (data_x, data_z, epr_x, epr_z, flips) in enumerate(_single_faults(n)):
+            outcomes, state = _run_round(
+                code, PauliOperator(n, data_x, data_z), PauliOperator(2 * n, epr_x, epr_z),
+                stream(62, n, idx),
+            )
+            outcomes = BellOutcomeBlock(u=outcomes.u ^ flips[0], v=outcomes.v ^ flips[1])
+            s_x, s_z, lxx, lzz = extract(outcomes, code)
+            f_s_x, f_s_z, acts_as_x, acts_as_z, (result,) = _frame_account(
+                code, decoder, (data_x ^ flips[1])[None], (data_z ^ flips[0])[None],
+                epr_x[None], epr_z[None],
+            )
+            assert np.array_equal(s_x, f_s_x[0]) and np.array_equal(s_z, f_s_z[0]), idx
+            assert result is not None  # every decoder here takes every single-fault syndrome
+            apply_output_corrections(state, code, result.correction, lxx, lzz)
+            acts = acts_as_x[0] if attr == "Z" else acts_as_z[0]
+            for i in range(code.k):
+                want = -1 if acts[i] else 1
+                assert state.expectation(_row_pauli(3 * n, 2 * n, logical[i], attr)) == want, (attr, idx, i)
+            if attr == "Z":
+                clean = verify_output(state, code)
+                assert verify_output(state, code, logical_z_bits=acts_as_x[0]) == clean, idx
+
+
+@pytest.mark.parametrize(
+    "code,make_decoder,noise",
+    [
+        (codes.shor9(), LookupDecoder,
+         KnillNoise(epr_error=NoiseModel.depolarizing(0.03), data_noise=NoiseModel.depolarizing(0.05))),
+        (codes.rotated_surface(3), MatchingDecoder,
+         KnillNoise(epr_error=NoiseModel.independent_xz(0.04, 0.02), data_noise=NoiseModel.bit_flip(0.05))),
+    ],
+    ids=["shor9", "surface:3"],
+)
+def test_frame_engine_matches_knill_ec_round_trial_for_trial(code, make_decoder, noise):
+    """Without readout flips the batch and the tableau round draw the same
+    errors from the same per-trial streams, so their per-trial residual
+    classes agree exactly."""
+    decoder = make_decoder(code)
+    trials = 150
+    x_bad, z_bad = knill_residuals(code, decoder, noise, 63, (5,), trials)
+    identity = PauliOperator.identity(code.n)
+    for t in range(trials):
+        rep = knill_ec_round(code, decoder, identity, noise, stream(63, 5, t))
+        assert (x_bad[t], z_bad[t]) == (rep.residual_logical_x.any(), rep.residual_logical_z.any()), t
+        assert rep.logical_failure == (x_bad[t] or z_bad[t])
+    assert 0 < (x_bad | z_bad).sum() < trials
+
+
+def test_frame_engine_chunks_do_not_change_results(monkeypatch):
+    code = codes.shor9()
+    decoder = LookupDecoder(code)
+    noise = KnillNoise(data_noise=NoiseModel.depolarizing(0.1), meas_flip=NoiseModel.bit_flip(0.05))
+    whole = knill_residuals(code, decoder, noise, 64, (), 100)
+    monkeypatch.setattr(ftec, "FRAME_CHUNK", 7)
+    chunked = knill_residuals(code, decoder, noise, 64, (), 100)
+    assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
+
+
+def test_frame_engine_counts_undecodable_as_both_bad():
+    code = codes.shor9()
+    decoder = LookupDecoder(code, weight_cap=0)  # only the empty syndrome decodes
+    noise = KnillNoise(data_noise=NoiseModel.bit_flip(0.1))
+    x_bad, z_bad = knill_residuals(code, decoder, noise, 65, (), 50)
+    undecodable = [
+        knill_ec_round(code, decoder, PauliOperator.identity(code.n), noise, stream(65, t)).decode is None
+        for t in range(50)
+    ]
+    assert any(undecodable) and not all(undecodable)
+    assert all(x_bad[t] and z_bad[t] for t in range(50) if undecodable[t])
