@@ -2,9 +2,8 @@
 Monte Carlo, chain scenarios, and rate tables.
 
 Runs are reproducible: the same subcommand, flags, and --seed produce
-byte-identical data rows (wall-time columns excluded). Trials use
-counter-based per-trial random streams, so --threads never changes the
-output.
+byte-identical data rows (wall-time columns excluded), because every
+trial draws from its own counter-based random stream.
 """
 
 from __future__ import annotations
@@ -15,16 +14,15 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 
 from qnetcode import codes, ratecalc
-from qnetcode.decoders import BpDecoder, LookupDecoder, MatchingDecoder, logical_failure
+from qnetcode.decoders import BpDecoder, LookupDecoder, MatchingDecoder
 from qnetcode.ftec import KnillNoise, knill_residuals
-from qnetcode.netchain import ChainConfig, compare_latency, run_chain
-from qnetcode.noise import NoiseModel, effective_error_rate, sample_error, werner
+from qnetcode.netchain import MODES, ChainConfig, compare_latency, run_chain
+from qnetcode.noise import NoiseModel, effective_error_rate, werner
 from qnetcode.protocols import superdense, swap_chain, teleport
 from qnetcode.rng import stream
 
@@ -50,14 +48,21 @@ _positive_int = _int_at_least(1)
 _nonnegative_int = _int_at_least(0)
 
 
-def _probability(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be a probability in [0, 1], got {text!r}")
-    return value
+def _float_in(low: float, high: float, what: str):
+    def convert(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = float("nan")
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return convert
+
+
+_probability = _float_in(0.0, 1.0, "a probability in [0, 1]")
+_nonnegative_float = _float_in(0.0, sys.float_info.max, "a finite number >= 0")
 
 
 def _noise_spec(text: str) -> NoiseModel:
@@ -120,9 +125,12 @@ def parse_rate_code(code_id: str) -> tuple[str, int, int]:
     if code_id.startswith("custom:"):
         try:
             _, n, k = code_id.split(":")
-            return code_id, int(n), int(k)
+            n, k = int(n), int(k)
         except ValueError:
             raise UsageError(f"malformed code id {code_id!r}") from None
+        if n < 1 or not 0 <= k <= n:
+            raise UsageError(f"code id {code_id!r} needs n >= 1 and 0 <= k <= n")
+        return code_id, n, k
     code = parse_code(code_id)
     return code_id, code.n, code.k
 
@@ -147,13 +155,6 @@ def write_rows(rows: list[dict], out, fmt: str):
     writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
     writer.writeheader()
     writer.writerows(rows)
-
-
-def _map_trials(fn, trials: int, threads: int) -> list:
-    if threads <= 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(trials)))
 
 
 # --- subcommands -------------------------------------------------------------
@@ -225,25 +226,17 @@ def cmd_protocol(args) -> list[dict]:
             }
         raise UsageError(f"unknown protocol {args.name!r}")
 
-    return _map_trials(run_one, args.trials, args.threads)
+    return [run_one(t) for t in range(args.trials)]
 
 
 def cmd_decode(args) -> list[dict]:
     code = parse_code(args.code)
     decoder = build_decoder(args.decoder, code, args.p)
-    noise = NoiseModel.independent_xz(args.p, args.p)
+    # code-capacity decoding: a Knill round with a perfect EPR pair and exact readout
+    noise = KnillNoise(data_noise=NoiseModel.independent_xz(args.p, args.p))
     t0 = time.perf_counter()
-
-    def run_one(t: int):
-        rng = stream(args.seed, t)
-        err = sample_error(noise, code.n, rng)
-        result = decoder.decode(codes.syndrome(code, err))
-        iters = result.iterations or 0
-        return logical_failure(code, err, result.correction), iters
-
-    results = _map_trials(run_one, args.trials, args.threads)
-    failures = sum(f for f, _ in results)
-    iter_total = sum(i for _, i in results)
+    x_bad, z_bad, iterations = knill_residuals(code, decoder, noise, args.seed, (), args.trials)
+    failures = int(np.count_nonzero(x_bad | z_bad))
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return [
         {
@@ -254,7 +247,7 @@ def cmd_decode(args) -> list[dict]:
             "p": args.p,
             "trials": args.trials,
             "logical_failures": failures,
-            "avg_iterations": iter_total / max(args.trials, 1),
+            "avg_iterations": float(iterations.mean()),
             "wall_time_ms": round(wall_ms, 3),
         }
     ]
@@ -271,7 +264,7 @@ def cmd_knill(args) -> list[dict]:
     decoder = build_decoder(args.decoder, code, 0.01)
     noise = KnillNoise(epr_error=args.epr_noise, meas_flip=args.meas_flip, data_noise=data_noise)
     t0 = time.perf_counter()
-    x_bad, z_bad = knill_residuals(code, decoder, noise, args.seed, (), args.trials)
+    x_bad, z_bad, _ = knill_residuals(code, decoder, noise, args.seed, (), args.trials)
     failures = int(np.count_nonzero(x_bad | z_bad))
     seconds = time.perf_counter() - t0
     return [
@@ -289,32 +282,40 @@ def cmd_knill(args) -> list[dict]:
     ]
 
 
+# --config keys; each maps onto the flag of the same meaning
+_CHAIN_CONFIG_KEYS = ("mode", "links", "fidelity", "rounds", "delay", "code_id", "p_c", "p_g")
+
+
 def cmd_chain(args) -> list[dict]:
     file_cfg = {}
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise UsageError("--config must hold a JSON object")
+        unknown = sorted(set(file_cfg) - set(_CHAIN_CONFIG_KEYS))
+        if unknown:
+            raise UsageError(f"--config {unknown[0]}: unknown key (known: {', '.join(_CHAIN_CONFIG_KEYS)})")
 
-    def pick(flag_value, key, default, convert=None):
+    def pick(flag_value, key, default, convert):
         """The flag if given, else the file's value through the flag's converter."""
         if flag_value is not None:
             return flag_value
         if key not in file_cfg:
             return default
-        if convert is None:
-            return file_cfg[key]
         try:
             return convert(str(file_cfg[key]))
         except argparse.ArgumentTypeError as e:
             raise UsageError(f"--config {key}: {e}") from None
 
-    mode = pick(args.mode, "mode", "physical")
+    mode = pick(args.mode, "mode", "physical", str)
+    if mode not in MODES:  # the flag has argparse choices; only a file value gets here
+        raise UsageError(f"--config mode: must be one of {', '.join(MODES)}, got {mode!r}")
     m = pick(args.links, "links", 4, _positive_int)
     fidelity = pick(args.fidelity, "fidelity", 0.95, _probability)
     rounds = pick(args.rounds, "rounds", 2, _nonnegative_int)
-    schedule = pick(args.schedule, "schedule", "nested")
-    delay = float(pick(args.delay, "delay", 10.0))
-    code_id = pick(args.code, "code_id", None)
+    delay = pick(args.delay, "delay", 10.0, _nonnegative_float)
+    code_id = pick(args.code, "code_id", None, str)
     kwargs = {}
     if mode != "physical":
         if not code_id:
@@ -330,7 +331,6 @@ def cmd_chain(args) -> list[dict]:
         num_links=m,
         link_state=werner(fidelity),
         purify_rounds=rounds,
-        swap_schedule=schedule,
         hop_delay_D=delay,
         mode=mode,
         seed=args.seed,
@@ -356,17 +356,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, trials_default=1000, trials_help=None):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_nonnegative_int, default=0)
         p.add_argument("--trials", type=_positive_int, default=trials_default, help=trials_help)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("rate", help="EPR generation rate table")
     common(p)
-    p.add_argument("--qubits", type=int, required=True)
+    p.add_argument("--qubits", type=_positive_int, required=True)
     p.add_argument("--code", action="append", required=True, help="repeatable; custom:<n>:<k> allowed")
-    p.add_argument("--cycle", type=int, default=4)
+    p.add_argument("--cycle", type=_positive_int, default=4)
     p.add_argument("--pc", type=_probability, default=0.0)
     p.add_argument("--pg", type=_probability, default=0.0)
 
@@ -374,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--name", choices=("teleport", "superdense", "swap"), required=True)
     p.add_argument("--noise", type=_noise_spec, default="none")
-    p.add_argument("--links", type=int, default=3)
+    p.add_argument("--links", type=_positive_int, default=3)
 
     p = sub.add_parser("decode", help="decoder benchmark")
     common(p)
@@ -396,12 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chain", help="repeater chain scenario")
     common(p, trials_default=None, trials_help="Knill rounds per hop in the encoded modes (default 400)")
     p.add_argument("--config", default=None, help="JSON scenario file; flags win on conflict")
-    p.add_argument("--mode", choices=("physical", "encoded_teleport", "encoded_direct"), default=None)
+    p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--links", type=_positive_int, default=None)
     p.add_argument("--fidelity", type=_probability, default=None)
     p.add_argument("--rounds", type=_nonnegative_int, default=None)
-    p.add_argument("--schedule", choices=("sequential", "nested"), default=None)
-    p.add_argument("--delay", type=float, default=None)
+    p.add_argument("--delay", type=_nonnegative_float, default=None)
     p.add_argument("--code", default=None)
     p.add_argument("--decoder", choices=("lookup", "mwpm", "bp"), default="lookup")
     p.add_argument("--pc", type=_probability, default=None)

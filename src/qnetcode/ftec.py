@@ -16,7 +16,8 @@ Two engines share one failure account (_frame_account):
   linearly through the round's Clifford circuit, so the outcome flips,
   the syndromes and the residual on the output block are GF(2) products
   of the injected error bits; no tableau is needed. This is the Monte
-  Carlo engine of the knill command and the encoded chain modes.
+  Carlo engine of the knill and decode commands and the encoded chain
+  modes (decode is a round with a perfect EPR pair and exact readout).
 - knill_ec_round runs one round on the 3n-qubit stabilizer tableau and
   asserts that the tableau syndrome equals the linear model's. It is the
   oracle of the frame engine; the tests check the two against each
@@ -289,17 +290,23 @@ def _frame_account(code: CssCode, decoder, data_x, data_z, epr_x, epr_z):
 
 def knill_residuals(
     code: CssCode, decoder, noise: KnillNoise, seed: int, key: tuple[int, ...], trials: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial (x_bad, z_bad) bool arrays of `trials` Knill rounds.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-trial (x_bad, z_bad, iterations) arrays of `trials` Knill rounds.
 
     Trial t draws from stream(seed, *key, t): data noise, then EPR noise,
     then readout flips (u, then v), as knill_ec_round does minus the
     tableau's own draws. x_bad (z_bad) is set where the residual acts as
     a logical X (Z) on the output; an undecodable syndrome sets both.
+    iterations holds the decoder's iteration count (0 where it reports
+    none or the syndrome is undecodable).
+
+    With a perfect EPR pair and no readout flips the output carries the
+    data error's decoded residual, so this is also code-capacity decoding.
     """
     n = code.n
     x_bad = np.zeros(trials, dtype=bool)
     z_bad = np.zeros(trials, dtype=bool)
+    iterations = np.zeros(trials, dtype=np.int64)
     for start in range(0, trials, FRAME_CHUNK):
         count = min(FRAME_CHUNK, trials - start)
         data_x, data_z = np.zeros((2, count, n), dtype=np.uint8)
@@ -317,7 +324,8 @@ def knill_residuals(
         undecodable = np.array([r is None for r in results], dtype=bool)
         x_bad[start : start + count] = acts_as_x.any(axis=1) | undecodable
         z_bad[start : start + count] = acts_as_z.any(axis=1) | undecodable
-    return x_bad, z_bad
+        iterations[start : start + count] = [0 if r is None else r.iterations or 0 for r in results]
+    return x_bad, z_bad, iterations
 
 
 def knill_ec_round(

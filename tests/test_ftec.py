@@ -311,7 +311,7 @@ def test_frame_engine_matches_knill_ec_round_trial_for_trial(code, make_decoder,
     classes agree exactly."""
     decoder = make_decoder(code)
     trials = 150
-    x_bad, z_bad = knill_residuals(code, decoder, noise, 63, (5,), trials)
+    x_bad, z_bad, _ = knill_residuals(code, decoder, noise, 63, (5,), trials)
     identity = PauliOperator.identity(code.n)
     for t in range(trials):
         rep = knill_ec_round(code, decoder, identity, noise, stream(63, 5, t))
@@ -334,7 +334,7 @@ def test_frame_engine_counts_undecodable_as_both_bad():
     code = codes.shor9()
     decoder = LookupDecoder(code, weight_cap=0)  # only the empty syndrome decodes
     noise = KnillNoise(data_noise=NoiseModel.bit_flip(0.1))
-    x_bad, z_bad = knill_residuals(code, decoder, noise, 65, (), 50)
+    x_bad, z_bad, _ = knill_residuals(code, decoder, noise, 65, (), 50)
     undecodable = [
         knill_ec_round(code, decoder, PauliOperator.identity(code.n), noise, stream(65, t)).decode is None
         for t in range(50)

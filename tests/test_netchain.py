@@ -55,8 +55,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ChainConfig(num_links=2, link_state=werner(0.9), mode="warp")
     with pytest.raises(ValueError):
-        ChainConfig(num_links=2, link_state=werner(0.9), swap_schedule="spiral")
-    with pytest.raises(ValueError):
         ChainConfig(num_links=2, link_state=werner(0.9), hop_delay_D=-1.0)
     with pytest.raises(ValueError):
         ChainConfig(num_links=2, link_state=werner(0.9), mode="encoded_teleport")
@@ -80,13 +78,6 @@ def test_two_links_no_purification_is_exact_swap():
     want = compose_swap(link, link)
     assert np.allclose(rep.end_state.probs, want.probs, atol=1e-14)
     assert rep.latency == cfg.hop_delay_D  # one swap-correction hop
-
-
-def test_swap_schedules_agree_on_end_state():
-    link = werner(0.9)
-    seq = run_chain(ChainConfig(num_links=4, link_state=link, swap_schedule="sequential"))
-    nst = run_chain(ChainConfig(num_links=4, link_state=link, swap_schedule="nested"))
-    assert np.allclose(seq.end_state.probs, nst.end_state.probs, atol=1e-14)
 
 
 def test_purification_stage_accounting():
