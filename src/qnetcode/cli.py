@@ -136,10 +136,11 @@ def parse_rate_code(code_id: str) -> tuple[str, int, int]:
 
 
 def build_decoder(kind: str, code: codes.CssCode, p: float):
+    """Decoder ``kind`` for ``code``; p seeds BP's prior, the others take none."""
     if kind == "lookup":
         return LookupDecoder(code)
     if kind == "mwpm":
-        return MatchingDecoder(code, p)
+        return MatchingDecoder(code)
     if kind == "bp":
         return BpDecoder(code, p if 0 < p < 0.5 else 0.01)
     raise UsageError(f"unknown decoder {kind!r}")
@@ -282,8 +283,17 @@ def cmd_knill(args) -> list[dict]:
     ]
 
 
-# --config keys; each maps onto the flag of the same meaning
-_CHAIN_CONFIG_KEYS = ("mode", "links", "fidelity", "rounds", "delay", "code_id", "p_c", "p_g")
+# --config keys and the flag (argparse dest) each one stands for
+_CHAIN_CONFIG_KEYS = {
+    "mode": "mode", "links": "links", "fidelity": "fidelity", "rounds": "rounds",
+    "delay": "delay", "code_id": "code", "p_c": "pc", "p_g": "pg",
+}
+# settings a chain mode never reads; decoder and trials are flags only
+_CHAIN_UNREAD = {
+    "physical": ("code_id", "decoder", "p_c", "p_g", "trials"),
+    "encoded_teleport": ("p_c",),
+    "encoded_direct": ("fidelity",),
+}
 
 
 def cmd_chain(args) -> list[dict]:
@@ -297,34 +307,43 @@ def cmd_chain(args) -> list[dict]:
         if unknown:
             raise UsageError(f"--config {unknown[0]}: unknown key (known: {', '.join(_CHAIN_CONFIG_KEYS)})")
 
-    def pick(flag_value, key, default, convert):
+    # where each setting was given: its flag or its --config key
+    given = {name: f"--{name}" for name in ("decoder", "trials") if getattr(args, name) is not None}
+
+    def pick(key, default, convert):
         """The flag if given, else the file's value through the flag's converter."""
-        if flag_value is not None:
-            return flag_value
+        flag = _CHAIN_CONFIG_KEYS[key]
+        if getattr(args, flag) is not None:
+            given[key] = f"--{flag}"
+            return getattr(args, flag)
         if key not in file_cfg:
             return default
+        given[key] = f"--config {key}"
         try:
             return convert(str(file_cfg[key]))
         except argparse.ArgumentTypeError as e:
             raise UsageError(f"--config {key}: {e}") from None
 
-    mode = pick(args.mode, "mode", "physical", str)
+    mode = pick("mode", "physical", str)
     if mode not in MODES:  # the flag has argparse choices; only a file value gets here
         raise UsageError(f"--config mode: must be one of {', '.join(MODES)}, got {mode!r}")
-    m = pick(args.links, "links", 4, _positive_int)
-    fidelity = pick(args.fidelity, "fidelity", 0.95, _probability)
-    rounds = pick(args.rounds, "rounds", 2, _nonnegative_int)
-    delay = pick(args.delay, "delay", 10.0, _nonnegative_float)
-    code_id = pick(args.code, "code_id", None, str)
+    m = pick("links", 4, _positive_int)
+    fidelity = pick("fidelity", 0.95, _probability)
+    rounds = pick("rounds", 2, _nonnegative_int)
+    delay = pick("delay", 10.0, _nonnegative_float)
+    code_id = pick("code_id", None, str)
+    p_g = pick("p_g", 0.001, _probability)
+    p_c = pick("p_c", 0.05, _probability)
+    for key in _CHAIN_UNREAD[mode]:
+        if key in given:
+            raise UsageError(f"{given[key]}: not read in chain mode {mode}")
     kwargs = {}
     if mode != "physical":
         if not code_id:
             raise UsageError("encoded chain modes require --code")
         code = parse_code(code_id)
-        kwargs["code"] = code
-        kwargs["decoder"] = build_decoder(args.decoder, code, 0.01)
-        kwargs["p_g"] = pick(args.pg, "p_g", 0.001, _probability)
-        kwargs["p_c"] = pick(args.pc, "p_c", 0.05, _probability)
+        decoder = build_decoder(args.decoder or "lookup", code, 0.01)
+        kwargs = {"code": code, "decoder": decoder, "p_g": p_g, "p_c": p_c}
         if args.trials is not None:
             kwargs["mc_trials"] = args.trials
     cfg = ChainConfig(
@@ -401,7 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=_nonnegative_int, default=None)
     p.add_argument("--delay", type=_nonnegative_float, default=None)
     p.add_argument("--code", default=None)
-    p.add_argument("--decoder", choices=("lookup", "mwpm", "bp"), default="lookup")
+    p.add_argument("--decoder", choices=("lookup", "mwpm", "bp"), default=None,
+                   help="encoded modes only (default lookup)")
     p.add_argument("--pc", type=_probability, default=None)
     p.add_argument("--pg", type=_probability, default=None)
     return parser

@@ -105,12 +105,12 @@ _BOUNDARY = "boundary"
 
 class MatchingDecoder:
     """Exact MWPM decoder for codes whose qubits touch at most two checks
-    per side (rotated surface codes). Edge weights are uniform; the
-    error prior is stored for weighted variants but unused here."""
+    per side (rotated surface codes). Edge weights are uniform: under one
+    i.i.d. error rate every edge has the same log-likelihood weight, so
+    the rate cannot change a matching and the decoder takes none."""
 
-    def __init__(self, code: CssCode, error_prior: float | None = None):
+    def __init__(self, code: CssCode):
         self.code = code
-        self.error_prior = error_prior
         self.graph_x_side = self._build_graph(code.h_z)  # corrects X errors
         self.graph_z_side = self._build_graph(code.h_x)  # corrects Z errors
 

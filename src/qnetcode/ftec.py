@@ -35,7 +35,7 @@ from qnetcode import gf2
 from qnetcode.codes import CssCode
 from qnetcode.decoders import DecodeResult, UndecodableError
 from qnetcode.noise import NoiseModel, sample_error
-from qnetcode.pauli import PauliOperator
+from qnetcode.pauli import PauliOperator, block_pauli
 from qnetcode.rng import stream
 from qnetcode.stabsim import StabilizerState
 
@@ -79,19 +79,12 @@ class KnillNoise:
     data_noise: NoiseModel = field(default_factory=NoiseModel.none)
 
 
-def _block_pauli(n_total: int, offset: int, x: np.ndarray, z: np.ndarray) -> PauliOperator:
-    xs = np.zeros(n_total, dtype=np.uint8)
-    zs = np.zeros(n_total, dtype=np.uint8)
-    xs[offset : offset + len(x)] = x
-    zs[offset : offset + len(z)] = z
-    return PauliOperator(n_total, xs, zs)
-
-
 def _row_pauli(n_total: int, offset: int, support: np.ndarray, kind: str) -> PauliOperator:
+    """X-type (kind "X") or Z-type Pauli on ``support``, placed at ``offset``."""
     zero = np.zeros(len(support), dtype=np.uint8)
     if kind == "X":
-        return _block_pauli(n_total, offset, support, zero)
-    return _block_pauli(n_total, offset, zero, support)
+        return block_pauli(n_total, offset, support, zero)
+    return block_pauli(n_total, offset, zero, support)
 
 
 def prepare_logical_zero(state: StabilizerState, code: CssCode, offset: int, rng: np.random.Generator):
@@ -110,7 +103,7 @@ def prepare_logical_zero(state: StabilizerState, code: CssCode, offset: int, rng
         fix = gf2.solve(code.h_x, outcomes)
         if fix is None:
             raise AssertionError("X-check outcomes inconsistent with h_x row space")
-        state.apply_pauli(_block_pauli(n_total, offset, np.zeros(code.n, dtype=np.uint8), fix))
+        state.apply_pauli(_row_pauli(n_total, offset, fix, "Z"))
 
 
 def prepare_logical_epr(
@@ -126,10 +119,7 @@ def prepare_logical_epr(
     prepare_logical_zero(state, code, off_b, rng)
     for i in range(code.k):
         lx = code.logical_x[i]
-        x = np.zeros(n_total, dtype=np.uint8)
-        x[off_a : off_a + code.n] = lx
-        x[off_b : off_b + code.n] = lx
-        pair = PauliOperator(n_total, x, np.zeros(n_total, dtype=np.uint8))
+        pair = _row_pauli(n_total, off_a, lx, "X") * _row_pauli(n_total, off_b, lx, "X")
         if state.measure_pauli(pair, rng):
             state.apply_pauli(_row_pauli(n_total, off_a, code.logical_z[i], "Z"))
 
@@ -154,8 +144,8 @@ def _run_round(
     state = StabilizerState(3 * n)
     prepare_logical_zero(state, code, 0, rng)
     prepare_logical_epr(state, code, n, 2 * n, rng)
-    state.apply_pauli(_block_pauli(3 * n, 0, data_error.x_bits, data_error.z_bits))
-    state.apply_pauli(_block_pauli(3 * n, n, epr_error.x_bits, epr_error.z_bits))
+    state.apply_pauli(block_pauli(3 * n, 0, data_error.x_bits, data_error.z_bits))
+    state.apply_pauli(block_pauli(3 * n, n, epr_error.x_bits, epr_error.z_bits))
     for i in range(n):
         state.cnot(i, n + i)
     for i in range(n):
@@ -218,7 +208,7 @@ def apply_output_corrections(
     """Apply the decoded correction plus the teleportation frame to the
     output block (offset 2n). Frame convention: Xbar^zz then Zbar^xx."""
     n = code.n
-    state.apply_pauli(_block_pauli(3 * n, 2 * n, correction.x_bits, correction.z_bits))
+    state.apply_pauli(block_pauli(3 * n, 2 * n, correction.x_bits, correction.z_bits))
     for i in range(code.k):
         if logical_zz[i]:
             state.apply_pauli(_row_pauli(3 * n, 2 * n, code.logical_x[i], "X"))
@@ -302,8 +292,13 @@ def knill_residuals(
 
     With a perfect EPR pair and no readout flips the output carries the
     data error's decoded residual, so this is also code-capacity decoding.
+    A model that draws nothing (variant none, flip probability 0) is not
+    called: it would only XOR in zeros.
     """
     n = code.n
+    data_draws = noise.data_noise.variant != "none"
+    epr_draws = noise.epr_error.variant != "none"
+    flip_draws = noise.meas_flip.flip_probability() > 0
     x_bad = np.zeros(trials, dtype=bool)
     z_bad = np.zeros(trials, dtype=bool)
     iterations = np.zeros(trials, dtype=np.int64)
@@ -313,13 +308,16 @@ def knill_residuals(
         epr_x, epr_z = np.zeros((2, count, 2 * n), dtype=np.uint8)
         for i in range(count):
             rng = stream(seed, *key, start + i)
-            data = sample_error(noise.data_noise, n, rng)
-            epr = sample_error(noise.epr_error, 2 * n, rng)
-            flips = _draw_flips(noise.meas_flip, n, rng)
-            data_x[i] = data.x_bits ^ flips[1]
-            data_z[i] = data.z_bits ^ flips[0]
-            epr_x[i] = epr.x_bits
-            epr_z[i] = epr.z_bits
+            if data_draws:
+                data = sample_error(noise.data_noise, n, rng)
+                data_x[i], data_z[i] = data.x_bits, data.z_bits
+            if epr_draws:
+                epr = sample_error(noise.epr_error, 2 * n, rng)
+                epr_x[i], epr_z[i] = epr.x_bits, epr.z_bits
+            if flip_draws:
+                flips = _draw_flips(noise.meas_flip, n, rng)
+                data_x[i] ^= flips[1]
+                data_z[i] ^= flips[0]
         _, _, acts_as_x, acts_as_z, results = _frame_account(code, decoder, data_x, data_z, epr_x, epr_z)
         undecodable = np.array([r is None for r in results], dtype=bool)
         x_bad[start : start + count] = acts_as_x.any(axis=1) | undecodable

@@ -24,8 +24,8 @@ import numpy as np
 from qnetcode.codes import CssCode
 from qnetcode.ftec import KnillNoise, knill_residuals
 from qnetcode.noise import BellDiagonalState, LABEL_INDEX, LABEL_XZ, NoiseModel, effective_error_rate
-from qnetcode.pauli import PauliOperator
-from qnetcode.protocols import purify_pair_dist
+from qnetcode.pauli import block_pauli
+from qnetcode.protocols import purify_pair_dist, purify_round, swap_readout
 from qnetcode.stabsim import StabilizerState, prepare_bell
 
 MODES = ("physical", "encoded_teleport", "encoded_direct")
@@ -185,58 +185,22 @@ def sample_chain_trial(config: ChainConfig, rng: np.random.Generator):
     per_link = 2 ** config.purify_rounds
     n = m * per_link * 2
     state = StabilizerState(n)
-
-    def pair_qubits(link: int, j: int) -> tuple[int, int]:
-        base = (link * per_link + j) * 2
-        return base, base + 1
-
-    for link in range(m):
-        for j in range(per_link):
-            a, b = pair_qubits(link, j)
-            prepare_bell(state, a, b)
-            xl, zl = LABEL_XZ[config.link_state.sample_label(rng)]
-            x = np.zeros(n, dtype=np.uint8)
-            z = np.zeros(n, dtype=np.uint8)
-            x[a], z[a] = xl, zl
-            state.apply_pauli(PauliOperator(n, x, z))
+    # link l owns pairs [l * per_link, (l + 1) * per_link); pair i is qubits (2i, 2i + 1)
+    pairs = [(q, q + 1) for q in range(0, n, 2)]
+    for a, b in pairs:
+        prepare_bell(state, a, b)
+        x, z = LABEL_XZ[config.link_state.sample_label(rng)]
+        state.apply_pauli(block_pauli(n, a, [x], [z]))
 
     for link in range(m):
-        alive = list(range(per_link))
+        alive = pairs[link * per_link : (link + 1) * per_link]
         for basis in config.purify_schedule:
-            nxt = []
-            for i in range(0, len(alive), 2):
-                keep, meas = alive[i], alive[i + 1]
-                ka, kb = pair_qubits(link, keep)
-                ma, mb = pair_qubits(link, meas)
-                if basis == "phaseflip":
-                    for q in (ka, kb, ma, mb):
-                        state.h(q)
-                state.cnot(ka, ma)
-                state.cnot(kb, mb)
-                bit_a = state.measure_z(ma, rng)
-                bit_b = state.measure_z(mb, rng)
-                if basis == "phaseflip":
-                    state.h(ka)
-                    state.h(kb)
+            for keep, meas in zip(alive[::2], alive[1::2]):
+                bit_a, bit_b = purify_round(state, keep, meas, basis, rng)
                 if bit_a != bit_b:
                     return False, None
-                nxt.append(keep)
-            alive = nxt
+            alive = alive[::2]
 
-    # swap the kept pairs sequentially and read the end-to-end label
-    frame_x = frame_z = 0
-    for link in range(1, m):
-        _, left_b = pair_qubits(link - 1, 0)
-        right_a, _ = pair_qubits(link, 0)
-        xx, zz = state.bell_measure(left_b, right_a, rng)
-        frame_x ^= zz
-        frame_z ^= xx
-    first_a, first_b = pair_qubits(0, 0)
-    _, last_b = pair_qubits(m - 1, 0)
-    end_q = last_b if m > 1 else first_b
-    if frame_x:
-        state.x_gate(end_q)
-    if frame_z:
-        state.z_gate(end_q)
-    xx, zz = state.bell_measure(first_a, end_q, rng)
+    # swap each link's kept pair (its first) and read the end-to-end label
+    xx, zz = swap_readout(state, pairs[::per_link], rng)[-1]
     return True, LABEL_INDEX[(zz, xx)]

@@ -56,10 +56,8 @@ class PauliOperator:
     @classmethod
     def single(cls, n: int, qubit: int, letter: str) -> "PauliOperator":
         """Single-qubit Pauli ``letter`` on ``qubit``, identity elsewhere."""
-        x = np.zeros(n, dtype=np.uint8)
-        z = np.zeros(n, dtype=np.uint8)
-        x[qubit], z[qubit] = _BITS[letter]
-        return cls(n, x, z)
+        x, z = _BITS[letter]
+        return block_pauli(n, qubit, [x], [z])
 
     def to_string(self) -> str:
         return "".join(
@@ -86,6 +84,19 @@ class PauliOperator:
 
     def is_identity(self) -> bool:
         return not (self.x_bits.any() or self.z_bits.any())
+
+
+def block_pauli(n_total: int, offset: int, x, z) -> PauliOperator:
+    """Pauli on ``n_total`` qubits carrying the bits (x, z) on the qubits
+    offset, offset + 1, ... and identity elsewhere."""
+    width = len(x)
+    if not 0 <= offset <= n_total - width:
+        raise IndexError(f"qubits [{offset}, {offset + width}) out of range for n={n_total}")
+    xs = np.zeros(n_total, dtype=np.uint8)
+    zs = np.zeros(n_total, dtype=np.uint8)
+    xs[offset : offset + width] = x
+    zs[offset : offset + width] = z
+    return PauliOperator(n_total, xs, zs)
 
 
 def _check_lengths(p: PauliOperator, q: PauliOperator):

@@ -1,8 +1,9 @@
 """LOCC protocols: teleportation, superdense coding, entanglement swapping,
 and recurrence-style entanglement purification.
 
-Pauli-correction conventions are fixed once by the noiseless identity
-tests and pinned in the test fixtures.
+A repeater node's two tableau steps, purify_round and swap_readout, are
+shared with netchain's tableau cross-check. Pauli-correction conventions
+are fixed once by the noiseless identity tests and pinned in the tests.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from qnetcode.noise import BellDiagonalState, LABEL_INDEX, LABEL_XZ, NoiseModel, sample_error
-from qnetcode.pauli import PauliOperator
+from qnetcode.pauli import PauliOperator, block_pauli
 from qnetcode.stabsim import StabilizerState, prepare_bell
 
 Gate = tuple
@@ -58,13 +59,7 @@ def teleport(
     state = StabilizerState(3)
     prepare_bell(state, 1, 2)
     epr_error = sample_error(epr_noise, 2, rng)
-    state.apply_pauli(
-        PauliOperator(
-            3,
-            np.concatenate([[0], epr_error.x_bits]),
-            np.concatenate([[0], epr_error.z_bits]),
-        )
-    )
+    state.apply_pauli(block_pauli(3, 1, epr_error.x_bits, epr_error.z_bits))
     _apply_prep(state, input_prep, 0)
     xx, zz = state.bell_measure(0, 1, rng)
     if zz:
@@ -101,7 +96,7 @@ def superdense(
     if a:
         state.z_gate(0)
     err = sample_error(channel_noise, 1, rng)
-    state.apply_pauli(PauliOperator(2, np.concatenate([err.x_bits, [0]]), np.concatenate([err.z_bits, [0]])))
+    state.apply_pauli(block_pauli(2, 0, err.x_bits, err.z_bits))
     xx, zz = state.bell_measure(0, 1, rng)
     return xx, zz
 
@@ -118,31 +113,41 @@ def swap_chain(
     """
     if num_links < 1:
         raise ValueError("num_links must be >= 1")
-    m = num_links
-    state = StabilizerState(2 * m)
-    for i in range(m):
-        prepare_bell(state, 2 * i, 2 * i + 1)
+    n = 2 * num_links
+    state = StabilizerState(n)
+    pairs = [(q, q + 1) for q in range(0, n, 2)]
+    for a, b in pairs:
+        prepare_bell(state, a, b)
         err = sample_error(link_noise, 2, rng)
-        x = np.zeros(2 * m, dtype=np.uint8)
-        z = np.zeros(2 * m, dtype=np.uint8)
-        x[2 * i : 2 * i + 2] = err.x_bits
-        z[2 * i : 2 * i + 2] = err.z_bits
-        state.apply_pauli(PauliOperator(2 * m, x, z))
+        state.apply_pauli(block_pauli(n, a, err.x_bits, err.z_bits))
+    outcomes = swap_readout(state, pairs, rng)
+    fx, fz = outcomes[-1]
+    return ProtocolOutcome(classical_bits=outcomes, residual_frame=PauliOperator(1, [fz], [fx]))
+
+
+def swap_readout(state: StabilizerState, pairs: Sequence[tuple[int, int]], rng: np.random.Generator):
+    """Swap a chain of Bell pairs, given as (left, right) qubits in chain
+    order, into one end-to-end pair and read it out.
+
+    Bell measurements join each right qubit to the next left one; their
+    frame X^zz Z^xx goes onto the last right qubit, and a Bell measurement
+    of the first left qubit against it reads the end pair. Returns the
+    (xx, zz) outcomes, readout last; its (zz, xx) is the end pair's label.
+    """
     outcomes = []
     frame_x = frame_z = 0
-    for j in range(1, m):
-        xx, zz = state.bell_measure(2 * j - 1, 2 * j, rng)
+    for (_, left), (right, _) in zip(pairs, pairs[1:]):
+        xx, zz = state.bell_measure(left, right, rng)
         outcomes.append((xx, zz))
         frame_x ^= zz
         frame_z ^= xx
+    end = pairs[-1][1]
     if frame_x:
-        state.x_gate(2 * m - 1)
+        state.x_gate(end)
     if frame_z:
-        state.z_gate(2 * m - 1)
-    fx, fz = state.bell_measure(0, 2 * m - 1, rng)
-    outcomes.append((fx, fz))
-    residual = PauliOperator(1, [fz], [fx])
-    return ProtocolOutcome(classical_bits=outcomes, residual_frame=residual)
+        state.z_gate(end)
+    outcomes.append(state.bell_measure(pairs[0][0], end, rng))
+    return outcomes
 
 
 _BASES = ("bitflip", "phaseflip")
@@ -182,6 +187,24 @@ def purify_pair_dist(
     return float(success), BellDiagonalState(out / success)
 
 
+def purify_round(state: StabilizerState, keep: tuple[int, int], meas: tuple[int, int], basis: str,
+                 rng: np.random.Generator) -> tuple[int, int]:
+    """One recurrence round on the tableau: bilateral CNOT from the kept
+    pair onto the measured pair, then a Z readout of both measured qubits
+    (phaseflip conjugates the round by H on all four qubits). Returns the
+    two outcome bits; the round succeeds iff they agree."""
+    if basis == "phaseflip":
+        for q in (*keep, *meas):
+            state.h(q)
+    state.cnot(keep[0], meas[0])
+    state.cnot(keep[1], meas[1])
+    bits = state.measure_z(meas[0], rng), state.measure_z(meas[1], rng)
+    if basis == "phaseflip":
+        for q in keep:
+            state.h(q)
+    return bits
+
+
 def purify_pair_sampled(
     a: BellDiagonalState,
     b: BellDiagonalState,
@@ -199,24 +222,12 @@ def purify_pair_sampled(
     prepare_bell(state, 0, 1)  # pair a: (A1, B1)
     prepare_bell(state, 2, 3)  # pair b: (A2, B2)
     for qubit, pair_state in ((0, a), (2, b)):
-        xa, za = LABEL_XZ[pair_state.sample_label(rng)]
-        x = np.zeros(4, dtype=np.uint8)
-        z = np.zeros(4, dtype=np.uint8)
-        x[qubit], z[qubit] = xa, za
-        state.apply_pauli(PauliOperator(4, x, z))
-    if basis == "phaseflip":
-        for q in range(4):
-            state.h(q)
-    state.cnot(0, 2)
-    state.cnot(1, 3)
-    m_a = state.measure_z(2, rng)
-    m_b = state.measure_z(3, rng)
+        x, z = LABEL_XZ[pair_state.sample_label(rng)]
+        state.apply_pauli(block_pauli(4, qubit, [x], [z]))
+    m_a, m_b = purify_round(state, (0, 1), (2, 3), basis, rng)
     success = m_a == m_b
     residual = None
     if success:
-        if basis == "phaseflip":
-            state.h(0)
-            state.h(1)
         xx, zz = state.bell_measure(0, 1, rng)
         residual = PauliOperator(1, [zz], [xx])
     return ProtocolOutcome(classical_bits=[(m_a, m_b)], residual_frame=residual, success=success)

@@ -197,7 +197,7 @@ def test_criterion_08_surface_code_ordering_under_mwpm():
     rates = {}
     for d in (3, 5):
         code = codes.rotated_surface(d)
-        dec = MatchingDecoder(code, p)
+        dec = MatchingDecoder(code)
         failures = 0
         for t in range(trials):
             err = sample_error(noise, code.n, stream(800, d, t))

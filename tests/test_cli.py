@@ -215,6 +215,16 @@ KNILL = ["knill", "--code", "rep3", "--trials", "5"]
         (["chain", "--delay", "-1"], "--delay"),
         (["chain", "--delay", "nan"], "--delay"),
         (["decode", "--code", "surface:3", "--decoder", "mwpm", "--threads", "4"], "--threads"),
+        (["chain", "--mode", "encoded_teleport", "--links", "2", "--code", "rep3", "--pc", "0.9"],
+         "--pc: not read in chain mode encoded_teleport"),
+        (["chain", "--mode", "encoded_direct", "--code", "rep3", "--fidelity", "0.3"],
+         "--fidelity: not read in chain mode encoded_direct"),
+        (["chain", "--mode", "physical", "--code", "rep3"], "--code: not read in chain mode physical"),
+        (["chain", "--decoder", "lookup"], "--decoder: not read in chain mode physical"),
+        (["chain", "--trials", "10"], "--trials: not read in chain mode physical"),
+        (["chain", "--pc", "0.1"], "--pc: not read in chain mode physical"),
+        (["chain", "--pg", "0.1"], "--pg: not read in chain mode physical"),
+        (["chain", "--mode", "encoded_direct", "--code", "rep3", "--fidelity", "1.5"], "probability"),
     ],
 )
 def test_bad_input_is_usage_error(capsys, argv, message):
@@ -239,6 +249,7 @@ def test_bad_input_is_usage_error(capsys, argv, message):
         ("mode", "bogus", "must be one of"),
         ("linkz", 3, "unknown key"),
         ("schedule", "nested", "unknown key"),
+        ("fidelity", 0.9, "not read in chain mode encoded_direct"),
     ],
 )
 def test_bad_chain_config_value_is_usage_error(tmp_path, capsys, key, value, message):
@@ -248,6 +259,19 @@ def test_bad_chain_config_value_is_usage_error(tmp_path, capsys, key, value, mes
     assert code == 1
     assert out == ""
     assert f"--config {key}" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "mode,key",
+    [("physical", "code_id"), ("physical", "p_c"), ("physical", "p_g"), ("encoded_teleport", "p_c")],
+)
+def test_chain_config_key_unread_by_mode_is_usage_error(tmp_path, capsys, mode, key):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"mode": mode, key: "rep3" if key == "code_id" else 0.01}))
+    code, out, err = run_cli(capsys, "chain", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert f"--config {key}: not read in chain mode {mode}" in err
 
 
 def test_chain_trials_sets_rounds_per_hop(monkeypatch, capsys):

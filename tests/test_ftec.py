@@ -341,3 +341,36 @@ def test_frame_engine_counts_undecodable_as_both_bad():
     ]
     assert any(undecodable) and not all(undecodable)
     assert all(x_bad[t] and z_bad[t] for t in range(50) if undecodable[t])
+
+
+@pytest.mark.parametrize(
+    "noise,calls_per_trial",
+    [
+        (KnillNoise(data_noise=NoiseModel.independent_xz(0.05, 0.05)), 1),
+        (KnillNoise(epr_error=NoiseModel.depolarizing(0.05)), 1),
+        (KnillNoise(data_noise=NoiseModel.bit_flip(0.05), meas_flip=NoiseModel.phase_flip(0.5)), 1),
+        (KnillNoise(data_noise=NoiseModel.bit_flip(0.0), epr_error=NoiseModel.bit_flip(0.05)), 2),
+    ],
+)
+def test_frame_engine_calls_only_models_that_draw(monkeypatch, noise, calls_per_trial):
+    """A none model or a zero flip probability consumes no draws, so the
+    engine skips it; a model with p = 0 still draws and is still called.
+    Per-trial results equal the tableau round's, which calls every model."""
+    code = codes.shor9()
+    decoder = LookupDecoder(code)
+    calls = {"sample": 0, "flips": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ftec, "sample_error", counted("sample", ftec.sample_error))
+    monkeypatch.setattr(ftec, "_draw_flips", counted("flips", ftec._draw_flips))
+    x_bad, z_bad, _ = knill_residuals(code, decoder, noise, 66, (), 40)
+    assert calls == {"sample": calls_per_trial * 40, "flips": 0}
+    monkeypatch.undo()
+    for t in range(40):
+        rep = knill_ec_round(code, decoder, PauliOperator.identity(code.n), noise, stream(66, t))
+        assert (x_bad[t], z_bad[t]) == (rep.residual_logical_x.any(), rep.residual_logical_z.any()), t

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qnetcode.pauli import PauliOperator, multiply, symplectic_product, weight
+from qnetcode.pauli import PauliOperator, block_pauli, multiply, symplectic_product, weight
 
 from dense_oracle import DenseState
 
@@ -45,6 +45,17 @@ def test_single_and_identity():
     assert PauliOperator.identity(3).is_identity()
     assert not p.is_identity()
     assert weight(p) == 1
+    with pytest.raises(IndexError):
+        PauliOperator.single(4, 4, "X")
+
+
+def test_block_pauli_places_bits_at_offset():
+    p = block_pauli(6, 2, [1, 0, 1], [0, 1, 1])
+    assert p.to_string() == "IIXZYI"
+    assert block_pauli(3, 0, [1, 1, 1], [0, 0, 0]) == PauliOperator.from_string("XXX")
+    for offset in (-1, 4):
+        with pytest.raises(IndexError):
+            block_pauli(6, offset, [1, 0, 1], [0, 0, 0])
 
 
 def test_bits_are_immutable():

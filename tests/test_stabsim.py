@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from qnetcode.pauli import PauliOperator
 from qnetcode.rng import stream
-from qnetcode.stabsim import StabilizerState, prepare_bell
+from qnetcode.stabsim import StabilizerState, _phase_exponents, prepare_bell
 
 from dense_oracle import DenseState
 
@@ -155,3 +157,32 @@ def test_argument_validation():
         state.apply_gate(("T", 0))
     with pytest.raises(ValueError):
         StabilizerState(0)
+
+
+def _ag_g(x1, z1, x2, z2):
+    """Aaronson & Gottesman's piecewise g(x1, z1, x2, z2), the reference."""
+    if (x1, z1) == (0, 0):
+        return 0
+    if (x1, z1) == (1, 1):
+        return z2 - x2
+    if (x1, z1) == (1, 0):
+        return z2 * (2 * x2 - 1)
+    return x2 * (1 - 2 * z2)
+
+
+def test_phase_exponents_match_piecewise_rule_on_every_qubit_pair():
+    for x1, z1, x2, z2 in itertools.product((0, 1), repeat=4):
+        bits = [np.array([b], dtype=np.uint8) for b in (x1, z1, x2, z2)]
+        got = int(_phase_exponents(*bits))
+        assert (got - _ag_g(x1, z1, x2, z2)) % 4 == 0, (x1, z1, x2, z2, got)
+
+
+def test_phase_exponents_sum_over_qubits_and_broadcast():
+    rng = stream(8)
+    x1, z1 = rng.integers(0, 2, (2, 6, 11), dtype=np.uint8)
+    x2, z2 = rng.integers(0, 2, (2, 11), dtype=np.uint8)
+    got = _phase_exponents(x1, z1, x2, z2)
+    assert got.shape == (6,) and got.dtype == np.int64  # uint8 sums would wrap on subtraction
+    for row in range(6):
+        want = sum(_ag_g(*(int(a[q]) for a in (x1[row], z1[row], x2, z2))) for q in range(11))
+        assert (int(got[row]) - want) % 4 == 0
