@@ -97,27 +97,32 @@ def random_regular_check_matrix(r: int, n: int, row_weight: int, seed: int) -> n
     return h
 
 
+# each code family's id, with one ':'-separated field per parameter
+_CODE_FORMS = {"rep3": "rep3", "shor9": "shor9", "surface": "surface:<d>", "hgp": "hgp:<seed>:<r>:<n>:<w>"}
+
+
 def parse_code(code_id: str) -> codes.CssCode:
     """rep3 | shor9 | surface:<d> | hgp:<seed>:<r>:<n>:<w>"""
-    parts = code_id.split(":")
-    name = parts[0]
+    name, *fields = code_id.split(":")
+    if name not in _CODE_FORMS:
+        raise UsageError(f"unknown code id {code_id!r}")
+    if len(fields) != _CODE_FORMS[name].count(":"):
+        raise UsageError(f"malformed code id {code_id!r}: expected {_CODE_FORMS[name]}")
     try:
         if name == "rep3":
             return codes.rep3()
         if name == "shor9":
             return codes.shor9()
         if name == "surface":
-            return codes.rotated_surface(int(parts[1]))
-        if name == "hgp":
-            seed, r, n, w = (int(p) for p in parts[1:5])
-            if r < 1 or n < 1 or not 1 <= w <= n or r * w < n:
-                # r rows of weight w cover at most r*w of the n columns
-                raise UsageError(f"code id {code_id!r} needs r >= 1, n >= 1, 1 <= w <= n and r*w >= n")
-            h = random_regular_check_matrix(r, n, w, seed)
-            return codes.hypergraph_product(h, h, name=code_id)
-    except (IndexError, ValueError) as e:
+            return codes.rotated_surface(int(fields[0]))
+        seed, r, n, w = (int(p) for p in fields)
+        if r < 1 or n < 1 or not 1 <= w <= n or r * w < n:
+            # r rows of weight w cover at most r*w of the n columns
+            raise UsageError(f"code id {code_id!r} needs r >= 1, n >= 1, 1 <= w <= n and r*w >= n")
+        h = random_regular_check_matrix(r, n, w, seed)
+        return codes.hypergraph_product(h, h, name=code_id)
+    except ValueError as e:
         raise UsageError(f"malformed code id {code_id!r}: {e}") from None
-    raise UsageError(f"unknown code id {code_id!r}")
 
 
 def parse_rate_code(code_id: str) -> tuple[str, int, int]:
@@ -137,12 +142,15 @@ def parse_rate_code(code_id: str) -> tuple[str, int, int]:
 
 def build_decoder(kind: str, code: codes.CssCode, p: float):
     """Decoder ``kind`` for ``code``; p seeds BP's prior, the others take none."""
-    if kind == "lookup":
-        return LookupDecoder(code)
-    if kind == "mwpm":
-        return MatchingDecoder(code)
-    if kind == "bp":
-        return BpDecoder(code, p if 0 < p < 0.5 else 0.01)
+    try:
+        if kind == "lookup":
+            return LookupDecoder(code)
+        if kind == "mwpm":
+            return MatchingDecoder(code)
+        if kind == "bp":
+            return BpDecoder(code, p if 0 < p < 0.5 else 0.01)
+    except ValueError as e:  # the decoder cannot handle this code
+        raise UsageError(f"decoder {kind} cannot decode {code.name}: {e}") from None
     raise UsageError(f"unknown decoder {kind!r}")
 
 
@@ -193,6 +201,9 @@ def cmd_rate(args) -> list[dict]:
 
 def cmd_protocol(args) -> list[dict]:
     noise = args.noise
+    if args.links is not None and args.name != "swap":
+        raise UsageError(f"--links: not read in protocol {args.name}")
+    links = 3 if args.links is None else args.links
 
     def run_one(t: int) -> dict:
         rng = stream(args.seed, t)
@@ -216,7 +227,7 @@ def cmd_protocol(args) -> list[dict]:
                 "residual_frame": "I",
             }
         if args.name == "swap":
-            out = swap_chain(args.links, noise, rng)
+            out = swap_chain(links, noise, rng)
             bits = "".join(f"{a}{b}" for a, b in out.classical_bits)
             return {
                 "trial_id": t,
@@ -392,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--name", choices=("teleport", "superdense", "swap"), required=True)
     p.add_argument("--noise", type=_noise_spec, default="none")
-    p.add_argument("--links", type=_positive_int, default=3)
+    p.add_argument("--links", type=_positive_int, default=None, help="swap only (default 3)")
 
     p = sub.add_parser("decode", help="decoder benchmark")
     common(p)

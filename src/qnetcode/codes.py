@@ -188,19 +188,14 @@ def rotated_surface(d: int) -> CssCode:
 
 
 def _logical_basis(h_stab: np.ndarray, h_comm: np.ndarray, n: int) -> np.ndarray:
-    """Representatives of ker(h_comm) / rowspan(h_stab)."""
+    """Representatives of ker(h_comm) / rowspan(h_stab).
+
+    A kernel vector is kept when it is independent of h_stab and of every
+    kernel vector before it: exactly the pivot columns of [h_stab; kernel]^T.
+    """
     kernel = gf2.nullspace(h_comm) if h_comm.shape[0] else np.eye(n, dtype=np.uint8)
-    span = h_stab.copy() if h_stab.shape[0] else np.zeros((0, n), dtype=np.uint8)
-    base_rank = gf2.rank(span)
-    out = []
-    for v in kernel:
-        cand = np.concatenate([span, v[None, :]], axis=0)
-        r = gf2.rank(cand)
-        if r > base_rank:
-            span = cand
-            base_rank = r
-            out.append(v)
-    return np.array(out, dtype=np.uint8).reshape(len(out), n)
+    _, pivots = gf2.row_reduce(np.concatenate([h_stab, kernel]).T)
+    return kernel[[p - h_stab.shape[0] for p in pivots if p >= h_stab.shape[0]]]
 
 
 def hypergraph_product(h_a, h_b, name: str = "hgp") -> CssCode:

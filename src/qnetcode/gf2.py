@@ -24,26 +24,23 @@ def matvec(a, v) -> np.ndarray:
 
 
 def row_reduce(m) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form; returns (reduced matrix, pivot column list)."""
+    """Reduced row echelon form; returns (reduced matrix, pivot column list)."""
     a = asmatrix(m).copy()
     rows, cols = a.shape
     pivots: list[int] = []
-    r = 0
     for c in range(cols):
-        if r >= rows:
+        r = len(pivots)
+        if r == rows:
             break
-        hit = np.nonzero(a[r:, c])[0]
+        hit = np.flatnonzero(a[r:, c])
         if hit.size == 0:
             continue
         p = r + hit[0]
         if p != r:
             a[[r, p]] = a[[p, r]]
-        elim = np.nonzero(a[:, c])[0]
-        for i in elim:
-            if i != r:
-                a[i] ^= a[r]
+        elim = np.flatnonzero(a[:, c])
+        a[elim[elim != r]] ^= a[r]
         pivots.append(c)
-        r += 1
     return a, pivots
 
 
@@ -55,14 +52,10 @@ def rank(m) -> int:
 def nullspace(m) -> np.ndarray:
     """Basis of the right null space, one vector per row."""
     a, pivots = row_reduce(m)
-    cols = a.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for r, p in enumerate(pivots):
-            if a[r, f]:
-                basis[i, p] = 1
+    free = np.delete(np.arange(a.shape[1]), pivots)
+    basis = np.zeros((free.size, a.shape[1]), dtype=np.uint8)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = a[: len(pivots), free].T
     return basis
 
 
@@ -78,8 +71,7 @@ def solve(a, b) -> np.ndarray | None:
     if cols in pivots:
         return None
     x = np.zeros(cols, dtype=np.uint8)
-    for r, p in enumerate(pivots):
-        x[p] = red[r, cols]
+    x[pivots] = red[: len(pivots), cols]
     return x
 
 

@@ -50,7 +50,6 @@ class ChainConfig:
     num_links: int
     link_state: BellDiagonalState
     purify_rounds: int = 0
-    purify_schedule: Optional[tuple[str, ...]] = None
     hop_delay_D: float = 10.0
     mode: str = "physical"
     code: Optional[CssCode] = None
@@ -69,10 +68,6 @@ class ChainConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.mode != "physical" and (self.code is None or self.decoder is None):
             raise ValueError("encoded modes require a code and a decoder")
-        if self.purify_schedule is None:
-            self.purify_schedule = default_purify_schedule(self.purify_rounds)
-        elif len(self.purify_schedule) != self.purify_rounds:
-            raise ValueError("purify_schedule length must equal purify_rounds")
 
 
 @dataclass
@@ -84,16 +79,15 @@ class ChainReport:
     per_stage_log: list = field(default_factory=list)
 
 
-def _purify_link(state: BellDiagonalState, schedule: tuple[str, ...], log: list):
+def _purify_link(state: BellDiagonalState, rounds: int, log: list):
     """Returns (purified state, survival probability of the whole tree).
 
-    A schedule of R rounds consumes 2^R raw pairs; round r performs
-    2^(R-r-1) independent comparisons, every one of which must succeed
-    for the link to yield its output pair.
+    R rounds consume 2^R raw pairs; round r performs 2^(R-r-1)
+    independent comparisons, every one of which must succeed for the
+    link to yield its output pair.
     """
     survival = 1.0
-    rounds = len(schedule)
-    for r, basis in enumerate(schedule):
+    for r, basis in enumerate(default_purify_schedule(rounds)):
         sp, state = purify_pair_dist(state, state, basis)
         survival *= sp ** (2 ** (rounds - r - 1))
         log.append({"stage": "purify", "basis": basis, "success_prob": sp, "fidelity": state.fidelity})
@@ -128,7 +122,7 @@ def run_chain(config: ChainConfig) -> ChainReport:
     m = config.num_links
     log: list = []
     if config.mode == "physical":
-        link, survival_link = _purify_link(config.link_state, config.purify_schedule, log)
+        link, survival_link = _purify_link(config.link_state, config.purify_rounds, log)
         end = _fold([link] * m)
         # two-way purification acks plus one-way forwarding of swap frames
         latency = 2.0 * config.hop_delay_D * config.purify_rounds + (m - 1) * config.hop_delay_D
@@ -139,7 +133,7 @@ def run_chain(config: ChainConfig) -> ChainReport:
 
     # encoded modes: purified (or raw) links feed a logical channel per hop
     if config.mode == "encoded_teleport":
-        link, survival_link = _purify_link(config.link_state, config.purify_schedule, log)
+        link, survival_link = _purify_link(config.link_state, config.purify_rounds, log)
         p_x = float(link.probs[1] + link.probs[2])
         p_z = float(link.probs[3] + link.probs[2])
         epr_model = NoiseModel.independent_xz(p_x, p_z)
@@ -194,7 +188,7 @@ def sample_chain_trial(config: ChainConfig, rng: np.random.Generator):
 
     for link in range(m):
         alive = pairs[link * per_link : (link + 1) * per_link]
-        for basis in config.purify_schedule:
+        for basis in default_purify_schedule(config.purify_rounds):
             for keep, meas in zip(alive[::2], alive[1::2]):
                 bit_a, bit_b = purify_round(state, keep, meas, basis, rng)
                 if bit_a != bit_b:

@@ -225,6 +225,15 @@ KNILL = ["knill", "--code", "rep3", "--trials", "5"]
         (["chain", "--pc", "0.1"], "--pc: not read in chain mode physical"),
         (["chain", "--pg", "0.1"], "--pg: not read in chain mode physical"),
         (["chain", "--mode", "encoded_direct", "--code", "rep3", "--fidelity", "1.5"], "probability"),
+        (["decode", "--code", "rep3:junk", "--decoder", "lookup"], "expected rep3"),
+        (["decode", "--code", "surface:5:9", "--decoder", "mwpm"], "expected surface:<d>"),
+        (["decode", "--code", "hgp:2:9:12:4:77", "--decoder", "bp"], "expected hgp:<seed>:<r>:<n>:<w>"),
+        (["rate", "--qubits", "100", "--code", "shor9:1"], "expected shor9"),
+        (["decode", "--code", "surface:5", "--decoder", "lookup"], "decoder lookup cannot decode surface:5"),
+        (["decode", "--code", "hgp:2:9:12:4", "--decoder", "mwpm"], "<= 2 checks per qubit"),
+        (["chain", "--mode", "encoded_teleport", "--code", "surface:5"], "n <= 20"),
+        (["protocol", "--name", "teleport", "--links", "3"], "--links: not read in protocol teleport"),
+        (["protocol", "--name", "superdense", "--links", "7"], "--links: not read in protocol superdense"),
     ],
 )
 def test_bad_input_is_usage_error(capsys, argv, message):

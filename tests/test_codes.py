@@ -1,9 +1,10 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
-from qnetcode import codes, gf2
+from qnetcode import cli, codes, gf2
 from qnetcode.pauli import PauliOperator
 
 
@@ -133,6 +134,50 @@ def test_hypergraph_product_multi_logical():
     assert np.array_equal(pairing, np.eye(code.k, dtype=np.uint8))
     with pytest.raises(ValueError):
         codes.hypergraph_product(np.zeros((2, 3)), h)
+
+
+REP_CODE = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8)
+
+
+def code_digest(code):
+    h = hashlib.sha256()
+    for m in (code.h_x, code.h_z, code.logical_x, code.logical_z):
+        h.update(repr(m.shape).encode())
+        h.update(np.ascontiguousarray(m).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "code_id,k,digest",
+    [
+        ("hgp:2:9:12:4", 9, "3928eccf6a3b733f4d74ef0a4994c6cb7070d0cf700ec8f576ed86a6a3d5c668"),
+        ("hgp:1:3:12:4", 81, "45c5b42fde7e00e102b097a99e6158df5f30f30a7acd8ebf73a65263d32cbf73"),
+        ("hgp:7:6:10:3", 16, "88a742953d70cbe76d366ae030194c941a58988a92c26f39591131f5bc07ee30"),
+        ("rep-product", 1, "f53441180a1b5fca84b93d04e1e6b6d5c7733716d49a2c98c82a06948ab0b5d1"),
+    ],
+)
+def test_hypergraph_product_bases_are_pinned(code_id, k, digest):
+    """Check matrices and logical bases stay byte-identical, not just valid."""
+    if code_id == "rep-product":
+        code = codes.hypergraph_product(REP_CODE, REP_CODE)
+    else:
+        code = cli.parse_code(code_id)
+    assert code.k == k
+    assert code_digest(code) == digest
+
+
+def test_hypergraph_product_build_eliminates_once_per_question(monkeypatch):
+    """Two ranks, two nullspaces, two logical bases and one inverse."""
+    calls = []
+    row_reduce = gf2.row_reduce
+
+    def counting(m):
+        calls.append(np.shape(m))
+        return row_reduce(m)
+
+    monkeypatch.setattr(gf2, "row_reduce", counting)
+    cli.parse_code("hgp:2:9:12:4")
+    assert len(calls) <= 7
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qnetcode import gf2
+from qnetcode import codes, gf2
 
 
 def matrices(max_rows=6, max_cols=8):
@@ -101,3 +101,106 @@ def test_in_rowspan():
     m = [[1, 1, 0], [0, 1, 1]]
     assert gf2.in_rowspan([1, 0, 1], m)
     assert not gf2.in_rowspan([1, 0, 0], m)
+
+
+def reference_row_reduce(m):
+    """Gauss-Jordan elimination written out one row XOR at a time."""
+    a = np.array(m, dtype=np.uint8) & 1
+    rows, cols = a.shape
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        below = [i for i in range(r, rows) if a[i, c]]
+        if not below:
+            continue
+        a[[r, below[0]]] = a[[below[0], r]]
+        for i in range(rows):
+            if i != r and a[i, c]:
+                a[i] ^= a[r]
+        pivots.append(c)
+    return a, pivots
+
+
+def reference_nullspace(m):
+    a, pivots = reference_row_reduce(m)
+    cols = a.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.uint8)
+    for i, f in enumerate(free):
+        basis[i, f] = 1
+        for r, p in enumerate(pivots):
+            basis[i, p] = a[r, f]
+    return basis
+
+
+def reference_logical_basis(h_stab, h_comm, n):
+    """Greedy: keep each kernel vector that raises the rank of the span so far."""
+    kernel = gf2.nullspace(h_comm) if h_comm.shape[0] else np.eye(n, dtype=np.uint8)
+    span = h_stab.copy() if h_stab.shape[0] else np.zeros((0, n), dtype=np.uint8)
+    base_rank = gf2.rank(span)
+    out = []
+    for v in kernel:
+        cand = np.concatenate([span, v[None, :]], axis=0)
+        r = gf2.rank(cand)
+        if r > base_rank:
+            span = cand
+            base_rank = r
+            out.append(v)
+    return np.array(out, dtype=np.uint8).reshape(len(out), n)
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@given(matrices(max_rows=8, max_cols=10))
+def test_row_reduce_matches_reference_loop(m):
+    red, pivots = gf2.row_reduce(m)
+    want_red, want_pivots = reference_row_reduce(m)
+    assert_same_array(red, want_red)
+    assert pivots == want_pivots
+    assert all(type(p) is int for p in pivots)
+
+
+@given(matrices(max_rows=8, max_cols=10), st.data())
+def test_nullspace_and_solve_match_reference_loop(m, data):
+    assert_same_array(gf2.nullspace(m), reference_nullspace(m))
+    b = np.array(data.draw(st.lists(st.integers(0, 1), min_size=m.shape[0], max_size=m.shape[0])), dtype=np.uint8)
+    red, pivots = reference_row_reduce(np.concatenate([m, b[:, None]], axis=1))
+    if m.shape[1] in pivots:
+        assert gf2.solve(m, b) is None
+    else:
+        want = np.zeros(m.shape[1], dtype=np.uint8)
+        for r, p in enumerate(pivots):
+            want[p] = red[r, -1]
+        assert_same_array(gf2.solve(m, b), want)
+
+
+def bit_rows(data, rows, n):
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=rows * n, max_size=rows * n))
+    return np.array(bits, dtype=np.uint8).reshape(rows, n)
+
+
+@given(st.integers(1, 9), st.integers(0, 6), st.integers(0, 6), st.data())
+def test_logical_basis_matches_incremental_rank_loop(n, r_stab, r_comm, data):
+    h_stab, h_comm = bit_rows(data, r_stab, n), bit_rows(data, r_comm, n)
+    assert_same_array(codes._logical_basis(h_stab, h_comm, n), reference_logical_basis(h_stab, h_comm, n))
+
+
+@pytest.mark.parametrize(
+    "h_stab,h_comm",
+    [
+        (np.zeros((0, 4), dtype=np.uint8), np.array([[1, 1, 0, 0], [0, 1, 1, 0]], dtype=np.uint8)),
+        (np.array([[1, 1, 0, 0]], dtype=np.uint8), np.zeros((0, 4), dtype=np.uint8)),
+        (np.zeros((0, 4), dtype=np.uint8), np.zeros((0, 4), dtype=np.uint8)),
+        (np.array([[1, 0, 1, 0]], dtype=np.uint8), np.eye(4, dtype=np.uint8)),
+        (np.zeros((2, 4), dtype=np.uint8), np.array([[1, 1, 1, 1]], dtype=np.uint8)),
+    ],
+    ids=["empty-stab", "empty-comm", "both-empty", "zero-kernel", "zero-stab-rows"],
+)
+def test_logical_basis_edge_cases_match_reference(h_stab, h_comm):
+    got = codes._logical_basis(h_stab, h_comm, 4)
+    assert_same_array(got, reference_logical_basis(h_stab, h_comm, 4))

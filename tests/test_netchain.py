@@ -58,8 +58,6 @@ def test_config_validation():
         ChainConfig(num_links=2, link_state=werner(0.9), hop_delay_D=-1.0)
     with pytest.raises(ValueError):
         ChainConfig(num_links=2, link_state=werner(0.9), mode="encoded_teleport")
-    with pytest.raises(ValueError):
-        ChainConfig(num_links=2, link_state=werner(0.9), purify_rounds=2, purify_schedule=("bitflip",))
 
 
 def test_single_perfect_link_physical():
