@@ -15,9 +15,11 @@ Two engines share one failure account (_frame_account):
 - knill_residuals samples rounds as Pauli frames. Pauli errors propagate
   linearly through the round's Clifford circuit, so the outcome flips,
   the syndromes and the residual on the output block are GF(2) products
-  of the injected error bits; no tableau is needed. This is the Monte
-  Carlo engine of the knill and decode commands and the encoded chain
-  modes (decode is a round with a perfect EPR pair and exact readout).
+  of the injected error bits; no tableau is needed. Each chunk of trials
+  is decoded with one decode_batch call, with no per-trial Python loop.
+  This is the Monte Carlo engine of the knill and decode commands and the
+  encoded chain modes (decode is a round with a perfect EPR pair and
+  exact readout).
 - knill_ec_round runs one round on the 3n-qubit stabilizer tableau and
   asserts that the tableau syndrome equals the linear model's. It is the
   oracle of the frame engine; the tests check the two against each
@@ -33,7 +35,7 @@ import numpy as np
 
 from qnetcode import gf2
 from qnetcode.codes import CssCode
-from qnetcode.decoders import DecodeResult, UndecodableError
+from qnetcode.decoders import DecodeResult
 from qnetcode.noise import NoiseModel, sample_error
 from qnetcode.pauli import PauliOperator, block_pauli
 from qnetcode.rng import stream
@@ -245,37 +247,26 @@ def _frame_account(code: CssCode, decoder, data_x, data_z, epr_x, epr_z):
     (v) enters as a Z (X) data error, which shifts the outcomes the same
     way. epr_x, epr_z: (T, 2n) errors on EPR halves A and B.
 
-    Each trial's syndrome is decoded on its own. The residual on the
-    output block is (outcome flips + correction + half-B error); its
-    logical class is its commutation with the logical operators. An
-    undecodable syndrome leaves the correction out and sets every class
-    bit. Returns (s_x, s_z, acts_as_x, acts_as_z, results): syndromes
-    (T, r), residual classes (T, k) and each trial's DecodeResult, or
-    None where the syndrome was undecodable.
+    The batch's syndromes go to the decoder in one decode_batch call. The
+    residual on the output block is (outcome flips + correction + half-B
+    error); its logical class is its commutation with the logical
+    operators. An undecodable syndrome sets every class bit. Returns
+    (s_x, s_z, acts_as_x, acts_as_z, decoded): syndromes (T, r), residual
+    classes (T, k) and decode_batch's (corr_x, corr_z, ok, converged,
+    iterations).
     """
     n = code.n
     e_u = data_z ^ epr_z[:, :n]  # flips of the X-basis data outcomes u
     e_v = data_x ^ epr_x[:, :n]  # flips of the Z-basis ancilla outcomes v
     s_x = gf2.matmul(e_u, code.h_x.T)
     s_z = gf2.matmul(e_v, code.h_z.T)
-    res_x = e_v ^ epr_x[:, n:]
-    res_z = e_u ^ epr_z[:, n:]
-    results = []
-    for t in range(len(e_u)):
-        try:
-            result = decoder.decode((s_x[t], s_z[t]))
-        except UndecodableError:
-            result = None
-        else:
-            res_x[t] ^= result.correction.x_bits
-            res_z[t] ^= result.correction.z_bits
-        results.append(result)
-    acts_as_x = gf2.matmul(res_x, code.logical_z.T)
-    acts_as_z = gf2.matmul(res_z, code.logical_x.T)
-    undecodable = np.array([r is None for r in results], dtype=bool)
-    acts_as_x[undecodable] = 1
-    acts_as_z[undecodable] = 1
-    return s_x, s_z, acts_as_x, acts_as_z, results
+    decoded = decoder.decode_batch(s_x, s_z)
+    corr_x, corr_z, ok, _, _ = decoded
+    acts_as_x = gf2.matmul(e_v ^ epr_x[:, n:] ^ corr_x, code.logical_z.T)
+    acts_as_z = gf2.matmul(e_u ^ epr_z[:, n:] ^ corr_z, code.logical_x.T)
+    acts_as_x[~ok] = 1
+    acts_as_z[~ok] = 1
+    return s_x, s_z, acts_as_x, acts_as_z, decoded
 
 
 def knill_residuals(
@@ -318,11 +309,12 @@ def knill_residuals(
                 flips = _draw_flips(noise.meas_flip, n, rng)
                 data_x[i] ^= flips[1]
                 data_z[i] ^= flips[0]
-        _, _, acts_as_x, acts_as_z, results = _frame_account(code, decoder, data_x, data_z, epr_x, epr_z)
-        undecodable = np.array([r is None for r in results], dtype=bool)
-        x_bad[start : start + count] = acts_as_x.any(axis=1) | undecodable
-        z_bad[start : start + count] = acts_as_z.any(axis=1) | undecodable
-        iterations[start : start + count] = [0 if r is None else r.iterations or 0 for r in results]
+        _, _, acts_as_x, acts_as_z, (_, _, ok, _, its) = _frame_account(
+            code, decoder, data_x, data_z, epr_x, epr_z
+        )
+        x_bad[start : start + count] = acts_as_x.any(axis=1) | ~ok
+        z_bad[start : start + count] = acts_as_z.any(axis=1) | ~ok
+        iterations[start : start + count] = its
     return x_bad, z_bad, iterations
 
 
@@ -353,13 +345,18 @@ def knill_ec_round(
     outcomes, flips = _flip_readout(outcomes, noise.meas_flip, rng)
     s_x, s_z, logical_xx, logical_zz = extract(outcomes, code)
 
-    frame_s_x, frame_s_z, acts_as_x, acts_as_z, (result,) = _frame_account(
+    frame_s_x, frame_s_z, acts_as_x, acts_as_z, decoded = _frame_account(
         code, decoder,
         (data.x_bits ^ flips[1])[None], (data.z_bits ^ flips[0])[None],
         epr.x_bits[None], epr.z_bits[None],
     )
     if not (np.array_equal(s_x, frame_s_x[0]) and np.array_equal(s_z, frame_s_z[0])):
         raise AssertionError("tableau syndrome disagrees with the linear error model")
+    corr_x, corr_z, ok, converged, its = decoded
+    result = (
+        DecodeResult(PauliOperator(n, corr_x[0], corr_z[0]), bool(converged[0]), int(its[0]))
+        if ok[0] else None
+    )
     return KnillReport(
         s_x, s_z, logical_xx, logical_zz, result,
         logical_failure=bool(result is None or acts_as_x.any() or acts_as_z.any()),

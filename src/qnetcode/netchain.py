@@ -62,6 +62,8 @@ class ChainConfig:
     def __post_init__(self):
         if self.num_links < 1:
             raise ValueError("num_links must be >= 1")
+        if self.purify_rounds < 0:
+            raise ValueError("purify_rounds must be >= 0")
         if self.hop_delay_D < 0:
             raise ValueError("hop delay must be >= 0")
         if self.mode not in MODES:

@@ -1,0 +1,300 @@
+"""decode_batch against references written out here: the serial BP loop,
+per-shot BFS plus networkx matching, and the dict-built lookup table. Each
+must agree trial for trial, on batches with repeated syndromes, the
+all-zero syndrome and (for lookup) undecodable rows."""
+
+import itertools
+
+import networkx as nx
+import numpy as np
+import pytest
+
+from qnetcode import codes, decoders
+from qnetcode.decoders import BpDecoder, LookupDecoder, MatchingDecoder
+from qnetcode.noise import NoiseModel, sample_error
+from qnetcode.pauli import PauliOperator
+from qnetcode.rng import stream
+
+from test_decoders import small_hgp, sparse_hgp
+
+
+def syndrome_batch(code, p, shots, seed):
+    """Sampled syndromes plus the all-zero syndrome and repeats of the
+    first rows, shuffled."""
+    noise = NoiseModel.independent_xz(p, p)
+    rows = [codes.syndrome(code, sample_error(noise, code.n, stream(seed, t))) for t in range(shots)]
+    rows.append(codes.syndrome(code, PauliOperator.identity(code.n)))
+    rows += rows[:5]
+    order = stream(seed, 10**6).permutation(len(rows))
+    s_x = np.array([rows[i][0] for i in order], dtype=np.uint8).reshape(len(rows), code.r_x)
+    s_z = np.array([rows[i][1] for i in order], dtype=np.uint8).reshape(len(rows), code.r_z)
+    return s_x, s_z
+
+
+def assert_batch_equals(batch, reference):
+    """reference: per row (corr_x, corr_z, ok, converged, iterations)."""
+    corr_x, corr_z, ok, converged, iterations = batch
+    assert len(corr_x) == len(reference)
+    for t, (rx, rz, rok, rconv, rit) in enumerate(reference):
+        assert ok[t] == rok, t
+        if rok:
+            assert np.array_equal(corr_x[t], rx) and np.array_equal(corr_z[t], rz), t
+            assert (converged[t], iterations[t]) == (rconv, rit), t
+
+
+# --- BP: the serial loop -----------------------------------------------------
+
+
+def serial_bp_side(h, syn, p, max_iters):
+    """Serial-schedule sum-product BP, one check at a time."""
+    n = h.shape[1]
+    decision = np.zeros(n, dtype=np.uint8)
+    if not syn.any():
+        return decision, True, 0
+    adj = [np.nonzero(h[c])[0] for c in range(h.shape[0])]
+    total = np.full(n, float(np.log((1.0 - p) / p)), dtype=np.float64)
+    c2v = [np.zeros(len(vs), dtype=np.float64) for vs in adj]
+    for it in range(1, max_iters + 1):
+        for c, vs in enumerate(adj):
+            serial_check_update(total, c2v, c, vs, syn[c])
+        decision = (total < 0.0).astype(np.uint8)
+        if np.array_equal(h.astype(np.int64) @ decision % 2, syn):
+            return decision, True, it
+    return decision, False, max_iters
+
+
+def serial_check_update(total, c2v, c, vs, bit):
+    v2c = total[vs] - c2v[c]
+    t = np.tanh(np.clip(v2c, -30, 30) / 2.0)
+    prod = np.prod(t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        leave_one_out = np.where(t != 0.0, prod / t, 0.0)
+    if (t == 0.0).sum() == 1:
+        mask = t == 0.0
+        leave_one_out[mask] = np.prod(t[~mask])
+    elif (t == 0.0).sum() > 1:
+        leave_one_out[t == 0.0] = 0.0
+    sign = -1.0 if bit else 1.0
+    new = 2.0 * np.arctanh(np.clip(sign * leave_one_out, -1 + 1e-12, 1 - 1e-12))
+    total[vs] += new - c2v[c]
+    c2v[c] = new
+
+
+def serial_bp_reference(dec, s_x, s_z):
+    code = dec.code
+    out = []
+    for sx, sz in zip(s_x, s_z):
+        ex, cx, ix = serial_bp_side(code.h_z, sz, dec.p, dec.max_iters)
+        ez, cz, iz = serial_bp_side(code.h_x, sx, dec.p, dec.max_iters)
+        out.append((ex, ez, True, cx and cz, max(ix, iz)))
+    return out
+
+
+def bp_mismatches(dec, s_x, s_z, reference) -> int:
+    corr_x, corr_z, ok, converged, iterations = dec.decode_batch(s_x, s_z)
+    return sum(
+        not (np.array_equal(corr_x[t], rx) and np.array_equal(corr_z[t], rz)
+             and ok[t] and (converged[t], iterations[t]) == (rc, ri))
+        for t, (rx, rz, _, rc, ri) in enumerate(reference)
+    )
+
+
+@pytest.fixture(scope="module")
+def hgp_bp_case():
+    """hgp:2:9:12:4 at p = 0.02: 36 rows, five of which BP does not
+    converge on within 100 iterations, and their serial-loop results."""
+    code = sparse_hgp()
+    s_x, s_z = syndrome_batch(code, 0.02, 30, 70)
+    return code, s_x, s_z, serial_bp_reference(BpDecoder(code, 0.01), s_x, s_z)
+
+
+def test_bp_batch_matches_serial_loop(hgp_bp_case):
+    code, s_x, s_z, reference = hgp_bp_case
+    assert sum(not conv for _, _, _, conv, _ in reference) > 0
+    assert_batch_equals(BpDecoder(code, 0.01).decode_batch(s_x, s_z), reference)
+
+
+def test_bp_batch_matches_serial_loop_at_a_short_cap():
+    """A 10-iteration cap on the small code leaves most shots unconverged."""
+    code = small_hgp()
+    dec = BpDecoder(code, 0.05, max_iters=10)
+    s_x, s_z = syndrome_batch(code, 0.1, 80, 70)
+    assert_batch_equals(dec.decode_batch(s_x, s_z), serial_bp_reference(dec, s_x, s_z))
+
+
+def test_bp_merging_two_adjacent_levels_breaks_the_oracle(hgp_bp_case, monkeypatch):
+    """Checks of adjacent levels share variables; run as one step they
+    read stale totals and lose updates. Every such mutant must differ
+    from the serial loop on some row of the batch."""
+    code, s_x, s_z, reference = hgp_bp_case
+    original = decoders.serial_levels
+    assert bp_mismatches(BpDecoder(code, 0.01), s_x, s_z, reference) == 0
+    for a in range(len(original(code.h_x)) - 1):
+        def merged(h, a=a):
+            levels = original(h)
+            return [*levels[:a], np.concatenate(levels[a : a + 2]), *levels[a + 2 :]]
+
+        monkeypatch.setattr(decoders, "serial_levels", merged)
+        assert bp_mismatches(BpDecoder(code, 0.01), s_x, s_z, reference) > 0, a
+
+
+def test_level_update_matches_serial_checks_with_zero_messages():
+    """Messages that are exactly 0 (t == 0) take the leave-one-out
+    special cases: one zero in a check, two zeros, none; plus padding."""
+    h = np.array([
+        [1, 1, 1, 0, 0, 0, 0, 0],
+        [0, 0, 0, 1, 1, 1, 1, 0],
+        [0, 0, 0, 0, 0, 0, 0, 1],
+        [0, 0, 0, 0, 0, 0, 0, 0],
+    ], dtype=np.uint8)
+    (level,) = decoders.serial_levels(h)
+    (checks, slots, pad), = decoders._bp_steps(h)
+    assert np.array_equal(level, checks) and pad is not None
+    total = np.array([0.0, 0.7, -1.3, 0.0, 0.0, 2.0, -0.4, 0.9, 5.0])  # last: dummy
+    syn = np.array([1, 0, 1, 0], dtype=np.uint8)
+    c2v = np.zeros(slots.shape)
+    batch_total = total.copy()
+    decoders._level_update(batch_total, slots, pad, (1.0 - 2.0 * syn)[checks, None], c2v)
+
+    ref_total = total[:8].copy()
+    adj = [np.flatnonzero(row) for row in h]
+    ref_c2v = [np.zeros(len(vs)) for vs in adj]
+    for c, vs in enumerate(adj):
+        serial_check_update(ref_total, ref_c2v, c, vs, syn[c])
+    assert np.array_equal(batch_total[:8], ref_total)
+    for i, vs in enumerate(adj):
+        assert np.array_equal(c2v[i, : len(vs)], ref_c2v[i])
+
+
+def test_serial_levels_structure():
+    """16 levels per side on hgp:2:9:12:4; within a level no two checks
+    share a variable; every variable meets its checks in index order."""
+    code = sparse_hgp()
+    for h in (code.h_x, code.h_z):
+        levels = decoders.serial_levels(h)
+        assert len(levels) == 16
+        assert np.array_equal(np.sort(np.concatenate(levels)), np.arange(h.shape[0]))
+        level_of = np.empty(h.shape[0], dtype=int)
+        for lv, checks in enumerate(levels):
+            assert h[checks].sum(axis=0).max() <= 1
+            level_of[checks] = lv
+        for v in range(h.shape[1]):
+            assert np.all(np.diff(level_of[np.flatnonzero(h[:, v])]) > 0), v
+
+
+# --- MWPM: per-shot BFS and matching -----------------------------------------
+
+
+def bfs_matching_side(h, syn):
+    """Matching graph of h, shortest paths from each defect found per
+    shot, minimum-weight perfect matching with one boundary node per
+    defect."""
+    n = h.shape[1]
+    g = nx.Graph()
+    g.add_node("boundary")
+    g.add_nodes_from(range(h.shape[0]))
+    for q in range(n):
+        checks = np.nonzero(h[:, q])[0]
+        if len(checks) == 1:
+            g.add_edge(int(checks[0]), "boundary", qubit=q)
+        elif len(checks) == 2:
+            g.add_edge(int(checks[0]), int(checks[1]), qubit=q)
+    correction = np.zeros(n, dtype=np.uint8)
+    defects = [int(i) for i in np.nonzero(syn)[0]]
+    if not defects:
+        return correction
+    paths = {d: nx.single_source_shortest_path(g, d) for d in defects}
+    match_graph = nx.Graph()
+    big = 4 * n
+    for i, d1 in enumerate(defects):
+        match_graph.add_edge(("d", d1), ("b", d1), weight=big - (len(paths[d1]["boundary"]) - 1))
+        for d2 in defects[i + 1 :]:
+            match_graph.add_edge(("d", d1), ("d", d2), weight=big - (len(paths[d1][d2]) - 1))
+            match_graph.add_edge(("b", d1), ("b", d2), weight=big)
+    for u, v in nx.max_weight_matching(match_graph, maxcardinality=True):
+        if u[0] == v[0] == "b":
+            continue
+        if u[0] == v[0] == "d":
+            path = paths[u[1]][v[1]]
+        else:
+            path = paths[u[1] if u[0] == "d" else v[1]]["boundary"]
+        for a, b in zip(path, path[1:]):
+            correction[g.edges[a, b]["qubit"]] ^= 1
+    return correction
+
+
+@pytest.mark.parametrize("d,p", [(3, 0.08), (5, 0.08), (5, 0.02)])
+def test_mwpm_batch_matches_per_shot_matching(d, p):
+    code = codes.rotated_surface(d)
+    s_x, s_z = syndrome_batch(code, p, 150, 71)
+    reference = [
+        (bfs_matching_side(code.h_z, sz), bfs_matching_side(code.h_x, sx), True, True, 0)
+        for sx, sz in zip(s_x, s_z)
+    ]
+    assert_batch_equals(MatchingDecoder(code).decode_batch(s_x, s_z), reference)
+
+
+# --- lookup: the dict-built table --------------------------------------------
+
+
+def dict_table(code, weight_cap):
+    """Syndrome bytes -> first minimum-weight error, enumerated as Pauli
+    operators in increasing weight, lexicographic (x_bits, z_bits) order
+    within a weight."""
+    table = {}
+    for w in range(weight_cap + 1):
+        if len(table) >= 2 ** (code.r_x + code.r_z):
+            break
+        batch = []
+        for qubits in itertools.combinations(range(code.n), w):
+            for letters in itertools.product("XYZ", repeat=w):
+                x = np.zeros(code.n, dtype=np.uint8)
+                z = np.zeros(code.n, dtype=np.uint8)
+                for q, letter in zip(qubits, letters):
+                    x[q] = letter in "XY"
+                    z[q] = letter in "YZ"
+                batch.append(PauliOperator(code.n, x, z))
+        batch.sort(key=lambda e: (tuple(e.x_bits), tuple(e.z_bits)))
+        for err in batch:
+            s_x, s_z = codes.syndrome(code, err)
+            table.setdefault((s_x.tobytes(), s_z.tobytes()), err)
+    return table
+
+
+LOOKUP_CASES = [
+    (codes.rep3, 4),
+    (codes.shor9, 4),
+    (codes.shor9, 1),  # weight 1 leaves most syndromes undecodable
+    (lambda: codes.rotated_surface(3), 2),
+]
+
+
+@pytest.mark.parametrize("make_code,cap", LOOKUP_CASES, ids=["rep3", "shor9", "shor9-cap1", "surface:3-cap2"])
+def test_lookup_batch_matches_dict_table(make_code, cap):
+    code = make_code()
+    table = dict_table(code, cap)
+    dec = LookupDecoder(code, weight_cap=cap)
+    s_x, s_z = syndrome_batch(code, 0.1, 200, 72)
+    # then every syndrome once, so the whole table is compared
+    every = np.array(list(itertools.product((0, 1), repeat=code.r_x + code.r_z)), dtype=np.uint8)
+    s_x = np.concatenate([s_x, every[:, : code.r_x]])
+    s_z = np.concatenate([s_z, every[:, code.r_x :]])
+    reference = []
+    for sx, sz in zip(s_x, s_z):
+        err = table.get((sx.tobytes(), sz.tobytes()))
+        if err is None:
+            reference.append((None, None, False, False, 0))
+        else:
+            reference.append((err.x_bits, err.z_bits, True, True, 0))
+    if cap < 4:
+        assert not all(ok for _, _, ok, _, _ in reference)  # the batch has undecodable rows
+    assert_batch_equals(dec.decode_batch(s_x, s_z), reference)
+
+
+def test_decode_batch_rejects_wrong_shapes():
+    code = codes.shor9()
+    dec = LookupDecoder(code)
+    with pytest.raises(ValueError):
+        dec.decode_batch(np.zeros((2, code.r_x)), np.zeros((3, code.r_z)))
+    with pytest.raises(ValueError):
+        dec.decode_batch(np.zeros(code.r_x), np.zeros(code.r_z))

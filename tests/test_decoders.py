@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -209,3 +210,87 @@ def test_bp_beats_raw_error_rate():
             failures += 1
     raw = 1 - (1 - 0.01) ** (2 * code.n)
     assert failures / trials < raw
+
+
+# --- pinned per-shot outputs -------------------------------------------------
+# SHA-256 of every decode result (correction bits, converged, iterations) on
+# fixed shot lists, recorded before the decoders were batched. A kernel
+# rewrite that changes one bit of one shot changes the digest.
+
+
+def _result_digest(results) -> str:
+    h = hashlib.sha256()
+    for res in results:
+        if res is None:
+            h.update(b"undecodable")
+            continue
+        h.update(res.correction.x_bits.tobytes())
+        h.update(res.correction.z_bits.tobytes())
+        h.update(repr((res.converged, res.iterations)).encode())
+    return h.hexdigest()
+
+
+def _decode_all(dec, code, errors):
+    return [dec.decode(codes.syndrome(code, err)) for err in errors]
+
+
+def _every_syndrome(code):
+    """Every (s_x, s_z) pair in the order of the integer whose bits, most
+    significant first, are s_x then s_z."""
+    r = code.r_x + code.r_z
+    shifts = np.arange(r - 1, -1, -1)
+    for idx in range(2**r):
+        bits = ((idx >> shifts) & 1).astype(np.uint8)
+        yield bits[: code.r_x], bits[code.r_x :]
+
+
+def _table_digest(dec, code) -> str:
+    results = []
+    for syn in _every_syndrome(code):
+        try:
+            results.append(dec.decode(syn))
+        except UndecodableError:
+            results.append(None)
+    return _result_digest(results)
+
+
+PINNED_BP = {
+    "weight1": "f659946d0211dc1a565bf43b54ec3d3b4347e9724eb9f2d3af05c17fdfe119e1",
+    "stream900": "31e3d82a8b0d2ca9b5f09195d72a1b0ff8fb4f11bacb61496b697a54bceac7df",
+}
+PINNED_MWPM = {
+    3: "453af202e3c57b8b03a6e78aa2c8bb5f17bf40ae7bb91e1faf56b3f91cc947ed",
+    5: "bdab89a6894f29d4ccf9c0a468e81069ef4d6b84b32c32716a382e10af0ae431",
+}
+PINNED_LOOKUP = {
+    "shor9": "6599966703801998ef0073186986f8a7542f8b7effdcef81b465708eb8bfa962",
+    "hgp:1:2:4:2": "44b717722877554530e39e41e33e9ef5e11fa962381a5faa581b13c82fabcd3f",
+}
+
+
+def test_bp_pinned_outputs():
+    """Criterion 9's code and shots: the 675 weight-1 errors and the first
+    300 shots of its stream(900, t) sample."""
+    code = sparse_hgp()
+    dec = BpDecoder(code, 0.01)
+    assert _result_digest(_decode_all(dec, code, single_qubit_paulis(code.n))) == PINNED_BP["weight1"]
+    noise = NoiseModel.independent_xz(0.01, 0.01)
+    shots = [sample_error(noise, code.n, stream(900, t)) for t in range(300)]
+    assert _result_digest(_decode_all(dec, code, shots)) == PINNED_BP["stream900"]
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_mwpm_pinned_outputs(d):
+    code = codes.rotated_surface(d)
+    noise = NoiseModel.independent_xz(0.08, 0.08)
+    shots = [sample_error(noise, code.n, stream(800, d, t)) for t in range(2000)]
+    assert _result_digest(_decode_all(MatchingDecoder(code), code, shots)) == PINNED_MWPM[d]
+
+
+@pytest.mark.parametrize("code_id", ["shor9", "hgp:1:2:4:2"])
+def test_lookup_pinned_table(code_id):
+    """The whole table, read through decode on every syndrome."""
+    from qnetcode.cli import parse_code
+
+    code = parse_code(code_id)
+    assert _table_digest(LookupDecoder(code), code) == PINNED_LOOKUP[code_id]

@@ -279,13 +279,13 @@ def test_frame_engine_matches_tableau_on_pauli_basis(code, make_decoder, monkeyp
             )
             outcomes = BellOutcomeBlock(u=outcomes.u ^ flips[0], v=outcomes.v ^ flips[1])
             s_x, s_z, lxx, lzz = extract(outcomes, code)
-            f_s_x, f_s_z, acts_as_x, acts_as_z, (result,) = _frame_account(
+            f_s_x, f_s_z, acts_as_x, acts_as_z, (corr_x, corr_z, ok, _, _) = _frame_account(
                 code, decoder, (data_x ^ flips[1])[None], (data_z ^ flips[0])[None],
                 epr_x[None], epr_z[None],
             )
             assert np.array_equal(s_x, f_s_x[0]) and np.array_equal(s_z, f_s_z[0]), idx
-            assert result is not None  # every decoder here takes every single-fault syndrome
-            apply_output_corrections(state, code, result.correction, lxx, lzz)
+            assert ok[0]  # every decoder here takes every single-fault syndrome
+            apply_output_corrections(state, code, PauliOperator(n, corr_x[0], corr_z[0]), lxx, lzz)
             acts = acts_as_x[0] if attr == "Z" else acts_as_z[0]
             for i in range(code.k):
                 want = -1 if acts[i] else 1

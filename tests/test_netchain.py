@@ -58,6 +58,8 @@ def test_config_validation():
         ChainConfig(num_links=2, link_state=werner(0.9), hop_delay_D=-1.0)
     with pytest.raises(ValueError):
         ChainConfig(num_links=2, link_state=werner(0.9), mode="encoded_teleport")
+    with pytest.raises(ValueError):
+        ChainConfig(num_links=2, link_state=werner(0.9), purify_rounds=-1)
 
 
 def test_single_perfect_link_physical():
