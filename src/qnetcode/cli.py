@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 import time
@@ -19,7 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from qnetcode import codes, ratecalc
-from qnetcode.decoders import BpDecoder, LookupDecoder, MatchingDecoder
+from qnetcode.codes import random_regular_check_matrix  # noqa: F401  (re-exported for callers of cli)
+from qnetcode.decoders import DECODERS, BpDecoder
 from qnetcode.ftec import KnillNoise, knill_residuals
 from qnetcode.netchain import MODES, ChainConfig, compare_latency, run_chain
 from qnetcode.noise import NoiseModel, effective_error_rate, werner
@@ -72,61 +72,16 @@ def _noise_spec(text: str) -> NoiseModel:
         raise argparse.ArgumentTypeError(f"malformed noise spec {text!r}: {e}") from None
 
 
-def random_regular_check_matrix(r: int, n: int, row_weight: int, seed: int) -> np.ndarray:
-    """Random sparse classical parity checks with full column coverage.
-
-    Draws up to 1000 matrices with independent rows of weight row_weight
-    and returns the first that covers every column. If none does, the
-    last draw is repaired: each uncovered column takes over a row slot
-    of the most-covered column. That keeps every row weight and always
-    succeeds when r * row_weight >= n.
-    """
-    g = stream(seed, 777)
-    for _ in range(1000):
-        h = np.zeros((r, n), dtype=np.uint8)
-        for i in range(r):
-            h[i, g.choice(n, row_weight, replace=False)] = 1
-        if h.sum(axis=0).min() > 0:
-            return h
-    if r * row_weight < n:
-        raise ValueError(f"{r} rows of weight {row_weight} cannot cover {n} columns")
-    for col in np.flatnonzero(h.sum(axis=0) == 0):
-        donor = int(np.argmax(h.sum(axis=0)))  # covered at least twice
-        row = int(np.flatnonzero(h[:, donor])[0])
-        h[row, donor], h[row, col] = 0, 1
-    return h
-
-
-# each code family's id, with one ':'-separated field per parameter
-_CODE_FORMS = {"rep3": "rep3", "shor9": "shor9", "surface": "surface:<d>", "hgp": "hgp:<seed>:<r>:<n>:<w>"}
-
-
 def parse_code(code_id: str) -> codes.CssCode:
-    """rep3 | shor9 | surface:<d> | hgp:<seed>:<r>:<n>:<w>"""
-    name, *fields = code_id.split(":")
-    if name not in _CODE_FORMS:
-        raise UsageError(f"unknown code id {code_id!r}")
-    if len(fields) != _CODE_FORMS[name].count(":"):
-        raise UsageError(f"malformed code id {code_id!r}: expected {_CODE_FORMS[name]}")
+    """The code named by ``code_id`` (see codes.from_id)."""
     try:
-        if name == "rep3":
-            return codes.rep3()
-        if name == "shor9":
-            return codes.shor9()
-        if name == "surface":
-            return codes.rotated_surface(int(fields[0]))
-        seed, r, n, w = (int(p) for p in fields)
-        if r < 1 or n < 1 or not 1 <= w <= n or r * w < n:
-            # r rows of weight w cover at most r*w of the n columns
-            raise UsageError(f"code id {code_id!r} needs r >= 1, n >= 1, 1 <= w <= n and r*w >= n")
-        h = random_regular_check_matrix(r, n, w, seed)
-        return codes.hypergraph_product(h, h, name=code_id)
-    except ValueError as e:
-        raise UsageError(f"malformed code id {code_id!r}: {e}") from None
+        return codes.from_id(code_id)
+    except codes.CodeIdError as e:
+        raise UsageError(str(e)) from None
 
 
-def parse_rate_code(code_id: str) -> tuple[str, int, int]:
-    """Rate subcommand also accepts custom:<n>:<k> (parameters only)."""
+def parse_rate_code(code_id: str) -> tuple[int, int]:
+    """(n, k) of ``code_id``; rate also accepts custom:<n>:<k>, which has no check matrices."""
     if code_id.startswith("custom:"):
         try:
             _, n, k = code_id.split(":")
@@ -135,23 +90,19 @@ def parse_rate_code(code_id: str) -> tuple[str, int, int]:
             raise UsageError(f"malformed code id {code_id!r}") from None
         if n < 1 or not 0 <= k <= n:
             raise UsageError(f"code id {code_id!r} needs n >= 1 and 0 <= k <= n")
-        return code_id, n, k
+        return n, k
     code = parse_code(code_id)
-    return code_id, code.n, code.k
+    return code.n, code.k
 
 
 def build_decoder(kind: str, code: codes.CssCode, p: float):
-    """Decoder ``kind`` for ``code``; p seeds BP's prior, the others take none."""
+    """Decoder ``kind`` (a DECODERS name) for ``code``; p seeds BP's prior, the others take none."""
+    cls = DECODERS[kind]
+    prior = (p if 0 < p < 0.5 else 0.01,) if cls is BpDecoder else ()
     try:
-        if kind == "lookup":
-            return LookupDecoder(code)
-        if kind == "mwpm":
-            return MatchingDecoder(code)
-        if kind == "bp":
-            return BpDecoder(code, p if 0 < p < 0.5 else 0.01)
+        return cls(code, *prior)
     except ValueError as e:  # the decoder cannot handle this code
         raise UsageError(f"decoder {kind} cannot decode {code.name}: {e}") from None
-    raise UsageError(f"unknown decoder {kind!r}")
 
 
 def write_rows(rows: list[dict], out, fmt: str):
@@ -170,16 +121,15 @@ def write_rows(rows: list[dict], out, fmt: str):
 
 
 def cmd_rate(args) -> list[dict]:
-    rows = []
-    reports = []
+    rows, reports = [], []
     for code_id in args.code:
-        cid, n, k = parse_rate_code(code_id)
+        n, k = parse_rate_code(code_id)
         cfg = ratecalc.RateConfig(args.qubits, n, k, args.cycle, args.pc, args.pg)
         rep = ratecalc.epr_rate(cfg)
         reports.append(rep)
         rows.append(
             {
-                "code_id": cid,
+                "code_id": code_id,
                 "n": n,
                 "k": k,
                 "Q": args.qubits,
@@ -209,47 +159,40 @@ def cmd_protocol(args) -> list[dict]:
         rng = stream(args.seed, t)
         if args.name == "teleport":
             out = teleport([("H", 0)], noise, rng)
-            return {
-                "trial_id": t,
-                "protocol": "teleport",
-                "outcome_bits": f"{out.classical_bits[0][0]}{out.classical_bits[0][1]}",
-                "success": int(bool(out.verified)),
-                "residual_frame": str(out.residual_frame),
-            }
-        if args.name == "superdense":
-            bits = (t % 2, (t // 2) % 2)
-            got = superdense(bits, noise, rng)
-            return {
-                "trial_id": t,
-                "protocol": "superdense",
-                "outcome_bits": f"{got[0]}{got[1]}",
-                "success": int(got == bits),
-                "residual_frame": "I",
-            }
-        if args.name == "swap":
+            pairs, success, frame = out.classical_bits, out.verified, out.residual_frame
+        elif args.name == "superdense":
+            sent = (t % 2, (t // 2) % 2)
+            got = superdense(sent, noise, rng)
+            pairs, success, frame = [got], got == sent, "I"
+        else:  # swap
             out = swap_chain(links, noise, rng)
-            bits = "".join(f"{a}{b}" for a, b in out.classical_bits)
-            return {
-                "trial_id": t,
-                "protocol": "swap",
-                "outcome_bits": bits,
-                "success": int(out.residual_frame.is_identity()),
-                "residual_frame": str(out.residual_frame),
-            }
-        raise UsageError(f"unknown protocol {args.name!r}")
+            pairs, success, frame = out.classical_bits, out.residual_frame.is_identity(), out.residual_frame
+        return {
+            "trial_id": t,
+            "protocol": args.name,
+            "outcome_bits": "".join(f"{a}{b}" for a, b in pairs),
+            "success": int(bool(success)),
+            "residual_frame": str(frame),
+        }
 
     return [run_one(t) for t in range(args.trials)]
 
 
-def cmd_decode(args) -> list[dict]:
+def _knill_failures(args, noise: KnillNoise, prior: float):
+    """Run args.trials seeded Knill rounds of --code with --decoder (BP prior
+    ``prior``) under ``noise``: (code, failures, per-trial iterations, seconds)."""
     code = parse_code(args.code)
-    decoder = build_decoder(args.decoder, code, args.p)
-    # code-capacity decoding: a Knill round with a perfect EPR pair and exact readout
-    noise = KnillNoise(data_noise=NoiseModel.independent_xz(args.p, args.p))
+    decoder = build_decoder(args.decoder, code, prior)
     t0 = time.perf_counter()
     x_bad, z_bad, iterations = knill_residuals(code, decoder, noise, args.seed, (), args.trials)
     failures = int(np.count_nonzero(x_bad | z_bad))
-    wall_ms = (time.perf_counter() - t0) * 1000.0
+    return code, failures, iterations, time.perf_counter() - t0
+
+
+def cmd_decode(args) -> list[dict]:
+    # code-capacity decoding: a Knill round with a perfect EPR pair and exact readout
+    noise = KnillNoise(data_noise=NoiseModel.independent_xz(args.p, args.p))
+    code, failures, iterations, seconds = _knill_failures(args, noise, args.p)
     return [
         {
             "code_id": args.code,
@@ -260,7 +203,7 @@ def cmd_decode(args) -> list[dict]:
             "trials": args.trials,
             "logical_failures": failures,
             "avg_iterations": float(iterations.mean()),
-            "wall_time_ms": round(wall_ms, 3),
+            "wall_time_ms": round(seconds * 1000.0, 3),
         }
     ]
 
@@ -272,13 +215,8 @@ def cmd_knill(args) -> list[dict]:
         data_noise = NoiseModel.depolarizing(effective_error_rate(args.pc, args.pg))
     else:
         data_noise = args.noise if args.noise is not None else NoiseModel.none()
-    code = parse_code(args.code)
-    decoder = build_decoder(args.decoder, code, 0.01)
     noise = KnillNoise(epr_error=args.epr_noise, meas_flip=args.meas_flip, data_noise=data_noise)
-    t0 = time.perf_counter()
-    x_bad, z_bad, _ = knill_residuals(code, decoder, noise, args.seed, (), args.trials)
-    failures = int(np.count_nonzero(x_bad | z_bad))
-    seconds = time.perf_counter() - t0
+    _, failures, _, seconds = _knill_failures(args, noise, 0.01)
     return [
         {
             "code_id": args.code,
@@ -288,7 +226,7 @@ def cmd_knill(args) -> list[dict]:
             "meas_flip_p": args.meas_flip.flip_probability(),
             "trials": args.trials,
             "logical_failures": failures,
-            "failure_rate": failures / max(args.trials, 1),
+            "failure_rate": failures / args.trials,
             "seconds": round(seconds, 3),
         }
     ]
@@ -310,8 +248,13 @@ _CHAIN_UNREAD = {
 def cmd_chain(args) -> list[dict]:
     file_cfg = {}
     if args.config:
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                file_cfg = json.load(fh)
+        except OSError as e:
+            raise UsageError(f"--config {args.config}: {e.strerror or e}") from None
+        except ValueError as e:  # not JSON, or not UTF-8
+            raise UsageError(f"--config {args.config}: {e}") from None
         if not isinstance(file_cfg, dict):
             raise UsageError("--config must hold a JSON object")
         unknown = sorted(set(file_cfg) - set(_CHAIN_CONFIG_KEYS))
@@ -408,13 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="decoder benchmark")
     common(p)
     p.add_argument("--code", required=True)
-    p.add_argument("--decoder", choices=("lookup", "mwpm", "bp"), required=True)
+    p.add_argument("--decoder", choices=DECODERS, required=True)
     p.add_argument("--p", type=_probability, default=0.01)
 
     p = sub.add_parser("knill", help="Knill EC Monte Carlo")
     common(p)
     p.add_argument("--code", required=True)
-    p.add_argument("--decoder", choices=("lookup", "mwpm", "bp"), default="lookup")
+    p.add_argument("--decoder", choices=DECODERS, default="lookup")
     p.add_argument("--noise", type=_noise_spec, default=None,
                    help="data noise spec, e.g. depolarizing:0.001 (default none; not with --pc/--pg)")
     p.add_argument("--epr-noise", type=_noise_spec, default="none")
@@ -431,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=_nonnegative_int, default=None)
     p.add_argument("--delay", type=_nonnegative_float, default=None)
     p.add_argument("--code", default=None)
-    p.add_argument("--decoder", choices=("lookup", "mwpm", "bp"), default=None,
+    p.add_argument("--decoder", choices=DECODERS, default=None,
                    help="encoded modes only (default lookup)")
     p.add_argument("--pc", type=_probability, default=None)
     p.add_argument("--pg", type=_probability, default=None)
@@ -455,19 +398,20 @@ def main(argv=None) -> int:
         return 1 if e.code not in (0, None) else 0
     try:
         rows = _COMMANDS[args.command](args)
+        if args.out:
+            try:
+                with open(args.out, "w", newline="") as fh:
+                    write_rows(rows, fh, args.format)
+            except OSError as e:
+                raise UsageError(f"--out {args.out}: {e.strerror or e}") from None
+        else:
+            write_rows(rows, sys.stdout, args.format)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # runtime failure
         print(f"runtime failure: {e}", file=sys.stderr)
         return 2
-    buf = io.StringIO()
-    write_rows(rows, buf, args.format)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
     return 0
 
 

@@ -1,4 +1,4 @@
-"""CSS stabilizer code model, constructors, and syndrome computation."""
+"""CSS stabilizer code model, constructors, code ids, and syndrome computation."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import numpy as np
 
 from qnetcode import gf2
 from qnetcode.pauli import PauliOperator
+from qnetcode.rng import stream
 
 
 def _freeze(m: np.ndarray) -> np.ndarray:
@@ -147,30 +148,22 @@ def rotated_surface(d: int) -> CssCode:
     def q(r, c):
         return r * d + c
 
+    def check(*qubits):
+        row = np.zeros(n, dtype=np.uint8)
+        row[list(qubits)] = 1
+        return row
+
     x_rows, z_rows = [], []
     for r in range(d - 1):
         for c in range(d - 1):
-            row = np.zeros(n, dtype=np.uint8)
-            row[[q(r, c), q(r, c + 1), q(r + 1, c), q(r + 1, c + 1)]] = 1
+            row = check(q(r, c), q(r, c + 1), q(r + 1, c), q(r + 1, c + 1))
             (z_rows if (r + c) % 2 == 0 else x_rows).append(row)
     for c in range(d - 1):
-        if c % 2 == 0:  # top half-plaquettes
-            row = np.zeros(n, dtype=np.uint8)
-            row[[q(0, c), q(0, c + 1)]] = 1
-            x_rows.append(row)
-        else:  # bottom
-            row = np.zeros(n, dtype=np.uint8)
-            row[[q(d - 1, c), q(d - 1, c + 1)]] = 1
-            x_rows.append(row)
+        r = 0 if c % 2 == 0 else d - 1  # top half-plaquettes at even c, bottom at odd
+        x_rows.append(check(q(r, c), q(r, c + 1)))
     for r in range(d - 1):
-        if r % 2 == 1:  # left
-            row = np.zeros(n, dtype=np.uint8)
-            row[[q(r, 0), q(r + 1, 0)]] = 1
-            z_rows.append(row)
-        else:  # right
-            row = np.zeros(n, dtype=np.uint8)
-            row[[q(r, d - 1), q(r + 1, d - 1)]] = 1
-            z_rows.append(row)
+        c = 0 if r % 2 == 1 else d - 1  # left half-plaquettes at odd r, right at even
+        z_rows.append(check(q(r, c), q(r + 1, c)))
     lx = np.zeros((1, n), dtype=np.uint8)
     lx[0, [q(r, 0) for r in range(d)]] = 1  # vertical X string
     lz = np.zeros((1, n), dtype=np.uint8)
@@ -228,6 +221,72 @@ def hypergraph_product(h_a, h_b, name: str = "hgp") -> CssCode:
         m = gf2.matmul(lx, lz.T)
         lz = gf2.matmul(gf2.inverse(m).T, lz)
     return CssCode(n=n, k=k, d="unknown", h_x=h_x, h_z=h_z, logical_x=lx, logical_z=lz, name=name)
+
+
+def random_regular_check_matrix(r: int, n: int, row_weight: int, seed: int) -> np.ndarray:
+    """Random sparse classical parity checks with full column coverage.
+
+    Draws up to 1000 matrices with independent rows of weight row_weight
+    and returns the first that covers every column. If none does, the
+    last draw is repaired: each uncovered column takes over a row slot
+    of the most-covered column. That keeps every row weight and always
+    succeeds when r * row_weight >= n.
+    """
+    g = stream(seed, 777)
+    for _ in range(1000):
+        h = np.zeros((r, n), dtype=np.uint8)
+        for i in range(r):
+            h[i, g.choice(n, row_weight, replace=False)] = 1
+        if h.sum(axis=0).min() > 0:
+            return h
+    if r * row_weight < n:
+        raise ValueError(f"{r} rows of weight {row_weight} cannot cover {n} columns")
+    for col in np.flatnonzero(h.sum(axis=0) == 0):
+        donor = int(np.argmax(h.sum(axis=0)))  # covered at least twice
+        row = int(np.flatnonzero(h[:, donor])[0])
+        h[row, donor], h[row, col] = 0, 1
+    return h
+
+
+class CodeIdError(ValueError):
+    """A code id that names no family or does not fit its family's form."""
+
+
+def _random_hgp(code_id: str, seed: int, r: int, n: int, w: int) -> CssCode:
+    if r < 1 or n < 1 or not 1 <= w <= n or r * w < n:
+        # r rows of weight w cover at most r*w of the n columns
+        raise CodeIdError(f"code id {code_id!r} needs r >= 1, n >= 1, 1 <= w <= n and r*w >= n")
+    h = random_regular_check_matrix(r, n, w, seed)
+    return hypergraph_product(h, h, name=code_id)
+
+
+# family -> (id form with one ':'-separated integer field per parameter, builder
+# taking the id and those integers). Builders look constructors up by global name
+# at call time, so one replaced on this module after import (a tracer) still runs.
+_FAMILIES = {
+    "rep3": ("rep3", lambda code_id: rep3()),
+    "shor9": ("shor9", lambda code_id: shor9()),
+    "surface": ("surface:<d>", lambda code_id, d: rotated_surface(d)),
+    "hgp": ("hgp:<seed>:<r>:<n>:<w>", _random_hgp),
+}
+
+
+def from_id(code_id: str) -> CssCode:
+    """The code named by ``code_id``: rep3 | shor9 | surface:<d> | hgp:<seed>:<r>:<n>:<w>,
+    where hgp is the hypergraph product of random_regular_check_matrix(r, n, w, seed)
+    with itself. Raises CodeIdError, quoting the id, if it is unknown or malformed."""
+    family, *fields = code_id.split(":")
+    if family not in _FAMILIES:
+        raise CodeIdError(f"unknown code id {code_id!r}")
+    form, build = _FAMILIES[family]
+    if len(fields) != form.count(":"):
+        raise CodeIdError(f"malformed code id {code_id!r}: expected {form}")
+    try:
+        return build(code_id, *(int(f) for f in fields))
+    except CodeIdError:
+        raise
+    except ValueError as e:
+        raise CodeIdError(f"malformed code id {code_id!r}: {e}") from None
 
 
 def to_fixture(code: CssCode) -> str:

@@ -374,3 +374,7 @@ class BpDecoder:
             converged=bool(converged[0]),
             iterations=int(iterations[0]),
         )
+
+
+# decoder name -> class, in the order the CLI lists them
+DECODERS = {"lookup": LookupDecoder, "mwpm": MatchingDecoder, "bp": BpDecoder}

@@ -64,6 +64,8 @@ class ChainConfig:
             raise ValueError("num_links must be >= 1")
         if self.purify_rounds < 0:
             raise ValueError("purify_rounds must be >= 0")
+        if self.mc_trials < 1:
+            raise ValueError("mc_trials must be >= 1")
         if self.hop_delay_D < 0:
             raise ValueError("hop delay must be >= 0")
         if self.mode not in MODES:
@@ -107,19 +109,6 @@ def _fold(states: list[BellDiagonalState]) -> BellDiagonalState:
     return states[0]
 
 
-def _logical_channel(config: ChainConfig, epr_model: NoiseModel, data_model: NoiseModel, hop: int) -> BellDiagonalState:
-    """Per-hop logical error distribution from a seeded knill Monte Carlo."""
-    noise = KnillNoise(
-        epr_error=epr_model,
-        meas_flip=NoiseModel.bit_flip(config.p_g) if config.p_g else NoiseModel.none(),
-        data_noise=data_model,
-    )
-    x_bad, z_bad, _ = knill_residuals(config.code, config.decoder, noise, config.seed, (900 + hop,), config.mc_trials)
-    labels = [LABEL_INDEX[xz] for xz in zip(x_bad.astype(int).tolist(), z_bad.astype(int).tolist())]
-    counts = np.bincount(labels, minlength=4)
-    return BellDiagonalState(counts / counts.sum())
-
-
 def run_chain(config: ChainConfig) -> ChainReport:
     m = config.num_links
     log: list = []
@@ -138,20 +127,23 @@ def run_chain(config: ChainConfig) -> ChainReport:
         link, survival_link = _purify_link(config.link_state, config.purify_rounds, log)
         p_x = float(link.probs[1] + link.probs[2])
         p_z = float(link.probs[3] + link.probs[2])
-        epr_model = NoiseModel.independent_xz(p_x, p_z)
-        data_model = NoiseModel.none()
+        noise = KnillNoise(
+            epr_error=NoiseModel.independent_xz(p_x, p_z),
+            meas_flip=NoiseModel.bit_flip(config.p_g) if config.p_g else NoiseModel.none(),
+        )
         raw_pairs = 2 ** config.purify_rounds
     else:  # encoded_direct: no purification stage, effective rate per hop
         survival_link = 1.0
         raw_pairs = 1
-        p_eff = effective_error_rate(config.p_c, config.p_g)
-        epr_model = NoiseModel.none()
-        data_model = NoiseModel.depolarizing(p_eff)
+        # p_c + 5 p_g already counts the Bell-measurement fault, so no readout flips
+        noise = KnillNoise(data_noise=NoiseModel.depolarizing(effective_error_rate(config.p_c, config.p_g)))
     hops = []
-    for hop in range(m):
-        dist = _logical_channel(config, epr_model, data_model, hop)
-        hops.append(dist)
-        log.append({"stage": "hop", "hop": hop, "logical_fidelity": dist.fidelity})
+    for hop in range(m):  # each hop's logical error distribution from seeded Knill rounds
+        x_bad, z_bad, _ = knill_residuals(config.code, config.decoder, noise, config.seed, (900 + hop,), config.mc_trials)
+        labels = [LABEL_INDEX[xz] for xz in zip(x_bad.astype(int).tolist(), z_bad.astype(int).tolist())]
+        counts = np.bincount(labels, minlength=4)
+        hops.append(BellDiagonalState(counts / counts.sum()))
+        log.append({"stage": "hop", "hop": hop, "logical_fidelity": hops[-1].fidelity})
     end = _fold(hops)
     latency = config.hop_delay_D * m  # one-way classical communication only
     return ChainReport(end, survival_link / raw_pairs, survival_link ** m, latency, log)

@@ -146,7 +146,7 @@ class BellDiagonalState:
         p = np.asarray(self.probs, dtype=np.float64)
         if p.shape != (4,):
             raise ValueError("probs must have exactly 4 entries")
-        if (p < -SIMPLEX_TOL).any() or abs(p.sum() - 1.0) > SIMPLEX_TOL:
+        if not np.isfinite(p).all() or (p < -SIMPLEX_TOL).any() or abs(p.sum() - 1.0) > SIMPLEX_TOL:
             raise ValueError(f"probs is not a simplex vector: {p}")
         p = np.clip(p, 0.0, None)
         p.flags.writeable = False

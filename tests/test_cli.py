@@ -271,6 +271,29 @@ def test_bad_chain_config_value_is_usage_error(tmp_path, capsys, key, value, mes
 
 
 @pytest.mark.parametrize(
+    "content,reason",
+    [(None, "No such file or directory"), ("{bad", "Expecting property name")],
+    ids=["missing", "not-json"],
+)
+def test_unreadable_chain_config_is_usage_error(tmp_path, capsys, content, reason):
+    cfg = tmp_path / "scenario.json"
+    if content is not None:
+        cfg.write_text(content)
+    code, out, err = run_cli(capsys, "chain", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert f"--config {cfg}: {reason}" in err
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "rows.csv"
+    code, out, err = run_cli(capsys, "rate", "--qubits", "100", "--code", "rep3", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert f"--out {target}: No such file or directory" in err
+
+
+@pytest.mark.parametrize(
     "mode,key",
     [("physical", "code_id"), ("physical", "p_c"), ("physical", "p_g"), ("encoded_teleport", "p_c")],
 )

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -178,6 +179,55 @@ def test_hypergraph_product_build_eliminates_once_per_question(monkeypatch):
     monkeypatch.setattr(gf2, "row_reduce", counting)
     cli.parse_code("hgp:2:9:12:4")
     assert len(calls) <= 7
+
+
+@pytest.mark.parametrize(
+    "builder,code_id",
+    [("rep3", "rep3"), ("shor9", "shor9"), ("rotated_surface", "surface:3"), ("hypergraph_product", "hgp:1:2:4:2")],
+)
+def test_from_id_looks_up_builders_at_call_time(monkeypatch, builder, code_id):
+    """A constructor replaced on the module after import, as a tracer
+    replaces it, is the one from_id runs."""
+    calls = []
+    original = getattr(codes, builder)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(codes, builder, counting)
+    assert codes.from_id(code_id).name == code_id
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "code_id,form",
+    [("rep3", "rep3"), ("shor9", "shor9"), ("surface:5", "surface:<d>"), ("hgp:2:9:12:4", "hgp:<seed>:<r>:<n>:<w>")],
+)
+def test_from_id_family_forms(code_id, form):
+    """Each family's form builds; one field too many or too few is malformed."""
+    code = codes.from_id(code_id)
+    assert code.name == code_id and codes.validate(code).ok
+    wrong = [code_id + ":1"] + ([code_id.rsplit(":", 1)[0]] if ":" in code_id else [])
+    for bad in wrong:
+        with pytest.raises(codes.CodeIdError, match=f"malformed code id '{bad}': expected {re.escape(form)}$"):
+            codes.from_id(bad)
+
+
+@pytest.mark.parametrize(
+    "code_id,message",
+    [
+        ("nope", "unknown code id 'nope'"),
+        ("custom:10:2", "unknown code id 'custom:10:2'"),
+        ("surface:x", "malformed code id 'surface:x': invalid literal for int()"),
+        ("surface:4", "malformed code id 'surface:4': d must be an odd integer >= 3"),
+        ("hgp:1:1:12:4", "code id 'hgp:1:1:12:4' needs r >= 1, n >= 1, 1 <= w <= n and r*w >= n"),
+    ],
+)
+def test_from_id_rejects_bad_ids(code_id, message):
+    with pytest.raises(codes.CodeIdError) as info:
+        codes.from_id(code_id)
+    assert str(info.value).startswith(message)
 
 
 @pytest.mark.parametrize(

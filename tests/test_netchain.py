@@ -13,7 +13,8 @@ from qnetcode.netchain import (
     run_chain,
     sample_chain_trial,
 )
-from qnetcode.noise import BellDiagonalState, werner
+from qnetcode.ftec import KnillNoise, knill_residuals
+from qnetcode.noise import LABEL_INDEX, BellDiagonalState, NoiseModel, effective_error_rate, werner
 from qnetcode.protocols import purify_pair_dist
 from qnetcode.rng import stream
 
@@ -60,6 +61,10 @@ def test_config_validation():
         ChainConfig(num_links=2, link_state=werner(0.9), mode="encoded_teleport")
     with pytest.raises(ValueError):
         ChainConfig(num_links=2, link_state=werner(0.9), purify_rounds=-1)
+    code = codes.rep3()
+    with pytest.raises(ValueError):
+        ChainConfig(num_links=2, link_state=werner(0.9), mode="encoded_teleport",
+                    code=code, decoder=LookupDecoder(code), mc_trials=0)
 
 
 def test_single_perfect_link_physical():
@@ -140,6 +145,27 @@ def test_encoded_direct_mode_runs():
     assert 0.0 <= rep.end_state.fidelity <= 1.0
     assert rep.survival == 1.0  # no post-selection in the direct mode
     assert rep.latency == 2 * cfg.hop_delay_D
+
+
+def test_encoded_direct_hop_is_a_knill_round_at_p_eff():
+    """p_c + 5 p_g already counts the Bell-measurement fault, so a direct
+    hop is exactly a Knill round under depolarizing(p_eff) with exact readout."""
+    code = codes.shor9()
+    decoder = LookupDecoder(code)
+    p_c, p_g, trials, seed = 0.01, 0.01, 2000, 4
+    cfg = ChainConfig(
+        num_links=2, link_state=werner(0.98), mode="encoded_direct", code=code, decoder=decoder,
+        p_c=p_c, p_g=p_g, mc_trials=trials, seed=seed,
+    )
+    noise = KnillNoise(data_noise=NoiseModel.depolarizing(effective_error_rate(p_c, p_g)))
+    hops = []
+    for hop in range(2):
+        x_bad, z_bad, _ = knill_residuals(code, decoder, noise, seed, (900 + hop,), trials)
+        labels = [LABEL_INDEX[xz] for xz in zip(x_bad.astype(int).tolist(), z_bad.astype(int).tolist())]
+        hops.append(BellDiagonalState(np.bincount(labels, minlength=4) / trials))
+    rep = run_chain(cfg)
+    assert [s["logical_fidelity"] for s in rep.per_stage_log] == [h.fidelity for h in hops]
+    assert np.array_equal(rep.end_state.probs, compose_swap(*hops).probs)
 
 
 def test_encoded_mode_is_deterministic_given_seed():

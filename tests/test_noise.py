@@ -93,6 +93,10 @@ def test_bell_diagonal_validation():
         BellDiagonalState(np.array([0.5, 0.5, 0.5]))
     with pytest.raises(ValueError):
         BellDiagonalState(np.array([0.5, 0.5, 0.5, 0.5]))
+    with pytest.raises(ValueError):
+        BellDiagonalState(np.array([np.nan] * 4))
+    with pytest.raises(ValueError):
+        BellDiagonalState(np.array([np.inf, 0.0, 0.0, -np.inf]))
 
 
 def test_werner_state():
