@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -72,6 +74,14 @@ def _noise_spec(text: str) -> NoiseModel:
         raise argparse.ArgumentTypeError(f"malformed noise spec {text!r}: {e}") from None
 
 
+def _flip_spec(text: str) -> float:
+    """The readout-flip probability of ``none`` (0) or ``bit_flip:<p>`` (p)."""
+    model = _noise_spec(text)
+    if model.variant not in ("none", "bit_flip"):
+        raise argparse.ArgumentTypeError(f"readout flips take none or bit_flip:<p>, got {text!r}")
+    return model.p
+
+
 def parse_code(code_id: str) -> codes.CssCode:
     """The code named by ``code_id`` (see codes.from_id)."""
     try:
@@ -103,6 +113,22 @@ def build_decoder(kind: str, code: codes.CssCode, p: float):
         return cls(code, *prior)
     except ValueError as e:  # the decoder cannot handle this code
         raise UsageError(f"decoder {kind} cannot decode {code.name}: {e}") from None
+
+
+def _check_out(path: str):
+    """Fail as the final write would, before the run, if ``path`` cannot be
+    written: its directory must exist and be writable, and the path must
+    not be a directory. Creates nothing."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        err = errno.ENOENT
+    elif os.path.isdir(path):
+        err = errno.EISDIR
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        err = errno.EACCES
+    else:
+        return
+    raise UsageError(f"--out {path}: {os.strerror(err)}")
 
 
 def write_rows(rows: list[dict], out, fmt: str):
@@ -223,7 +249,7 @@ def cmd_knill(args) -> list[dict]:
             "p_c": args.pc,
             "p_g": args.pg,
             "p_eff": data_noise.p,
-            "meas_flip_p": args.meas_flip.flip_probability(),
+            "meas_flip_p": args.meas_flip,
             "trials": args.trials,
             "logical_failures": failures,
             "failure_rate": failures / args.trials,
@@ -361,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=_noise_spec, default=None,
                    help="data noise spec, e.g. depolarizing:0.001 (default none; not with --pc/--pg)")
     p.add_argument("--epr-noise", type=_noise_spec, default="none")
-    p.add_argument("--meas-flip", type=_noise_spec, default="none")
+    p.add_argument("--meas-flip", type=_flip_spec, default="none",
+                   help="readout flips: none or bit_flip:<p>, p per Bell readout bit")
     p.add_argument("--pc", type=_probability, default=0.0)
     p.add_argument("--pg", type=_probability, default=0.0)
 
@@ -397,6 +424,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:
+        if args.out:
+            _check_out(args.out)
         rows = _COMMANDS[args.command](args)
         if args.out:
             try:

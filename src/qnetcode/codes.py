@@ -95,13 +95,25 @@ def validate(code: CssCode) -> ValidationReport:
     return report
 
 
+def parities(code: CssCode, x: np.ndarray, z: np.ndarray):
+    """Check and logical parities of a batch of T Paulis with (T, n) bits x, z.
+
+    Returns (s_x, s_z, l_x, l_z): the h_x checks (T, r_x) and logical X
+    rows (T, k) read the Z bits; the h_z checks (T, r_z) and logical Z
+    rows (T, k) read the X bits. s_x, s_z form the syndrome; l_x (l_z)
+    is set where the Pauli acts as a logical Z (X), i.e. its logical class.
+    """
+    z_rows = gf2.matmul(z, np.concatenate([code.h_x, code.logical_x]).T)
+    x_rows = gf2.matmul(x, np.concatenate([code.h_z, code.logical_z]).T)
+    return z_rows[:, : code.r_x], x_rows[:, : code.r_z], z_rows[:, code.r_x :], x_rows[:, code.r_z :]
+
+
 def syndrome(code: CssCode, error: PauliOperator) -> tuple[np.ndarray, np.ndarray]:
     """(s_x_checks, s_z_checks): h_x fires on Z components, h_z on X."""
     if error.num_qubits != code.n:
         raise ValueError(f"error acts on {error.num_qubits} qubits, code has n={code.n}")
-    s_x = gf2.matvec(code.h_x, error.z_bits) if code.r_x else np.zeros(0, dtype=np.uint8)
-    s_z = gf2.matvec(code.h_z, error.x_bits) if code.r_z else np.zeros(0, dtype=np.uint8)
-    return s_x, s_z
+    s_x, s_z, _, _ = parities(code, error.x_bits[None], error.z_bits[None])
+    return s_x[0], s_z[0]
 
 
 def rep3() -> CssCode:

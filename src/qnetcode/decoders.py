@@ -24,8 +24,8 @@ import networkx as nx
 import numpy as np
 
 from qnetcode import gf2
-from qnetcode.codes import CssCode, syndrome as code_syndrome  # noqa: F401  (perfbench's tracer test reads it)
-from qnetcode.pauli import PauliOperator, multiply
+from qnetcode.codes import CssCode, parities, syndrome as code_syndrome  # noqa: F401  (perfbench's tracer test reads it)
+from qnetcode.pauli import PauliOperator
 
 Syndrome = tuple[np.ndarray, np.ndarray]
 # (corr_x, corr_z, ok, converged, iterations) of a batch of T shots
@@ -44,19 +44,12 @@ class UndecodableError(Exception):
 
 
 def logical_failure(code: CssCode, true_error: PauliOperator, correction: PauliOperator) -> bool:
-    """True iff the residual acts as a logical operator.
-
-    residual = true_error * correction; failure iff it anticommutes with
-    some logical X or Z representative.
-    """
-    residual = multiply(true_error, correction)
-    for row in code.logical_x:  # X-type logical: anticommutes with residual Z part
-        if int(row @ residual.z_bits.astype(np.int64)) % 2:
-            return True
-    for row in code.logical_z:
-        if int(row @ residual.x_bits.astype(np.int64)) % 2:
-            return True
-    return False
+    """True iff the residual true_error * correction acts as a logical
+    operator, i.e. anticommutes with some logical X or Z representative."""
+    x = true_error.x_bits ^ correction.x_bits
+    z = true_error.z_bits ^ correction.z_bits
+    _, _, l_x, l_z = parities(code, x[None], z[None])
+    return bool(l_x.any() or l_z.any())
 
 
 def _as_batch(code: CssCode, s_x, s_z) -> Syndrome:
@@ -136,17 +129,14 @@ class LookupDecoder:
         r, n = code.r_x + code.r_z, code.n
         self._place = 1 << np.arange(r - 1, -1, -1, dtype=np.int64)
         bits = 1 << np.arange(2 * n - 1, -1, -1, dtype=np.int64)
-        # rows [x_bits | z_bits] of X, Y and Z on each qubit, and the
-        # syndrome bits (s_x, s_z) of a row
+        # rows [x_bits | z_bits] of X, Y and Z on each qubit
         singles = np.zeros((n, 3, 2 * n), dtype=np.uint8)
         q = np.arange(n)
         singles[q, 0, q] = singles[q, 1, q] = 1
         singles[q, 1, n + q] = singles[q, 2, n + q] = 1
         singles = singles.reshape(3 * n, 2 * n)
-        parity = np.zeros((2 * n, r), dtype=np.uint8)
-        parity[n:, : code.r_x] = code.h_x.T
-        parity[:n, code.r_x :] = code.h_z.T
-        index1 = (gf2.matmul(singles, parity) @ self._place).reshape(n, 3)
+        s_x, s_z, _, _ = parities(code, singles[:, :n], singles[:, n:])
+        index1 = (np.hstack([s_x, s_z]) @ self._place).reshape(n, 3)
         key1 = (singles @ bits).reshape(n, 3)
         self.corrections = np.zeros((2**r, 2 * n), dtype=np.uint8)
         self.filled = np.zeros(2**r, dtype=bool)

@@ -10,20 +10,27 @@ Block layout inside the simulator: data block [0, n), EPR half A
 (the output block). One round costs 4 time units: ancilla preparation,
 two CNOT steps, one measurement step.
 
-Two engines share one failure account (_frame_account):
+Both engines read one data model. draw_faults draws a round's faults
+from the trial's stream: data noise, then EPR noise, then readout flips,
+returned as (data_x, data_z, epr_x, epr_z, flips). The Bell outcomes and
+the flips share one layout, a (2, n) array [u; v] (u: X-basis outcomes
+of the data block, v: Z-basis outcomes of EPR half A), so a flipped
+readout is outcomes ^ flips. One failure account (_frame_account) turns
+the faults into syndromes and residual classes.
 
 - knill_residuals samples rounds as Pauli frames. Pauli errors propagate
   linearly through the round's Clifford circuit, so the outcome flips,
   the syndromes and the residual on the output block are GF(2) products
-  of the injected error bits; no tableau is needed. Each chunk of trials
+  of the drawn fault bits; no tableau is needed. Each chunk of trials
   is decoded with one decode_batch call, with no per-trial Python loop.
   This is the Monte Carlo engine of the knill and decode commands and the
   encoded chain modes (decode is a round with a perfect EPR pair and
   exact readout).
-- knill_ec_round runs one round on the 3n-qubit stabilizer tableau and
-  asserts that the tableau syndrome equals the linear model's. It is the
-  oracle of the frame engine; the tests check the two against each
-  other on every single-qubit error and readout flip.
+- knill_ec_round draws the same faults first, then runs the round on the
+  3n-qubit stabilizer tableau and asserts that the tableau syndrome
+  equals the account's. It is the oracle of the frame engine; the tests
+  check the two against each other on every single-qubit error and
+  readout flip, and trial for trial on seeded noise.
 """
 
 from __future__ import annotations
@@ -34,8 +41,7 @@ from typing import Optional
 import numpy as np
 
 from qnetcode import gf2
-from qnetcode.codes import CssCode
-from qnetcode.decoders import DecodeResult
+from qnetcode.codes import CssCode, parities
 from qnetcode.noise import NoiseModel, sample_error
 from qnetcode.pauli import PauliOperator, block_pauli
 from qnetcode.rng import stream
@@ -47,38 +53,58 @@ FRAME_CHUNK = 4096
 
 
 @dataclass
-class BellOutcomeBlock:
-    """Transversal Bell-measurement outcomes.
-
-    u: X-basis outcomes of the data block (measured after the H layer);
-    v: Z-basis outcomes of the ancilla block A.
-    """
-
-    u: np.ndarray
-    v: np.ndarray
-
-
-@dataclass
 class KnillReport:
     s_x_checks: np.ndarray
     s_z_checks: np.ndarray
     logical_xx: np.ndarray
     logical_zz: np.ndarray
-    decode: Optional[DecodeResult]
+    decodable: bool
     logical_failure: bool
     # k-bit indicators: residual acts as logical X_i / Z_i on the output
-    residual_logical_x: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8))
-    residual_logical_z: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8))
-    cost_T: int = ROUND_COST_T
+    residual_logical_x: np.ndarray
+    residual_logical_z: np.ndarray
 
 
 @dataclass(frozen=True)
 class KnillNoise:
-    """Noise hooks for one EC round."""
+    """Noise of one EC round: Pauli noise on the 2n EPR qubits, the
+    probability that each of the 2n Bell readout bits flips, and Pauli
+    noise on the data block."""
 
     epr_error: NoiseModel = field(default_factory=NoiseModel.none)
-    meas_flip: NoiseModel = field(default_factory=NoiseModel.none)
+    meas_flip: float = 0.0
     data_noise: NoiseModel = field(default_factory=NoiseModel.none)
+
+    def __post_init__(self):
+        if not 0.0 <= self.meas_flip <= 1.0:
+            raise ValueError(f"meas_flip must be a probability in [0, 1], got {self.meas_flip}")
+
+
+def draw_faults(noise: KnillNoise, n: int, rng: np.random.Generator):
+    """One round's faults: (data_x, data_z, epr_x, epr_z, flips).
+
+    Draws data noise on the n data qubits, then EPR noise on the 2n EPR
+    qubits (half A, then half B), then readout flips as a (2, n) array
+    [u; v]. A source that draws nothing (variant none, meas_flip 0) is
+    not called, so it consumes no draws.
+    """
+    # fresh zeros only where nothing is drawn: unpacking one zero array
+    # into row views costs more than a data draw
+    if noise.data_noise.variant != "none":
+        data = sample_error(noise.data_noise, n, rng)
+        data_x, data_z = data.x_bits, data.z_bits
+    else:
+        data_x, data_z = np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8)
+    if noise.epr_error.variant != "none":
+        epr = sample_error(noise.epr_error, 2 * n, rng)
+        epr_x, epr_z = epr.x_bits, epr.z_bits
+    else:
+        epr_x, epr_z = np.zeros(2 * n, dtype=np.uint8), np.zeros(2 * n, dtype=np.uint8)
+    if noise.meas_flip:
+        flips = (rng.random((2, n)) < noise.meas_flip).astype(np.uint8)
+    else:
+        flips = np.zeros((2, n), dtype=np.uint8)
+    return data_x, data_z, epr_x, epr_z, flips
 
 
 def _row_pauli(n_total: int, offset: int, support: np.ndarray, kind: str) -> PauliOperator:
@@ -134,9 +160,9 @@ def _run_round(
 ):
     """Full tableau execution of one encoded Bell measurement.
 
-    Returns (outcomes, state): the noiseless readout of the transversal
-    Bell measurement, and the post-state, which holds the (uncorrected)
-    output block at offset 2n.
+    Returns (outcomes, state): the noiseless readout [u; v] of the
+    transversal Bell measurement as a (2, n) array, and the post-state,
+    which holds the (uncorrected) output block at offset 2n.
     """
     n = code.n
     if data_error.num_qubits != n:
@@ -152,52 +178,26 @@ def _run_round(
         state.cnot(i, n + i)
     for i in range(n):
         state.h(i)
-    u = np.array([state.measure_z(i, rng) for i in range(n)], dtype=np.uint8)
-    v = np.array([state.measure_z(n + i, rng) for i in range(n)], dtype=np.uint8)
-    return BellOutcomeBlock(u=u, v=v), state
+    # u: qubits [0, n), v: qubits [n, 2n)
+    outcomes = np.array([state.measure_z(q, rng) for q in range(2 * n)], dtype=np.uint8)
+    return outcomes.reshape(2, n), state
 
 
-def _draw_flips(meas_flip: NoiseModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Classical readout flips as a (2, n) array: row 0 flips u, row 1 v."""
-    p = meas_flip.flip_probability()
-    return (rng.random((2, n)) < p).astype(np.uint8) if p else np.zeros((2, n), dtype=np.uint8)
-
-
-def _flip_readout(outcomes: BellOutcomeBlock, meas_flip: NoiseModel, rng: np.random.Generator):
-    """Readout flips drawn after the round; returns (flipped outcomes, flips)."""
-    flips = _draw_flips(meas_flip, len(outcomes.u), rng)
-    return BellOutcomeBlock(u=outcomes.u ^ flips[0], v=outcomes.v ^ flips[1]), flips
-
-
-def encoded_bell_measure(
-    code: CssCode,
-    data_error: PauliOperator,
-    epr_error: PauliOperator,
-    meas_flip: NoiseModel,
-    rng: np.random.Generator,
-) -> BellOutcomeBlock:
-    """Transversal Bell measurement of the data block against an encoded
-    EPR pair, with the given errors injected."""
-    outcomes, _ = _run_round(code, data_error, epr_error, rng)
-    return _flip_readout(outcomes, meas_flip, rng)[0]
-
-
-def extract(outcomes: BellOutcomeBlock, code: CssCode):
-    """(s_x_checks, s_z_checks, logical_xx, logical_zz) from the raw bits.
+def extract(outcomes: np.ndarray, code: CssCode):
+    """(s_x_checks, s_z_checks, logical_xx, logical_zz) from the (2, n)
+    readout [u; v].
 
     Assignment validated against the tableau oracle: the X-basis data
-    outcomes u feed the phase checks and logical XX; the Z-basis ancilla
-    outcomes v feed the bit checks and logical ZZ.
+    outcomes u shift with Z errors and feed the phase checks and logical
+    XX; the Z-basis ancilla outcomes v shift with X errors and feed the
+    bit checks and logical ZZ.
     """
-    u = np.asarray(outcomes.u, dtype=np.uint8)
-    v = np.asarray(outcomes.v, dtype=np.uint8)
-    if u.shape != (code.n,) or v.shape != (code.n,):
-        raise ValueError("outcome block length does not match code.n")
-    s_x = gf2.matvec(code.h_x, u) if code.r_x else np.zeros(0, dtype=np.uint8)
-    s_z = gf2.matvec(code.h_z, v) if code.r_z else np.zeros(0, dtype=np.uint8)
-    logical_xx = gf2.matvec(code.logical_x, u)
-    logical_zz = gf2.matvec(code.logical_z, v)
-    return s_x, s_z, logical_xx, logical_zz
+    outcomes = np.asarray(outcomes, dtype=np.uint8)
+    if outcomes.shape != (2, code.n):
+        raise ValueError(f"outcomes must be a (2, {code.n}) array [u; v], got shape {outcomes.shape}")
+    u, v = outcomes[:, None]
+    s_x, s_z, logical_xx, logical_zz = parities(code, v, u)
+    return s_x[0], s_z[0], logical_xx[0], logical_zz[0]
 
 
 def apply_output_corrections(
@@ -240,12 +240,13 @@ def verify_output(
     return True
 
 
-def _frame_account(code: CssCode, decoder, data_x, data_z, epr_x, epr_z):
+def _frame_account(code: CssCode, decoder, data_x, data_z, epr_x, epr_z, flips):
     """Failure account of a batch of rounds from the linear error model.
 
-    data_x, data_z: (T, n) errors on the data block; a readout flip of u
-    (v) enters as a Z (X) data error, which shifts the outcomes the same
-    way. epr_x, epr_z: (T, 2n) errors on EPR halves A and B.
+    The arguments are draw_faults' arrays stacked over T trials: data_x,
+    data_z (T, n); epr_x, epr_z (T, 2n) on EPR halves A and B; flips
+    (T, 2, n). A Z (X) error on the data block or on half A shifts u (v)
+    the same way a readout flip does.
 
     The batch's syndromes go to the decoder in one decode_batch call. The
     residual on the output block is (outcome flips + correction + half-B
@@ -256,14 +257,12 @@ def _frame_account(code: CssCode, decoder, data_x, data_z, epr_x, epr_z):
     iterations).
     """
     n = code.n
-    e_u = data_z ^ epr_z[:, :n]  # flips of the X-basis data outcomes u
-    e_v = data_x ^ epr_x[:, :n]  # flips of the Z-basis ancilla outcomes v
-    s_x = gf2.matmul(e_u, code.h_x.T)
-    s_z = gf2.matmul(e_v, code.h_z.T)
+    e_u = data_z ^ epr_z[:, :n] ^ flips[:, 0]  # shift of the X-basis data outcomes u
+    e_v = data_x ^ epr_x[:, :n] ^ flips[:, 1]  # shift of the Z-basis ancilla outcomes v
+    s_x, s_z, _, _ = parities(code, e_v, e_u)
     decoded = decoder.decode_batch(s_x, s_z)
     corr_x, corr_z, ok, _, _ = decoded
-    acts_as_x = gf2.matmul(e_v ^ epr_x[:, n:] ^ corr_x, code.logical_z.T)
-    acts_as_z = gf2.matmul(e_u ^ epr_z[:, n:] ^ corr_z, code.logical_x.T)
+    _, _, acts_as_z, acts_as_x = parities(code, e_v ^ epr_x[:, n:] ^ corr_x, e_u ^ epr_z[:, n:] ^ corr_z)
     acts_as_x[~ok] = 1
     acts_as_z[~ok] = 1
     return s_x, s_z, acts_as_x, acts_as_z, decoded
@@ -274,47 +273,28 @@ def knill_residuals(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial (x_bad, z_bad, iterations) arrays of `trials` Knill rounds.
 
-    Trial t draws from stream(seed, *key, t): data noise, then EPR noise,
-    then readout flips (u, then v), as knill_ec_round does minus the
-    tableau's own draws. x_bad (z_bad) is set where the residual acts as
-    a logical X (Z) on the output; an undecodable syndrome sets both.
-    iterations holds the decoder's iteration count (0 where it reports
-    none or the syndrome is undecodable).
+    Trial t draws its faults from stream(seed, *key, t) with draw_faults,
+    as knill_ec_round does before the tableau's own draws. x_bad (z_bad)
+    is set where the residual acts as a logical X (Z) on the output; an
+    undecodable syndrome sets both. iterations holds the decoder's
+    iteration count (0 where it reports none or the syndrome is
+    undecodable).
 
     With a perfect EPR pair and no readout flips the output carries the
     data error's decoded residual, so this is also code-capacity decoding.
-    A model that draws nothing (variant none, flip probability 0) is not
-    called: it would only XOR in zeros.
     """
-    n = code.n
-    data_draws = noise.data_noise.variant != "none"
-    epr_draws = noise.epr_error.variant != "none"
-    flip_draws = noise.meas_flip.flip_probability() > 0
     x_bad = np.zeros(trials, dtype=bool)
     z_bad = np.zeros(trials, dtype=bool)
     iterations = np.zeros(trials, dtype=np.int64)
     for start in range(0, trials, FRAME_CHUNK):
-        count = min(FRAME_CHUNK, trials - start)
-        data_x, data_z = np.zeros((2, count, n), dtype=np.uint8)
-        epr_x, epr_z = np.zeros((2, count, 2 * n), dtype=np.uint8)
-        for i in range(count):
-            rng = stream(seed, *key, start + i)
-            if data_draws:
-                data = sample_error(noise.data_noise, n, rng)
-                data_x[i], data_z[i] = data.x_bits, data.z_bits
-            if epr_draws:
-                epr = sample_error(noise.epr_error, 2 * n, rng)
-                epr_x[i], epr_z[i] = epr.x_bits, epr.z_bits
-            if flip_draws:
-                flips = _draw_flips(noise.meas_flip, n, rng)
-                data_x[i] ^= flips[1]
-                data_z[i] ^= flips[0]
+        rows = slice(start, min(start + FRAME_CHUNK, trials))
+        draws = [draw_faults(noise, code.n, stream(seed, *key, t)) for t in range(rows.start, rows.stop)]
         _, _, acts_as_x, acts_as_z, (_, _, ok, _, its) = _frame_account(
-            code, decoder, data_x, data_z, epr_x, epr_z
+            code, decoder, *map(np.array, zip(*draws))
         )
-        x_bad[start : start + count] = acts_as_x.any(axis=1) | ~ok
-        z_bad[start : start + count] = acts_as_z.any(axis=1) | ~ok
-        iterations[start : start + count] = its
+        x_bad[rows] = acts_as_x.any(axis=1) | ~ok
+        z_bad[rows] = acts_as_z.any(axis=1) | ~ok
+        iterations[rows] = its
     return x_bad, z_bad, iterations
 
 
@@ -328,37 +308,28 @@ def knill_ec_round(
     """One single-shot EC round on the stabilizer tableau: encoded Bell
     measurement, extraction, one decode, failure accounting.
 
-    The failure account is _frame_account's, fed with the injected
-    errors; the tableau syndrome must equal the account's on every call.
-    The output block itself is never corrected (apply_output_corrections
-    and verify_output are the tableau oracle of the residual in the
-    tests). An undecodable syndrome is recorded as a failure.
+    The round's faults are drawn first (draw_faults), with data_error
+    added to the data noise, and the tableau's own draws follow them; so
+    on one stream this round and knill_residuals see the same faults.
+    The failure account is _frame_account's; the tableau syndrome must
+    equal the account's on every call. The output block itself is never
+    corrected (apply_output_corrections and verify_output are the tableau
+    oracle of the residual in the tests). An undecodable syndrome is
+    recorded as a failure.
     """
     n = code.n
-    data = data_error
-    if noise.data_noise.variant != "none":
-        extra = sample_error(noise.data_noise, n, rng)
-        data = PauliOperator(n, data.x_bits ^ extra.x_bits, data.z_bits ^ extra.z_bits)
-    epr = sample_error(noise.epr_error, 2 * n, rng)
-    outcomes, _ = _run_round(code, data, epr, rng)
-    # the flips stay known to the failure account
-    outcomes, flips = _flip_readout(outcomes, noise.meas_flip, rng)
-    s_x, s_z, logical_xx, logical_zz = extract(outcomes, code)
-
-    frame_s_x, frame_s_z, acts_as_x, acts_as_z, decoded = _frame_account(
-        code, decoder,
-        (data.x_bits ^ flips[1])[None], (data.z_bits ^ flips[0])[None],
-        epr.x_bits[None], epr.z_bits[None],
+    data_x, data_z, epr_x, epr_z, flips = draw_faults(noise, n, rng)
+    data = data_error * PauliOperator(n, data_x, data_z)
+    outcomes, _ = _run_round(code, data, PauliOperator(2 * n, epr_x, epr_z), rng)
+    s_x, s_z, logical_xx, logical_zz = extract(outcomes ^ flips, code)
+    frame_s_x, frame_s_z, acts_as_x, acts_as_z, (_, _, ok, _, _) = _frame_account(
+        code, decoder, *(a[None] for a in (data.x_bits, data.z_bits, epr_x, epr_z, flips))
     )
     if not (np.array_equal(s_x, frame_s_x[0]) and np.array_equal(s_z, frame_s_z[0])):
         raise AssertionError("tableau syndrome disagrees with the linear error model")
-    corr_x, corr_z, ok, converged, its = decoded
-    result = (
-        DecodeResult(PauliOperator(n, corr_x[0], corr_z[0]), bool(converged[0]), int(its[0]))
-        if ok[0] else None
-    )
     return KnillReport(
-        s_x, s_z, logical_xx, logical_zz, result,
-        logical_failure=bool(result is None or acts_as_x.any() or acts_as_z.any()),
+        s_x, s_z, logical_xx, logical_zz,
+        decodable=bool(ok[0]),
+        logical_failure=bool(not ok[0] or acts_as_x.any() or acts_as_z.any()),
         residual_logical_x=acts_as_x[0], residual_logical_z=acts_as_z[0],
     )

@@ -129,7 +129,7 @@ def run_chain(config: ChainConfig) -> ChainReport:
         p_z = float(link.probs[3] + link.probs[2])
         noise = KnillNoise(
             epr_error=NoiseModel.independent_xz(p_x, p_z),
-            meas_flip=NoiseModel.bit_flip(config.p_g) if config.p_g else NoiseModel.none(),
+            meas_flip=config.p_g,
         )
         raw_pairs = 2 ** config.purify_rounds
     else:  # encoded_direct: no purification stage, effective rate per hop

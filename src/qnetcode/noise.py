@@ -82,17 +82,6 @@ class NoiseModel:
             return f"independent_xz:{self.p},{self.p_z}"
         return f"{self.variant}:{self.p}"
 
-    def flip_probability(self) -> float:
-        """Marginal probability that the X component is set on a qubit.
-
-        Used for classical bit/measurement flips driven by this model.
-        """
-        if self.variant in ("none", "phase_flip"):
-            return 0.0
-        if self.variant == "depolarizing":
-            return 2.0 * self.p / 3.0
-        return self.p  # bit_flip, independent_xz
-
 
 def sample_error(model: NoiseModel, n: int, rng: np.random.Generator) -> PauliOperator:
     """Draw an n-qubit Pauli with independent per-qubit errors."""

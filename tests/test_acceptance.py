@@ -15,9 +15,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qnetcode import cli, codes, gf2, ratecalc
+from qnetcode import cli, codes, ratecalc
 from qnetcode.decoders import BpDecoder, LookupDecoder, MatchingDecoder, logical_failure
-from qnetcode.ftec import BellOutcomeBlock, KnillNoise, encoded_bell_measure, extract, knill_ec_round
+from qnetcode.ftec import KnillNoise, _run_round, extract, knill_ec_round, knill_residuals
 from qnetcode.netchain import ChainConfig, compose_swap, run_chain, sample_chain_trial
 from qnetcode.noise import BellDiagonalState, NoiseModel, effective_error_rate, sample_error, werner
 from qnetcode.pauli import PauliOperator
@@ -132,7 +132,7 @@ def test_criterion_06_knill_extract_oracle_equivalence():
     for code, _ in cases:
         none2n = PauliOperator.identity(2 * code.n)
         for i, err in enumerate(_exhaustive_errors(code.n)):
-            outcomes = encoded_bell_measure(code, err, none2n, NoiseModel.none(), stream(600, code.n, i))
+            outcomes, _ = _run_round(code, err, none2n, stream(600, code.n, i))
             s_x, s_z, _, _ = extract(outcomes, code)
             want_sx, want_sz = codes.syndrome(code, err)
             assert np.array_equal(s_x, want_sx) and np.array_equal(s_z, want_sz), (code.name, err)
@@ -158,14 +158,14 @@ def test_criterion_07_single_shot_u_flip_membership():
     # delta table of every single-qubit data error: (s_x, s_z, lxx, lzz)
     table = set()
     for err in _exhaustive_errors(n, max_weight=1):
-        s_x, s_z, lxx, lzz = extract(BellOutcomeBlock(u=err.z_bits, v=err.x_bits), code)
+        s_x, s_z, lxx, lzz = extract(np.array([err.z_bits, err.x_bits]), code)
         table.add((s_x.tobytes(), s_z.tobytes(), lxx.tobytes(), lzz.tobytes()))
-    base = BellOutcomeBlock(u=np.zeros(n, dtype=np.uint8), v=np.zeros(n, dtype=np.uint8))
+    base = np.zeros((2, n), dtype=np.uint8)  # [u; v]
     base_out = extract(base, code)
     for j in range(n):
-        u = np.zeros(n, dtype=np.uint8)
-        u[j] = 1
-        flipped = extract(BellOutcomeBlock(u=u, v=base.v), code)
+        flipped_u = base.copy()
+        flipped_u[0, j] = 1
+        flipped = extract(flipped_u, code)
         delta = tuple((a ^ b).tobytes() for a, b in zip(flipped, base_out))
         assert delta in table, f"u-flip at {j} matches no single-qubit data error"
 
@@ -193,18 +193,13 @@ def test_criterion_07_single_shot_u_flip_membership():
 def test_criterion_08_surface_code_ordering_under_mwpm():
     p = 0.08
     trials = 100_000
-    noise = NoiseModel.independent_xz(p, p)
+    # the CLI's decode path: shot t of distance d is drawn from stream(800, d, t)
+    noise = KnillNoise(data_noise=NoiseModel.independent_xz(p, p))
     rates = {}
     for d in (3, 5):
         code = codes.rotated_surface(d)
-        dec = MatchingDecoder(code)
-        failures = 0
-        for t in range(trials):
-            err = sample_error(noise, code.n, stream(800, d, t))
-            res = dec.decode(codes.syndrome(code, err))
-            if logical_failure(code, err, res.correction):
-                failures += 1
-        rates[d] = failures / trials
+        x_bad, z_bad, _ = knill_residuals(code, MatchingDecoder(code), noise, 800, (d,), trials)
+        rates[d] = np.count_nonzero(x_bad | z_bad) / trials
     sigma = math.sqrt(
         rates[3] * (1 - rates[3]) / trials + rates[5] * (1 - rates[5]) / trials
     )

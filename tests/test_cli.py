@@ -53,6 +53,18 @@ def test_unknown_code_id_is_usage_error(capsys):
 def test_bad_flags_are_usage_error(capsys):
     assert cli.main(["rate"]) == 1  # missing required flags
     assert cli.main(["frobnicate"]) == 1
+    # a readout flip is one probability: only none and bit_flip:p name one
+    for spec in ("phase_flip:0.3", "depolarizing:0.1", "independent_xz:0.1,0.1"):
+        code, out, err = run_cli(capsys, *KNILL, "--meas-flip", spec)
+        assert (code, out) == (1, "")
+        assert f"readout flips take none or bit_flip:<p>, got {spec!r}" in err
+
+
+def test_meas_flip_row_is_the_flip_probability(capsys):
+    for spec, p in (("none", 0.0), ("bit_flip:0.25", 0.25)):
+        code, out, _ = run_cli(capsys, *KNILL, "--meas-flip", spec, "--format", "json")
+        assert code == 0
+        assert json.loads(out)[0]["meas_flip_p"] == p
 
 
 def test_knill_zero_noise_failure_rate_zero(capsys):
@@ -291,6 +303,20 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert f"--out {target}: No such file or directory" in err
+
+
+def test_unwritable_out_fails_before_the_run(tmp_path, monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("the run started before --out was checked")
+
+    monkeypatch.setattr(cli, "knill_residuals", never)
+    decode = ["decode", "--code", "surface:5", "--decoder", "mwpm", "--p", "0.08", "--trials", "20000"]
+    target = tmp_path / "missing" / "x.csv"
+    for path, reason in ((target, "No such file or directory"), (tmp_path, "Is a directory")):
+        code, out, err = run_cli(capsys, *decode, "--out", str(path))
+        assert (code, out) == (1, "")
+        assert f"--out {path}: {reason}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

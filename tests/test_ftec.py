@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -7,13 +5,11 @@ from qnetcode import codes, ftec, gf2
 from qnetcode.decoders import BpDecoder, LookupDecoder, MatchingDecoder
 from qnetcode.ftec import (
     ROUND_COST_T,
-    BellOutcomeBlock,
     KnillNoise,
     _frame_account,
     _row_pauli,
     _run_round,
     apply_output_corrections,
-    encoded_bell_measure,
     extract,
     knill_ec_round,
     knill_residuals,
@@ -72,8 +68,8 @@ def test_zero_noise_round_is_clean(code):
     for t in range(25):
         rep = knill_ec_round(code, dec, identity, NO_NOISE, stream(42, t))
         assert not rep.s_x_checks.any() and not rep.s_z_checks.any()
-        assert not rep.logical_failure
-        assert rep.cost_T == ROUND_COST_T == 4
+        assert rep.decodable and not rep.logical_failure
+        assert ROUND_COST_T == 4
         assert not rep.residual_logical_x.any() and not rep.residual_logical_z.any()
 
 
@@ -96,13 +92,10 @@ def test_extract_equals_code_syndrome_for_injected_errors():
     codes.syndrome()."""
     code = codes.shor9()
     n = code.n
-    base_u = np.zeros(n, dtype=np.uint8)
-    base_v = np.zeros(n, dtype=np.uint8)
     for q in range(n):
         for letter in "XYZ":
             err = PauliOperator.single(n, q, letter)
-            block = BellOutcomeBlock(u=base_u ^ err.z_bits, v=base_v ^ err.x_bits)
-            s_x, s_z, lxx, lzz = extract(block, code)
+            s_x, s_z, lxx, lzz = extract(np.array([err.z_bits, err.x_bits]), code)
             want_sx, want_sz = codes.syndrome(code, err)
             assert np.array_equal(s_x, want_sx)
             assert np.array_equal(s_z, want_sz)
@@ -112,8 +105,9 @@ def test_extract_equals_code_syndrome_for_injected_errors():
 
 def test_extract_validates_shapes():
     code = codes.rep3()
-    with pytest.raises(ValueError):
-        extract(BellOutcomeBlock(u=np.zeros(2, dtype=np.uint8), v=np.zeros(3, dtype=np.uint8)), code)
+    for shape in ((2, 2), (3, 3), (6,)):
+        with pytest.raises(ValueError, match=r"\(2, 3\) array"):
+            extract(np.zeros(shape, dtype=np.uint8), code)
 
 
 def test_epr_half_a_errors_look_like_data_errors():
@@ -121,23 +115,18 @@ def test_epr_half_a_errors_look_like_data_errors():
     matching data error; half-B errors leave the outcomes untouched."""
     code = codes.rep3()
     n = code.n
-    meas = NoiseModel.none()
     rng_pairs = [(stream(44, t, 0), stream(44, t, 1), stream(44, t, 2)) for t in range(10)]
     for rng_a, rng_b, rng_c in rng_pairs:
         epr_a = PauliOperator(2 * n, [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0])
         data = PauliOperator(n, [1, 0, 0], [0, 1, 0])
-        out_a = extract(encoded_bell_measure(code, PauliOperator.identity(n), epr_a, meas, rng_a), code)
-        out_d = extract(
-            encoded_bell_measure(code, data, PauliOperator.identity(2 * n), meas, rng_b), code
-        )
+        out_a = extract(_run_round(code, PauliOperator.identity(n), epr_a, rng_a)[0], code)
+        out_d = extract(_run_round(code, data, PauliOperator.identity(2 * n), rng_b)[0], code)
         # compare syndromes only: the logical bits are genuinely random
         # teleportation outcomes in every run
         for got, want in zip(out_a[:2], out_d[:2]):
             assert np.array_equal(got, want)
         epr_b = PauliOperator(2 * n, [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0])
-        out_b = extract(
-            encoded_bell_measure(code, PauliOperator.identity(n), epr_b, meas, rng_c), code
-        )
+        out_b = extract(_run_round(code, PauliOperator.identity(n), epr_b, rng_c)[0], code)
         assert not out_b[0].any() and not out_b[1].any()
 
 
@@ -145,8 +134,6 @@ def test_epr_half_b_logical_error_corrupts_output_silently():
     """A logical X on EPR half B leaves every syndrome clean but flips
     the output's logical Z eigenvalue: exactly the failure the residual
     accounting must catch."""
-    from qnetcode.ftec import _run_round, apply_output_corrections, verify_output
-
     code = codes.rep3()
     n = code.n
     epr = PauliOperator(
@@ -167,13 +154,19 @@ def test_epr_half_b_logical_error_corrupts_output_silently():
 def test_measurement_flips_raise_failure_rate():
     code = codes.rep3()
     dec = LookupDecoder(code)
-    noisy = KnillNoise(meas_flip=NoiseModel.bit_flip(0.4))
+    noisy = KnillNoise(meas_flip=0.4)
     identity = PauliOperator.identity(code.n)
     failures = sum(
         knill_ec_round(code, dec, identity, noisy, stream(46, t)).logical_failure
         for t in range(200)
     )
     assert failures > 0
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+def test_meas_flip_must_be_a_probability(p):
+    with pytest.raises(ValueError, match="meas_flip"):
+        KnillNoise(meas_flip=p)
 
 
 def test_round_measures_each_qubit_exactly_once(monkeypatch):
@@ -200,7 +193,7 @@ def test_undecodable_syndrome_counts_as_failure():
     err = PauliOperator.single(code.n, 0, "X")
     rep = knill_ec_round(code, dec, err, NO_NOISE, stream(48))
     assert rep.logical_failure
-    assert rep.decode is None
+    assert not rep.decodable
     assert rep.residual_logical_x.all() and rep.residual_logical_z.all()
 
 
@@ -277,11 +270,9 @@ def test_frame_engine_matches_tableau_on_pauli_basis(code, make_decoder, monkeyp
                 code, PauliOperator(n, data_x, data_z), PauliOperator(2 * n, epr_x, epr_z),
                 stream(62, n, idx),
             )
-            outcomes = BellOutcomeBlock(u=outcomes.u ^ flips[0], v=outcomes.v ^ flips[1])
-            s_x, s_z, lxx, lzz = extract(outcomes, code)
+            s_x, s_z, lxx, lzz = extract(outcomes ^ flips, code)
             f_s_x, f_s_z, acts_as_x, acts_as_z, (corr_x, corr_z, ok, _, _) = _frame_account(
-                code, decoder, (data_x ^ flips[1])[None], (data_z ^ flips[0])[None],
-                epr_x[None], epr_z[None],
+                code, decoder, *(a[None] for a in (data_x, data_z, epr_x, epr_z, flips))
             )
             assert np.array_equal(s_x, f_s_x[0]) and np.array_equal(s_z, f_s_z[0]), idx
             assert ok[0]  # every decoder here takes every single-fault syndrome
@@ -302,13 +293,15 @@ def test_frame_engine_matches_tableau_on_pauli_basis(code, make_decoder, monkeyp
          KnillNoise(epr_error=NoiseModel.depolarizing(0.03), data_noise=NoiseModel.depolarizing(0.05))),
         (codes.rotated_surface(3), MatchingDecoder,
          KnillNoise(epr_error=NoiseModel.independent_xz(0.04, 0.02), data_noise=NoiseModel.bit_flip(0.05))),
+        (codes.shor9(), LookupDecoder,
+         KnillNoise(data_noise=NoiseModel.depolarizing(0.03), meas_flip=0.05)),
     ],
-    ids=["shor9", "surface:3"],
+    ids=["shor9", "surface:3", "shor9-readout-flips"],
 )
 def test_frame_engine_matches_knill_ec_round_trial_for_trial(code, make_decoder, noise):
-    """Without readout flips the batch and the tableau round draw the same
-    errors from the same per-trial streams, so their per-trial residual
-    classes agree exactly."""
+    """The batch and the tableau round draw the same faults, readout flips
+    included, from the same per-trial streams before the tableau's own
+    draws, so their per-trial residual classes agree exactly."""
     decoder = make_decoder(code)
     trials = 150
     x_bad, z_bad, _ = knill_residuals(code, decoder, noise, 63, (5,), trials)
@@ -323,7 +316,7 @@ def test_frame_engine_matches_knill_ec_round_trial_for_trial(code, make_decoder,
 def test_frame_engine_chunks_do_not_change_results(monkeypatch):
     code = codes.shor9()
     decoder = LookupDecoder(code)
-    noise = KnillNoise(data_noise=NoiseModel.depolarizing(0.1), meas_flip=NoiseModel.bit_flip(0.05))
+    noise = KnillNoise(data_noise=NoiseModel.depolarizing(0.1), meas_flip=0.05)
     whole = knill_residuals(code, decoder, noise, 64, (), 100)
     monkeypatch.setattr(ftec, "FRAME_CHUNK", 7)
     chunked = knill_residuals(code, decoder, noise, 64, (), 100)
@@ -336,7 +329,7 @@ def test_frame_engine_counts_undecodable_as_both_bad():
     noise = KnillNoise(data_noise=NoiseModel.bit_flip(0.1))
     x_bad, z_bad, _ = knill_residuals(code, decoder, noise, 65, (), 50)
     undecodable = [
-        knill_ec_round(code, decoder, PauliOperator.identity(code.n), noise, stream(65, t)).decode is None
+        not knill_ec_round(code, decoder, PauliOperator.identity(code.n), noise, stream(65, t)).decodable
         for t in range(50)
     ]
     assert any(undecodable) and not all(undecodable)
@@ -348,26 +341,36 @@ def test_frame_engine_counts_undecodable_as_both_bad():
     [
         (KnillNoise(data_noise=NoiseModel.independent_xz(0.05, 0.05)), 1),
         (KnillNoise(epr_error=NoiseModel.depolarizing(0.05)), 1),
-        (KnillNoise(data_noise=NoiseModel.bit_flip(0.05), meas_flip=NoiseModel.phase_flip(0.5)), 1),
+        (KnillNoise(data_noise=NoiseModel.bit_flip(0.05), meas_flip=0.0), 1),
         (KnillNoise(data_noise=NoiseModel.bit_flip(0.0), epr_error=NoiseModel.bit_flip(0.05)), 2),
     ],
 )
 def test_frame_engine_calls_only_models_that_draw(monkeypatch, noise, calls_per_trial):
     """A none model or a zero flip probability consumes no draws, so the
     engine skips it; a model with p = 0 still draws and is still called.
-    Per-trial results equal the tableau round's, which calls every model."""
+    Per-trial results equal the tableau round's."""
     code = codes.shor9()
     decoder = LookupDecoder(code)
     calls = {"sample": 0, "flips": 0}
+    sample_error = ftec.sample_error
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    def counted_sample(*args):
+        calls["sample"] += 1
+        return sample_error(*args)
 
-    monkeypatch.setattr(ftec, "sample_error", counted("sample", ftec.sample_error))
-    monkeypatch.setattr(ftec, "_draw_flips", counted("flips", ftec._draw_flips))
+    class CountingRng:
+        """Counts the (2, n) draws of readout flips."""
+
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, size):
+            calls["flips"] += size == (2, code.n)
+            return self.rng.random(size)
+
+    stream_of = ftec.stream
+    monkeypatch.setattr(ftec, "sample_error", counted_sample)
+    monkeypatch.setattr(ftec, "stream", lambda *key: CountingRng(stream_of(*key)))
     x_bad, z_bad, _ = knill_residuals(code, decoder, noise, 66, (), 40)
     assert calls == {"sample": calls_per_trial * 40, "flips": 0}
     monkeypatch.undo()

@@ -37,14 +37,6 @@ def test_variant_and_probability_validation():
         NoiseModel.depolarizing(1.5)
 
 
-def test_flip_probability_marginals():
-    assert NoiseModel.none().flip_probability() == 0.0
-    assert NoiseModel.phase_flip(0.3).flip_probability() == 0.0
-    assert NoiseModel.bit_flip(0.3).flip_probability() == 0.3
-    assert NoiseModel.depolarizing(0.3).flip_probability() == pytest.approx(0.2)
-    assert NoiseModel.independent_xz(0.1, 0.4).flip_probability() == 0.1
-
-
 def test_sample_error_extremes():
     rng = stream(0)
     assert sample_error(NoiseModel.none(), 5, rng).is_identity()
