@@ -357,11 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, trials_default=1000, trials_help=None):
         p.add_argument("--seed", type=_nonnegative_int, default=0)
         p.add_argument("--trials", type=_positive_int, default=trials_default, help=trials_help)
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("rate", help="EPR generation rate table")
-    common(p)
     p.add_argument("--qubits", type=_positive_int, required=True)
     p.add_argument("--code", action="append", required=True, help="repeatable; custom:<n>:<k> allowed")
     p.add_argument("--cycle", type=_positive_int, default=4)
@@ -405,6 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="encoded modes only (default lookup)")
     p.add_argument("--pc", type=_probability, default=None)
     p.add_argument("--pg", type=_probability, default=None)
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 

@@ -10,13 +10,13 @@ Block layout inside the simulator: data block [0, n), EPR half A
 (the output block). One round costs 4 time units: ancilla preparation,
 two CNOT steps, one measurement step.
 
-Both engines read one data model. draw_faults draws a round's faults
-from the trial's stream: data noise, then EPR noise, then readout flips,
-returned as (data_x, data_z, epr_x, epr_z, flips). The Bell outcomes and
-the flips share one layout, a (2, n) array [u; v] (u: X-basis outcomes
-of the data block, v: Z-basis outcomes of EPR half A), so a flipped
-readout is outcomes ^ flips. One failure account (_frame_account) turns
-the faults into syndromes and residual classes.
+Both engines read one data model. draw_faults makes one draw of
+uniforms per round's stream and thresholds a chunk's (T, m) array at
+once. The Bell outcomes and the readout flips share one layout, a (2, n)
+array [u; v] (u: X-basis outcomes of the data block, v: Z-basis outcomes
+of EPR half A), so a flipped readout is outcomes ^ flips. One failure
+account (_frame_account) turns the faults into syndromes and residual
+classes.
 
 - knill_residuals samples rounds as Pauli frames. Pauli errors propagate
   linearly through the round's Clifford circuit, so the outcome flips,
@@ -42,7 +42,7 @@ import numpy as np
 
 from qnetcode import gf2
 from qnetcode.codes import CssCode, parities
-from qnetcode.noise import NoiseModel, sample_error
+from qnetcode.noise import NoiseModel, pauli_bits
 from qnetcode.pauli import PauliOperator, block_pauli
 from qnetcode.rng import stream
 from qnetcode.stabsim import StabilizerState
@@ -80,31 +80,24 @@ class KnillNoise:
             raise ValueError(f"meas_flip must be a probability in [0, 1], got {self.meas_flip}")
 
 
-def draw_faults(noise: KnillNoise, n: int, rng: np.random.Generator):
-    """One round's faults: (data_x, data_z, epr_x, epr_z, flips).
+def draw_faults(noise: KnillNoise, n: int, rngs):
+    """Faults of one round per generator in rngs, over T = len(rngs):
+    data_x, data_z (T, n); epr_x, epr_z (T, 2n) on EPR halves A and B;
+    flips (T, 2, n) in the readout layout [u; v].
 
-    Draws data noise on the n data qubits, then EPR noise on the 2n EPR
-    qubits (half A, then half B), then readout flips as a (2, n) array
-    [u; v]. A source that draws nothing (variant none, meas_flip 0) is
-    not called, so it consumes no draws.
+    Each generator makes one draw of uniforms, cut into data noise on n
+    qubits, EPR noise on 2n, and readout flips as a bit_flip(meas_flip)
+    channel on 2n bits (none when meas_flip is 0, reading no uniforms).
     """
-    # fresh zeros only where nothing is drawn: unpacking one zero array
-    # into row views costs more than a data draw
-    if noise.data_noise.variant != "none":
-        data = sample_error(noise.data_noise, n, rng)
-        data_x, data_z = data.x_bits, data.z_bits
-    else:
-        data_x, data_z = np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8)
-    if noise.epr_error.variant != "none":
-        epr = sample_error(noise.epr_error, 2 * n, rng)
-        epr_x, epr_z = epr.x_bits, epr.z_bits
-    else:
-        epr_x, epr_z = np.zeros(2 * n, dtype=np.uint8), np.zeros(2 * n, dtype=np.uint8)
-    if noise.meas_flip:
-        flips = (rng.random((2, n)) < noise.meas_flip).astype(np.uint8)
-    else:
-        flips = np.zeros((2, n), dtype=np.uint8)
-    return data_x, data_z, epr_x, epr_z, flips
+    flip = NoiseModel.bit_flip(noise.meas_flip) if noise.meas_flip else NoiseModel.none()
+    channels = ((noise.data_noise, n), (noise.epr_error, 2 * n), (flip, 2 * n))
+    sizes = [model.uniforms(qubits) for model, qubits in channels]
+    u = np.stack([rng.random(sum(sizes)) for rng in rngs])
+    (data_x, data_z), (epr_x, epr_z), (flips, _) = (
+        pauli_bits(model, part, qubits)
+        for (model, qubits), part in zip(channels, np.split(u, np.cumsum(sizes)[:-1], axis=1))
+    )
+    return data_x, data_z, epr_x, epr_z, flips.reshape(-1, 2, n)
 
 
 def _row_pauli(n_total: int, offset: int, support: np.ndarray, kind: str) -> PauliOperator:
@@ -243,7 +236,7 @@ def verify_output(
 def _frame_account(code: CssCode, decoder, data_x, data_z, epr_x, epr_z, flips):
     """Failure account of a batch of rounds from the linear error model.
 
-    The arguments are draw_faults' arrays stacked over T trials: data_x,
+    The arguments are draw_faults' arrays over T trials: data_x,
     data_z (T, n); epr_x, epr_z (T, 2n) on EPR halves A and B; flips
     (T, 2, n). A Z (X) error on the data block or on half A shifts u (v)
     the same way a readout flip does.
@@ -288,10 +281,8 @@ def knill_residuals(
     iterations = np.zeros(trials, dtype=np.int64)
     for start in range(0, trials, FRAME_CHUNK):
         rows = slice(start, min(start + FRAME_CHUNK, trials))
-        draws = [draw_faults(noise, code.n, stream(seed, *key, t)) for t in range(rows.start, rows.stop)]
-        _, _, acts_as_x, acts_as_z, (_, _, ok, _, its) = _frame_account(
-            code, decoder, *map(np.array, zip(*draws))
-        )
+        faults = draw_faults(noise, code.n, [stream(seed, *key, t) for t in range(rows.start, rows.stop)])
+        _, _, acts_as_x, acts_as_z, (_, _, ok, _, its) = _frame_account(code, decoder, *faults)
         x_bad[rows] = acts_as_x.any(axis=1) | ~ok
         z_bad[rows] = acts_as_z.any(axis=1) | ~ok
         iterations[rows] = its
@@ -318,12 +309,12 @@ def knill_ec_round(
     recorded as a failure.
     """
     n = code.n
-    data_x, data_z, epr_x, epr_z, flips = draw_faults(noise, n, rng)
-    data = data_error * PauliOperator(n, data_x, data_z)
-    outcomes, _ = _run_round(code, data, PauliOperator(2 * n, epr_x, epr_z), rng)
-    s_x, s_z, logical_xx, logical_zz = extract(outcomes ^ flips, code)
+    data_x, data_z, epr_x, epr_z, flips = draw_faults(noise, n, [rng])
+    data = data_error * PauliOperator(n, data_x[0], data_z[0])  # checks data_error's length
+    outcomes, _ = _run_round(code, data, PauliOperator(2 * n, epr_x[0], epr_z[0]), rng)
+    s_x, s_z, logical_xx, logical_zz = extract(outcomes ^ flips[0], code)
     frame_s_x, frame_s_z, acts_as_x, acts_as_z, (_, _, ok, _, _) = _frame_account(
-        code, decoder, *(a[None] for a in (data.x_bits, data.z_bits, epr_x, epr_z, flips))
+        code, decoder, data.x_bits[None], data.z_bits[None], epr_x, epr_z, flips
     )
     if not (np.array_equal(s_x, frame_s_x[0]) and np.array_equal(s_z, frame_s_z[0])):
         raise AssertionError("tableau syndrome disagrees with the linear error model")

@@ -138,10 +138,10 @@ def run_chain(config: ChainConfig) -> ChainReport:
         # p_c + 5 p_g already counts the Bell-measurement fault, so no readout flips
         noise = KnillNoise(data_noise=NoiseModel.depolarizing(effective_error_rate(config.p_c, config.p_g)))
     hops = []
+    label_of = np.array([LABEL_INDEX[(x, z)] for x in (0, 1) for z in (0, 1)])  # indexed by 2x + z
     for hop in range(m):  # each hop's logical error distribution from seeded Knill rounds
         x_bad, z_bad, _ = knill_residuals(config.code, config.decoder, noise, config.seed, (900 + hop,), config.mc_trials)
-        labels = [LABEL_INDEX[xz] for xz in zip(x_bad.astype(int).tolist(), z_bad.astype(int).tolist())]
-        counts = np.bincount(labels, minlength=4)
+        counts = np.bincount(label_of[2 * x_bad + z_bad], minlength=4)
         hops.append(BellDiagonalState(counts / counts.sum()))
         log.append({"stage": "hop", "hop": hop, "logical_fidelity": hops[-1].fidelity})
     end = _fold(hops)

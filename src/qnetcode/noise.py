@@ -60,9 +60,11 @@ class NoiseModel:
     def from_spec(cls, spec: str) -> "NoiseModel":
         """Parse config strings like ``depolarizing:0.055``,
         ``independent_xz:0.01,0.01``, or ``none``."""
-        name, _, args = spec.partition(":")
+        name, colon, args = spec.partition(":")
         name = name.strip()
         if name == "none":
+            if colon:
+                raise ValueError(f"none takes no arguments, got {spec!r}")
             return cls.none()
         vals = [float(v) for v in args.split(",")] if args else []
         if name in ("bit_flip", "phase_flip", "depolarizing"):
@@ -82,28 +84,33 @@ class NoiseModel:
             return f"independent_xz:{self.p},{self.p_z}"
         return f"{self.variant}:{self.p}"
 
+    def uniforms(self, n: int) -> int:
+        """Uniforms n qubits read: none 0, independent_xz 2n (X draws, then Z), others n."""
+        return {"none": 0, "independent_xz": 2 * n}.get(self.variant, n)
+
+
+def pauli_bits(model: NoiseModel, u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pauli bits (x, z), each (..., n) uint8, from uniforms u of shape
+    (..., model.uniforms(n)). Depolarizing reads one uniform per qubit:
+    X below p/3, Y in [p/3, 2p/3), Z in [2p/3, p)."""
+    zero = np.zeros(u.shape[:-1] + (n,), dtype=np.uint8)
+    if model.variant == "none":
+        return zero, zero.copy()
+    if model.variant == "bit_flip":
+        return (u < model.p).astype(np.uint8), zero
+    if model.variant == "phase_flip":
+        return zero, (u < model.p).astype(np.uint8)
+    if model.variant == "independent_xz":
+        return (u[..., :n] < model.p).astype(np.uint8), (u[..., n:] < model.p_z).astype(np.uint8)
+    third = model.p / 3.0  # depolarizing
+    return (u < 2 * third).astype(np.uint8), ((u >= third) & (u < 3 * third)).astype(np.uint8)
+
 
 def sample_error(model: NoiseModel, n: int, rng: np.random.Generator) -> PauliOperator:
     """Draw an n-qubit Pauli with independent per-qubit errors."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    x = np.zeros(n, dtype=np.uint8)
-    z = np.zeros(n, dtype=np.uint8)
-    if model.variant == "none":
-        pass
-    elif model.variant == "bit_flip":
-        x = (rng.random(n) < model.p).astype(np.uint8)
-    elif model.variant == "phase_flip":
-        z = (rng.random(n) < model.p).astype(np.uint8)
-    elif model.variant == "independent_xz":
-        x = (rng.random(n) < model.p).astype(np.uint8)
-        z = (rng.random(n) < model.p_z).astype(np.uint8)
-    else:  # depolarizing
-        u = rng.random(n)
-        third = model.p / 3.0
-        x = (u < 2 * third).astype(np.uint8)
-        z = ((u >= third) & (u < 3 * third)).astype(np.uint8)
-    return PauliOperator(n, x, z)
+    return PauliOperator(n, *pauli_bits(model, rng.random(model.uniforms(n)), n))
 
 
 def effective_error_rate(p_c: float, p_g: float) -> float:

@@ -246,6 +246,10 @@ KNILL = ["knill", "--code", "rep3", "--trials", "5"]
         (["chain", "--mode", "encoded_teleport", "--code", "surface:5"], "n <= 20"),
         (["protocol", "--name", "teleport", "--links", "3"], "--links: not read in protocol teleport"),
         (["protocol", "--name", "superdense", "--links", "7"], "--links: not read in protocol superdense"),
+        (["rate", "--qubits", "100", "--code", "rep3", "--trials", "7"], "unrecognized arguments: --trials 7"),
+        (KNILL + ["--meas-flip", "none:0.3"], "none takes no arguments"),
+        (KNILL + ["--noise", "none:0.5"], "none takes no arguments"),
+        (["protocol", "--name", "swap", "--noise", "none:0.9"], "none takes no arguments"),
     ],
 )
 def test_bad_input_is_usage_error(capsys, argv, message):

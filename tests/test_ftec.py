@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from qnetcode.ftec import (
     _row_pauli,
     _run_round,
     apply_output_corrections,
+    draw_faults,
     extract,
     knill_ec_round,
     knill_residuals,
@@ -337,43 +340,106 @@ def test_frame_engine_counts_undecodable_as_both_bad():
 
 
 @pytest.mark.parametrize(
-    "noise,calls_per_trial",
-    [
-        (KnillNoise(data_noise=NoiseModel.independent_xz(0.05, 0.05)), 1),
-        (KnillNoise(epr_error=NoiseModel.depolarizing(0.05)), 1),
-        (KnillNoise(data_noise=NoiseModel.bit_flip(0.05), meas_flip=0.0), 1),
-        (KnillNoise(data_noise=NoiseModel.bit_flip(0.0), epr_error=NoiseModel.bit_flip(0.05)), 2),
+    "noise,uniforms_per_trial",
+    [  # shor9, n = 9
+        (KnillNoise(data_noise=NoiseModel.independent_xz(0.05, 0.05)), 18),
+        (KnillNoise(epr_error=NoiseModel.depolarizing(0.05)), 18),
+        (KnillNoise(data_noise=NoiseModel.bit_flip(0.05), meas_flip=0.0), 9),
+        (KnillNoise(data_noise=NoiseModel.bit_flip(0.0), epr_error=NoiseModel.bit_flip(0.05)), 27),
+        (KnillNoise(data_noise=NoiseModel.depolarizing(0.05), meas_flip=0.05), 27),
+        (NO_NOISE, 0),
     ],
 )
-def test_frame_engine_calls_only_models_that_draw(monkeypatch, noise, calls_per_trial):
-    """A none model or a zero flip probability consumes no draws, so the
-    engine skips it; a model with p = 0 still draws and is still called.
-    Per-trial results equal the tableau round's."""
+def test_frame_engine_draws_only_what_models_read(monkeypatch, noise, uniforms_per_trial):
+    """Each trial's stream hands out data.uniforms(n) + epr.uniforms(2n)
+    + (2n if meas_flip else 0) uniforms: a none model or a zero flip
+    probability reads none, a model with p = 0 still draws. Per-trial
+    results equal the tableau round's."""
     code = codes.shor9()
     decoder = LookupDecoder(code)
-    calls = {"sample": 0, "flips": 0}
-    sample_error = ftec.sample_error
-
-    def counted_sample(*args):
-        calls["sample"] += 1
-        return sample_error(*args)
+    handed_out = []
 
     class CountingRng:
-        """Counts the (2, n) draws of readout flips."""
+        """Counts the uniforms a trial's stream hands out."""
 
         def __init__(self, rng):
             self.rng = rng
+            self.trial = len(handed_out)
+            handed_out.append(0)
 
         def random(self, size):
-            calls["flips"] += size == (2, code.n)
+            handed_out[self.trial] += np.prod(size, dtype=int)
             return self.rng.random(size)
 
     stream_of = ftec.stream
-    monkeypatch.setattr(ftec, "sample_error", counted_sample)
     monkeypatch.setattr(ftec, "stream", lambda *key: CountingRng(stream_of(*key)))
     x_bad, z_bad, _ = knill_residuals(code, decoder, noise, 66, (), 40)
-    assert calls == {"sample": calls_per_trial * 40, "flips": 0}
+    assert handed_out == [uniforms_per_trial] * 40
+    n = code.n
+    assert uniforms_per_trial == (
+        noise.data_noise.uniforms(n) + noise.epr_error.uniforms(2 * n) + (2 * n if noise.meas_flip else 0)
+    )
     monkeypatch.undo()
     for t in range(40):
         rep = knill_ec_round(code, decoder, PauliOperator.identity(code.n), noise, stream(66, t))
         assert (x_bad[t], z_bad[t]) == (rep.residual_logical_x.any(), rep.residual_logical_z.any()), t
+
+
+def _per_trial_sample_error(model, n, rng):
+    """The per-trial sampler draw_faults replaced: one rng call per
+    channel, X and Z bits of n qubits."""
+    x = np.zeros(n, dtype=np.uint8)
+    z = np.zeros(n, dtype=np.uint8)
+    if model.variant == "bit_flip":
+        x = (rng.random(n) < model.p).astype(np.uint8)
+    elif model.variant == "phase_flip":
+        z = (rng.random(n) < model.p).astype(np.uint8)
+    elif model.variant == "independent_xz":
+        x = (rng.random(n) < model.p).astype(np.uint8)
+        z = (rng.random(n) < model.p_z).astype(np.uint8)
+    elif model.variant == "depolarizing":
+        u = rng.random(n)
+        third = model.p / 3.0
+        x = (u < 2 * third).astype(np.uint8)
+        z = ((u >= third) & (u < 3 * third)).astype(np.uint8)
+    return x, z
+
+
+def _per_trial_faults(noise, n, rng):
+    """One trial's faults as drawn before the chunk kernel: data, then EPR,
+    then a (2, n) flip draw, each skipped when it draws nothing."""
+    data_x, data_z = _per_trial_sample_error(noise.data_noise, n, rng)
+    epr_x, epr_z = _per_trial_sample_error(noise.epr_error, 2 * n, rng)
+    flips = np.zeros((2, n), dtype=np.uint8)
+    if noise.meas_flip:
+        flips = (rng.random((2, n)) < noise.meas_flip).astype(np.uint8)
+    return data_x, data_z, epr_x, epr_z, flips
+
+
+def _models(p):
+    return (
+        NoiseModel.none(),
+        NoiseModel.bit_flip(p),
+        NoiseModel.phase_flip(p),
+        NoiseModel.depolarizing(p),
+        NoiseModel.independent_xz(p, 1 - p),  # unequal, so swapped X and Z slices show
+    )
+
+
+@pytest.mark.parametrize("p", [0.0, 0.07, 1.0])
+@pytest.mark.parametrize("meas_flip", [0.0, 0.07])
+def test_draw_faults_matches_per_trial_sampler(p, meas_flip):
+    """draw_faults over T streams equals the per-trial sampler bit for bit
+    for every data and EPR model pair, and leaves each stream where the
+    per-trial draws left it."""
+    n, trials = 4, 25
+    for data_noise, epr_error in itertools.product(_models(p), repeat=2):
+        noise = KnillNoise(epr_error=epr_error, meas_flip=meas_flip, data_noise=data_noise)
+        rngs = [stream(67, t) for t in range(trials)]
+        refs = [stream(67, t) for t in range(trials)]
+        got = draw_faults(noise, n, rngs)
+        want = [np.array(a) for a in zip(*(_per_trial_faults(noise, n, rng) for rng in refs))]
+        for g, w in zip(got, want):
+            assert g.dtype == np.uint8 and np.array_equal(g, w), noise
+        for rng, ref in zip(rngs, refs):
+            assert np.array_equal(rng.random(3), ref.random(3)), noise

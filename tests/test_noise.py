@@ -26,6 +26,9 @@ def test_from_spec_rejects_malformed():
     for bad in ("unknown:0.1", "bit_flip", "bit_flip:0.1,0.2", "independent_xz:0.1", "depolarizing:2.0"):
         with pytest.raises(ValueError):
             NoiseModel.from_spec(bad)
+    for bad in ("none:0.3", "none:", "none:0.1,0.2"):
+        with pytest.raises(ValueError, match="none takes no arguments"):
+            NoiseModel.from_spec(bad)
 
 
 def test_variant_and_probability_validation():
