@@ -6,28 +6,4 @@ teleportation-based error correction, repeater-chain modeling, and
 EPR-generation-rate accounting.
 """
 
-from qnetcode.pauli import PauliOperator, multiply, symplectic_product, weight
-from qnetcode.codes import CssCode, rep3, shor9, rotated_surface, hypergraph_product, syndrome
-from qnetcode.noise import NoiseModel, BellDiagonalState, sample_error, effective_error_rate, werner
-from qnetcode.stabsim import StabilizerState
-
-__all__ = [
-    "PauliOperator",
-    "multiply",
-    "symplectic_product",
-    "weight",
-    "CssCode",
-    "rep3",
-    "shor9",
-    "rotated_surface",
-    "hypergraph_product",
-    "syndrome",
-    "NoiseModel",
-    "BellDiagonalState",
-    "sample_error",
-    "effective_error_rate",
-    "werner",
-    "StabilizerState",
-]
-
 __version__ = "0.1.0"

@@ -147,12 +147,12 @@ def write_rows(rows: list[dict], out, fmt: str):
 
 
 def cmd_rate(args) -> list[dict]:
-    rows, reports = [], []
+    rows, configs = [], []
     for code_id in args.code:
         n, k = parse_rate_code(code_id)
         cfg = ratecalc.RateConfig(args.qubits, n, k, args.cycle, args.pc, args.pg)
         rep = ratecalc.epr_rate(cfg)
-        reports.append(rep)
+        configs.append(cfg)
         rows.append(
             {
                 "code_id": code_id,
@@ -165,8 +165,8 @@ def cmd_rate(args) -> list[dict]:
                 "p_eff": rep.p_eff,
             }
         )
-    if len(reports) >= 2 and reports[0].epr_units_per_T > 0:
-        ratio = reports[-1].epr_units_per_T / reports[0].epr_units_per_T
+    if len(configs) >= 2 and rows[0]["rate_decimal"] > 0:
+        ratio = ratecalc.compare(configs[0], configs[-1])
         print(
             f"rate ratio (last/first): {ratio} = {float(ratio):.4f} "
             f"({ratecalc.fold_description(ratio)})",

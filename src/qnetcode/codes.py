@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -57,42 +57,31 @@ class CssCode:
         return self.h_z.shape[0]
 
 
-@dataclass
-class ValidationReport:
-    ok: bool = True
-    violations: list = field(default_factory=list)
+def validate(code: CssCode):
+    """Check the CSS invariants: h_x h_z^T = 0, each logical operator
+    commutes with the opposite checks, logical X/Z pair as the identity,
+    and k = n - rank(h_x) - rank(h_z). Raises AssertionError listing
+    every violation.
 
-    def add(self, msg: str):
-        self.ok = False
-        self.violations.append(msg)
-
-
-def validate(code: CssCode) -> ValidationReport:
-    """Check the CSS invariants; returns a report rather than raising.
-
-    Dimension mismatches raise (structural error) at construction time.
+    Dimension mismatches raise ValueError at construction time.
     """
-    report = ValidationReport()
+    violations = []
     if code.r_x and code.r_z:
-        prod = gf2.matmul(code.h_x, code.h_z.T)
-        for i, j in zip(*np.nonzero(prod)):
-            report.add(f"CSS orthogonality violated: h_x row {i} vs h_z row {j}")
+        for i, j in zip(*np.nonzero(gf2.matmul(code.h_x, code.h_z.T))):
+            violations.append(f"CSS orthogonality violated: h_x row {i} vs h_z row {j}")
     if code.k and code.r_z:
-        prod = gf2.matmul(code.logical_x, code.h_z.T)
-        for i, j in zip(*np.nonzero(prod)):
-            report.add(f"logical_x row {i} anticommutes with h_z row {j}")
+        for i, j in zip(*np.nonzero(gf2.matmul(code.logical_x, code.h_z.T))):
+            violations.append(f"logical_x row {i} anticommutes with h_z row {j}")
     if code.k and code.r_x:
-        prod = gf2.matmul(code.logical_z, code.h_x.T)
-        for i, j in zip(*np.nonzero(prod)):
-            report.add(f"logical_z row {i} anticommutes with h_x row {j}")
-    if code.k:
-        pairing = gf2.matmul(code.logical_x, code.logical_z.T)
-        if not np.array_equal(pairing, np.eye(code.k, dtype=np.uint8)):
-            report.add("logical X/Z pairing is not the identity matrix")
+        for i, j in zip(*np.nonzero(gf2.matmul(code.logical_z, code.h_x.T))):
+            violations.append(f"logical_z row {i} anticommutes with h_x row {j}")
+    if code.k and not np.array_equal(gf2.matmul(code.logical_x, code.logical_z.T), np.eye(code.k)):
+        violations.append("logical X/Z pairing is not the identity matrix")
     k_rank = code.n - gf2.rank(code.h_x) - gf2.rank(code.h_z)
     if k_rank != code.k:
-        report.add(f"k={code.k} but n - rank(h_x) - rank(h_z) = {k_rank}")
-    return report
+        violations.append(f"k={code.k} but n - rank(h_x) - rank(h_z) = {k_rank}")
+    if violations:
+        raise AssertionError(f"{code.name} is not a valid CSS code: " + "; ".join(violations))
 
 
 def parities(code: CssCode, x: np.ndarray, z: np.ndarray):
@@ -208,7 +197,8 @@ def hypergraph_product(h_a, h_b, name: str = "hgp") -> CssCode:
 
     n = n_a*n_b + r_a*r_b; CSS orthogonality holds by construction, and
     quantum check weights are bounded by the classical row plus column
-    weights. Logical operators are computed generically over GF(2).
+    weights. Logical operators are computed generically over GF(2), k is
+    their number, and the code is validated before it is returned.
     """
     h_a = gf2.asmatrix(h_a)
     h_b = gf2.asmatrix(h_b)
@@ -223,16 +213,15 @@ def hypergraph_product(h_a, h_b, name: str = "hgp") -> CssCode:
     i_rb = np.eye(r_b, dtype=np.uint8)
     h_x = np.concatenate([np.kron(h_a, i_nb), np.kron(i_ra, h_b.T)], axis=1)
     h_z = np.concatenate([np.kron(i_na, h_b), np.kron(h_a.T, i_rb)], axis=1)
-    k = n - gf2.rank(h_x) - gf2.rank(h_z)
     lx = _logical_basis(h_x, h_z, n)
     lz = _logical_basis(h_z, h_x, n)
-    if lx.shape[0] != k or lz.shape[0] != k:
-        raise AssertionError("logical operator extraction disagrees with rank formula")
-    if k:
+    if len(lx):
         # rotate logical Z so the symplectic pairing is exactly delta_ij
         m = gf2.matmul(lx, lz.T)
         lz = gf2.matmul(gf2.inverse(m).T, lz)
-    return CssCode(n=n, k=k, d="unknown", h_x=h_x, h_z=h_z, logical_x=lx, logical_z=lz, name=name)
+    code = CssCode(n=n, k=len(lx), d="unknown", h_x=h_x, h_z=h_z, logical_x=lx, logical_z=lz, name=name)
+    validate(code)
+    return code
 
 
 def random_regular_check_matrix(r: int, n: int, row_weight: int, seed: int) -> np.ndarray:
@@ -300,37 +289,3 @@ def from_id(code_id: str) -> CssCode:
     except ValueError as e:
         raise CodeIdError(f"malformed code id {code_id!r}: {e}") from None
 
-
-def to_fixture(code: CssCode) -> str:
-    """Text fixture: ``n k d`` header then HX/HZ/LX/LZ blocks of bit rows."""
-    lines = [f"{code.n} {code.k} {code.d}"]
-    for label, m in (("HX", code.h_x), ("HZ", code.h_z), ("LX", code.logical_x), ("LZ", code.logical_z)):
-        lines.append(f"{label} {m.shape[0]}")
-        for row in m:
-            lines.append("".join(str(int(b)) for b in row))
-    return "\n".join(lines) + "\n"
-
-
-def from_fixture(text: str, name: str = "fixture") -> CssCode:
-    """Parse the text fixture format; bit-exact inverse of to_fixture."""
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    n_s, k_s, d_s = lines[0].split()
-    n, k = int(n_s), int(k_s)
-    d: Union[int, str] = d_s if d_s == "unknown" else int(d_s)
-    idx = 1
-    blocks = {}
-    for label in ("HX", "HZ", "LX", "LZ"):
-        tag, count_s = lines[idx].split()
-        if tag != label:
-            raise ValueError(f"expected block {label}, found {tag}")
-        count = int(count_s)
-        idx += 1
-        rows = [[int(ch) for ch in lines[idx + i]] for i in range(count)]
-        idx += count
-        blocks[label] = np.array(rows, dtype=np.uint8).reshape(count, n)
-    return CssCode(
-        n=n, k=k, d=d,
-        h_x=blocks["HX"], h_z=blocks["HZ"],
-        logical_x=blocks["LX"], logical_z=blocks["LZ"],
-        name=name,
-    )

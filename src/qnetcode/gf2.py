@@ -86,10 +86,3 @@ def inverse(m) -> np.ndarray:
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular over GF(2)")
     return red[:, n:]
-
-
-def in_rowspan(vec, m) -> bool:
-    """Whether vec lies in the row span of m over GF(2)."""
-    m = asmatrix(m)
-    v = asmatrix(vec)
-    return rank(m) == rank(np.concatenate([m, v], axis=0))

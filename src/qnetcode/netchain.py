@@ -2,9 +2,9 @@
 accounting, and encoded-channel modes.
 
 The primary engine evolves Bell-diagonal label distributions exactly;
-tableau sampling (sample_chain) is the independent cross-check for small
-chains. Latency is counted in units of the gate time T, with D the
-classical one-hop delay. run_chain reports classical-communication
+tableau sampling (sample_chain_trial) is the independent cross-check
+for small chains. Latency is counted in units of the gate time T, with
+D the classical one-hop delay. run_chain reports classical-communication
 latency only (acknowledgments and correction frames):
 
     physical (two-way purification):  2*D*rounds + (m-1)*D swap corrections

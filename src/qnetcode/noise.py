@@ -77,13 +77,6 @@ class NoiseModel:
             return cls(name, vals[0], vals[1])
         raise ValueError(f"unknown noise spec {spec!r}")
 
-    def to_spec(self) -> str:
-        if self.variant == "none":
-            return "none"
-        if self.variant == "independent_xz":
-            return f"independent_xz:{self.p},{self.p_z}"
-        return f"{self.variant}:{self.p}"
-
     def uniforms(self, n: int) -> int:
         """Uniforms n qubits read: none 0, independent_xz 2n (X draws, then Z), others n."""
         return {"none": 0, "independent_xz": 2 * n}.get(self.variant, n)

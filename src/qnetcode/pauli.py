@@ -99,25 +99,11 @@ def block_pauli(n_total: int, offset: int, x, z) -> PauliOperator:
     return PauliOperator(n_total, xs, zs)
 
 
-def _check_lengths(p: PauliOperator, q: PauliOperator):
-    if p.num_qubits != q.num_qubits:
-        raise ValueError(
-            f"Pauli length mismatch: {p.num_qubits} vs {q.num_qubits}"
-        )
-
-
 def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     """Phase-free Pauli group product: XOR of the bit vectors."""
-    _check_lengths(p, q)
+    if p.num_qubits != q.num_qubits:
+        raise ValueError(f"Pauli length mismatch: {p.num_qubits} vs {q.num_qubits}")
     return PauliOperator(p.num_qubits, p.x_bits ^ q.x_bits, p.z_bits ^ q.z_bits)
-
-
-def symplectic_product(p: PauliOperator, q: PauliOperator) -> int:
-    """0 iff p and q commute: <p.x, q.z> + <p.z, q.x> mod 2."""
-    _check_lengths(p, q)
-    return int(
-        (int(p.x_bits @ q.z_bits.astype(np.int64)) + int(p.z_bits @ q.x_bits.astype(np.int64))) % 2
-    )
 
 
 def weight(p: PauliOperator) -> int:

@@ -149,10 +149,6 @@ class StabilizerState:
         self._check_qubit(q)
         return self.measure_pauli(PauliOperator.single(self.num_qubits, q, "Z"), rng)
 
-    def measure_x(self, q: int, rng: np.random.Generator) -> int:
-        self._check_qubit(q)
-        return self.measure_pauli(PauliOperator.single(self.num_qubits, q, "X"), rng)
-
     def bell_measure(self, q1: int, q2: int, rng: np.random.Generator) -> tuple[int, int]:
         """Joint XX/ZZ measurement of (q1, q2) via CNOT, H, two Z reads.
 
@@ -178,18 +174,6 @@ class StabilizerState:
         if not (np.array_equal(xh, p.x_bits) and np.array_equal(zh, p.z_bits)):
             raise AssertionError("destabilizer bookkeeping out of sync")
         return 1 if rh == 0 else -1
-
-    def tableau_ok(self) -> bool:
-        """Debug invariant: full rank and canonical commutation structure."""
-        n = self.num_qubits
-        sym = (
-            self.x.astype(np.int64) @ self.z.astype(np.int64).T
-            + self.z.astype(np.int64) @ self.x.astype(np.int64).T
-        ) % 2
-        want = np.zeros((2 * n, 2 * n), dtype=np.int64)
-        want[:n, n:] = np.eye(n, dtype=np.int64)
-        want[n:, :n] = np.eye(n, dtype=np.int64)
-        return bool(np.array_equal(sym, want))
 
 
 def prepare_bell(state: StabilizerState, q1: int, q2: int):

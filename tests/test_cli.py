@@ -29,7 +29,15 @@ def test_rate_reference_rows(capsys):
     rows = parse_csv(out)
     assert rows[0]["blocks"] == "78" and rows[0]["rate_decimal"] == "19.5"
     assert rows[1]["blocks"] == "6" and rows[1]["rate_decimal"] == "1419.0"
-    assert "≈72-fold" in err
+    assert err == "rate ratio (last/first): 946/13 = 72.7692 (≈72-fold)\n"
+
+
+@pytest.mark.parametrize("first", ["custom:50:1", "custom:10:0"])  # no block fits; k = 0
+def test_rate_prints_no_ratio_after_a_zero_first_rate(capsys, first):
+    code, out, err = run_cli(capsys, "rate", "--qubits", "100", "--code", first, "--code", "rep3")
+    assert code == 0
+    assert parse_csv(out)[0]["rate_decimal"] == "0.0"
+    assert err == ""
 
 
 def test_rate_json_format(capsys):
@@ -175,6 +183,18 @@ def test_decode_hgp_code_id(capsys):
     row = parse_csv(out)[0]
     assert row["n"] == "225"
     assert int(row["logical_failures"]) <= 2
+
+
+def test_failed_validation_is_a_runtime_failure(monkeypatch, capsys):
+    """A built code that breaks a CSS invariant keeps that cause: it is a
+    runtime failure (exit 2), not a malformed code id (exit 1)."""
+
+    def broken(code):
+        raise AssertionError("forced violation")
+
+    monkeypatch.setattr(codes, "validate", broken)
+    code, out, err = run_cli(capsys, "decode", "--code", "hgp:1:3:12:4", "--decoder", "bp", "--trials", "1")
+    assert (code, out, err) == (2, "", "runtime failure: forced violation\n")
 
 
 def test_custom_code_is_rate_only(capsys):
@@ -375,4 +395,5 @@ def test_tight_check_matrix_is_repaired(seed):
     h = cli.random_regular_check_matrix(3, 12, 4, seed)
     assert (h.sum(axis=1) == 4).all() and (h.sum(axis=0) >= 1).all()
     code = cli.parse_code(f"hgp:{seed}:3:12:4")
-    assert code.n == 12 * 12 + 3 * 3 and codes.validate(code).ok
+    assert code.n == 12 * 12 + 3 * 3
+    codes.validate(code)
