@@ -90,6 +90,14 @@ def parse_code(code_id: str) -> codes.CssCode:
         raise UsageError(str(e)) from None
 
 
+def parse_knill_code(code_id: str) -> codes.CssCode:
+    """The code of a command that runs Knill rounds: it must encode a logical qubit."""
+    code = parse_code(code_id)
+    if code.k < 1:
+        raise UsageError(f"code {code_id} encodes no logical qubit (k = 0); only rate takes such a code")
+    return code
+
+
 def parse_rate_code(code_id: str) -> tuple[int, int]:
     """(n, k) of ``code_id``; rate also accepts custom:<n>:<k>, which has no check matrices."""
     if code_id.startswith("custom:"):
@@ -207,7 +215,7 @@ def cmd_protocol(args) -> list[dict]:
 def _knill_failures(args, noise: KnillNoise, prior: float):
     """Run args.trials seeded Knill rounds of --code with --decoder (BP prior
     ``prior``) under ``noise``: (code, failures, per-trial iterations, seconds)."""
-    code = parse_code(args.code)
+    code = parse_knill_code(args.code)
     decoder = build_decoder(args.decoder, code, prior)
     t0 = time.perf_counter()
     x_bad, z_bad, iterations = knill_residuals(code, decoder, noise, args.seed, (), args.trials)
@@ -321,7 +329,7 @@ def cmd_chain(args) -> list[dict]:
     if mode != "physical":
         if not code_id:
             raise UsageError("encoded chain modes require --code")
-        code = parse_code(code_id)
+        code = parse_knill_code(code_id)
         decoder = build_decoder(args.decoder or "lookup", code, 0.01)
         kwargs = {"code": code, "decoder": decoder, "p_g": p_g, "p_c": p_c}
         if args.trials is not None:

@@ -43,7 +43,7 @@ import numpy as np
 from qnetcode import gf2
 from qnetcode.codes import CssCode, parities
 from qnetcode.noise import NoiseModel, pauli_bits
-from qnetcode.pauli import PauliOperator, block_pauli
+from qnetcode.pauli import PauliOperator
 from qnetcode.rng import stream
 from qnetcode.stabsim import StabilizerState
 
@@ -100,49 +100,35 @@ def draw_faults(noise: KnillNoise, n: int, rngs):
     return data_x, data_z, epr_x, epr_z, flips.reshape(-1, 2, n)
 
 
-def _row_pauli(n_total: int, offset: int, support: np.ndarray, kind: str) -> PauliOperator:
-    """X-type (kind "X") or Z-type Pauli on ``support``, placed at ``offset``."""
-    zero = np.zeros(len(support), dtype=np.uint8)
-    if kind == "X":
-        return block_pauli(n_total, offset, support, zero)
-    return block_pauli(n_total, offset, zero, support)
-
-
 def prepare_logical_zero(state: StabilizerState, code: CssCode, offset: int, rng: np.random.Generator):
-    """Project an all-zeros block into logical |0> of the code.
+    """Project the all-zeros block at ``offset`` into logical |0> of the code.
 
     |0...0> already satisfies the Z checks and logical Z; measuring each
     X check and applying a Z fixup solving h_x f = outcomes forces the
     +1 eigenspace.
     """
-    n_total = state.num_qubits
-    outcomes = np.array(
-        [state.measure_pauli(_row_pauli(n_total, offset, row, "X"), rng) for row in code.h_x],
-        dtype=np.uint8,
-    )
+    n = code.n
+    outcomes = np.array([state.measure_pauli(PauliOperator(n, row), rng, offset) for row in code.h_x], dtype=np.uint8)
     if code.r_x and outcomes.any():
         fix = gf2.solve(code.h_x, outcomes)
         if fix is None:
             raise AssertionError("X-check outcomes inconsistent with h_x row space")
-        state.apply_pauli(_row_pauli(n_total, offset, fix, "Z"))
+        state.apply_pauli(PauliOperator(n, np.zeros(n), fix), offset)
 
 
-def prepare_logical_epr(
-    state: StabilizerState, code: CssCode, off_a: int, off_b: int, rng: np.random.Generator
-):
-    """Entangle two logical-|0> blocks into a logical EPR pair.
+def prepare_logical_epr(state: StabilizerState, code: CssCode, offset: int, rng: np.random.Generator):
+    """Entangle two logical-|0> blocks, A at ``offset`` and B right after
+    it, into a logical EPR pair.
 
     Measures XbarXbar for each logical qubit and fixes a -1 outcome by a
     logical Z on block A.
     """
-    n_total = state.num_qubits
-    prepare_logical_zero(state, code, off_a, rng)
-    prepare_logical_zero(state, code, off_b, rng)
-    for i in range(code.k):
-        lx = code.logical_x[i]
-        pair = _row_pauli(n_total, off_a, lx, "X") * _row_pauli(n_total, off_b, lx, "X")
-        if state.measure_pauli(pair, rng):
-            state.apply_pauli(_row_pauli(n_total, off_a, code.logical_z[i], "Z"))
+    n = code.n
+    prepare_logical_zero(state, code, offset, rng)
+    prepare_logical_zero(state, code, offset + n, rng)
+    for lx, lz in zip(code.logical_x, code.logical_z):
+        if state.measure_pauli(PauliOperator(2 * n, np.concatenate([lx, lx])), rng, offset):
+            state.apply_pauli(PauliOperator(n, np.zeros(n), lz), offset)
 
 
 def _run_round(
@@ -164,9 +150,9 @@ def _run_round(
         raise ValueError("EPR error must span the 2n EPR qubits")
     state = StabilizerState(3 * n)
     prepare_logical_zero(state, code, 0, rng)
-    prepare_logical_epr(state, code, n, 2 * n, rng)
-    state.apply_pauli(block_pauli(3 * n, 0, data_error.x_bits, data_error.z_bits))
-    state.apply_pauli(block_pauli(3 * n, n, epr_error.x_bits, epr_error.z_bits))
+    prepare_logical_epr(state, code, n, rng)
+    state.apply_pauli(data_error)
+    state.apply_pauli(epr_error, n)
     for i in range(n):
         state.cnot(i, n + i)
     for i in range(n):
@@ -203,12 +189,12 @@ def apply_output_corrections(
     """Apply the decoded correction plus the teleportation frame to the
     output block (offset 2n). Frame convention: Xbar^zz then Zbar^xx."""
     n = code.n
-    state.apply_pauli(block_pauli(3 * n, 2 * n, correction.x_bits, correction.z_bits))
+    state.apply_pauli(correction, 2 * n)
     for i in range(code.k):
         if logical_zz[i]:
-            state.apply_pauli(_row_pauli(3 * n, 2 * n, code.logical_x[i], "X"))
+            state.apply_pauli(PauliOperator(n, code.logical_x[i]), 2 * n)
         if logical_xx[i]:
-            state.apply_pauli(_row_pauli(3 * n, 2 * n, code.logical_z[i], "Z"))
+            state.apply_pauli(PauliOperator(n, np.zeros(n), code.logical_z[i]), 2 * n)
 
 
 def verify_output(
@@ -216,19 +202,20 @@ def verify_output(
     code: CssCode,
     logical_z_bits: Optional[np.ndarray] = None,
 ) -> bool:
-    """Output block is syndrome-clean and (optionally) holds the expected
-    logical Z eigenvalues."""
+    """Output block (offset 2n) is syndrome-clean and (optionally) holds
+    the expected logical Z eigenvalues."""
     n = code.n
+    zero = np.zeros(n)
     for row in code.h_x:
-        if state.expectation(_row_pauli(3 * n, 2 * n, row, "X")) != 1:
+        if state.expectation(PauliOperator(n, row), 2 * n) != 1:
             return False
     for row in code.h_z:
-        if state.expectation(_row_pauli(3 * n, 2 * n, row, "Z")) != 1:
+        if state.expectation(PauliOperator(n, zero, row), 2 * n) != 1:
             return False
     if logical_z_bits is not None:
         for i in range(code.k):
             want = -1 if logical_z_bits[i] else 1
-            if state.expectation(_row_pauli(3 * n, 2 * n, code.logical_z[i], "Z")) != want:
+            if state.expectation(PauliOperator(n, zero, code.logical_z[i]), 2 * n) != want:
                 return False
     return True
 
@@ -247,8 +234,11 @@ def _frame_account(code: CssCode, decoder, data_x, data_z, epr_x, epr_z, flips):
     operators. An undecodable syndrome sets every class bit. Returns
     (s_x, s_z, acts_as_x, acts_as_z, decoded): syndromes (T, r), residual
     classes (T, k) and decode_batch's (corr_x, corr_z, ok, converged,
-    iterations).
+    iterations). A code with no logical qubit has no residual class, so
+    it raises ValueError.
     """
+    if code.k < 1:
+        raise ValueError(f"{code.name} encodes no logical qubit (k = 0)")
     n = code.n
     e_u = data_z ^ epr_z[:, :n] ^ flips[:, 0]  # shift of the X-basis data outcomes u
     e_v = data_x ^ epr_x[:, :n] ^ flips[:, 1]  # shift of the Z-basis ancilla outcomes v
@@ -282,9 +272,9 @@ def knill_residuals(
     for start in range(0, trials, FRAME_CHUNK):
         rows = slice(start, min(start + FRAME_CHUNK, trials))
         faults = draw_faults(noise, code.n, [stream(seed, *key, t) for t in range(rows.start, rows.stop)])
-        _, _, acts_as_x, acts_as_z, (_, _, ok, _, its) = _frame_account(code, decoder, *faults)
-        x_bad[rows] = acts_as_x.any(axis=1) | ~ok
-        z_bad[rows] = acts_as_z.any(axis=1) | ~ok
+        _, _, acts_as_x, acts_as_z, (_, _, _, _, its) = _frame_account(code, decoder, *faults)
+        x_bad[rows] = acts_as_x.any(axis=1)
+        z_bad[rows] = acts_as_z.any(axis=1)
         iterations[rows] = its
     return x_bad, z_bad, iterations
 
@@ -321,6 +311,6 @@ def knill_ec_round(
     return KnillReport(
         s_x, s_z, logical_xx, logical_zz,
         decodable=bool(ok[0]),
-        logical_failure=bool(not ok[0] or acts_as_x.any() or acts_as_z.any()),
+        logical_failure=bool(acts_as_x.any() or acts_as_z.any()),
         residual_logical_x=acts_as_x[0], residual_logical_z=acts_as_z[0],
     )

@@ -24,7 +24,7 @@ import numpy as np
 from qnetcode.codes import CssCode
 from qnetcode.ftec import KnillNoise, knill_residuals
 from qnetcode.noise import BellDiagonalState, LABEL_INDEX, LABEL_XZ, NoiseModel, effective_error_rate
-from qnetcode.pauli import block_pauli
+from qnetcode.pauli import PauliOperator
 from qnetcode.protocols import purify_pair_dist, purify_round, swap_readout
 from qnetcode.stabsim import StabilizerState, prepare_bell
 
@@ -178,7 +178,7 @@ def sample_chain_trial(config: ChainConfig, rng: np.random.Generator):
     for a, b in pairs:
         prepare_bell(state, a, b)
         x, z = LABEL_XZ[config.link_state.sample_label(rng)]
-        state.apply_pauli(block_pauli(n, a, [x], [z]))
+        state.apply_pauli(PauliOperator(1, [x], [z]), a)
 
     for link in range(m):
         alive = pairs[link * per_link : (link + 1) * per_link]

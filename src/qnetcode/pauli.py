@@ -56,8 +56,11 @@ class PauliOperator:
     @classmethod
     def single(cls, n: int, qubit: int, letter: str) -> "PauliOperator":
         """Single-qubit Pauli ``letter`` on ``qubit``, identity elsewhere."""
-        x, z = _BITS[letter]
-        return block_pauli(n, qubit, [x], [z])
+        if not 0 <= qubit < n:
+            raise IndexError(f"qubit {qubit} out of range for n={n}")
+        bits = np.zeros((2, n), dtype=np.uint8)
+        bits[:, qubit] = _BITS[letter]
+        return cls(n, *bits)
 
     def to_string(self) -> str:
         return "".join(
@@ -86,26 +89,9 @@ class PauliOperator:
         return not (self.x_bits.any() or self.z_bits.any())
 
 
-def block_pauli(n_total: int, offset: int, x, z) -> PauliOperator:
-    """Pauli on ``n_total`` qubits carrying the bits (x, z) on the qubits
-    offset, offset + 1, ... and identity elsewhere."""
-    width = len(x)
-    if not 0 <= offset <= n_total - width:
-        raise IndexError(f"qubits [{offset}, {offset + width}) out of range for n={n_total}")
-    xs = np.zeros(n_total, dtype=np.uint8)
-    zs = np.zeros(n_total, dtype=np.uint8)
-    xs[offset : offset + width] = x
-    zs[offset : offset + width] = z
-    return PauliOperator(n_total, xs, zs)
-
-
 def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     """Phase-free Pauli group product: XOR of the bit vectors."""
     if p.num_qubits != q.num_qubits:
         raise ValueError(f"Pauli length mismatch: {p.num_qubits} vs {q.num_qubits}")
     return PauliOperator(p.num_qubits, p.x_bits ^ q.x_bits, p.z_bits ^ q.z_bits)
 
-
-def weight(p: PauliOperator) -> int:
-    """Number of qubits acted on non-trivially."""
-    return int(np.count_nonzero(p.x_bits | p.z_bits))

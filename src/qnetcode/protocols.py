@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from qnetcode.noise import BellDiagonalState, LABEL_INDEX, LABEL_XZ, NoiseModel, sample_error
-from qnetcode.pauli import PauliOperator, block_pauli
+from qnetcode.pauli import PauliOperator
 from qnetcode.stabsim import StabilizerState, prepare_bell
 
 Gate = tuple
@@ -59,7 +59,7 @@ def teleport(
     state = StabilizerState(3)
     prepare_bell(state, 1, 2)
     epr_error = sample_error(epr_noise, 2, rng)
-    state.apply_pauli(block_pauli(3, 1, epr_error.x_bits, epr_error.z_bits))
+    state.apply_pauli(epr_error, 1)
     _apply_prep(state, input_prep, 0)
     xx, zz = state.bell_measure(0, 1, rng)
     if zz:
@@ -73,8 +73,7 @@ def teleport(
         [epr_error.z_bits[0] ^ epr_error.z_bits[1]],
     )
     _unapply_prep(state, input_prep, 2)
-    z_out = PauliOperator.single(3, 2, "Z")
-    verified = state.expectation(z_out) == 1
+    verified = state.expectation(PauliOperator.from_string("Z"), 2) == 1
     return ProtocolOutcome(classical_bits=[(xx, zz)], residual_frame=residual, verified=verified)
 
 
@@ -96,7 +95,7 @@ def superdense(
     if a:
         state.z_gate(0)
     err = sample_error(channel_noise, 1, rng)
-    state.apply_pauli(block_pauli(2, 0, err.x_bits, err.z_bits))
+    state.apply_pauli(err)
     xx, zz = state.bell_measure(0, 1, rng)
     return xx, zz
 
@@ -119,7 +118,7 @@ def swap_chain(
     for a, b in pairs:
         prepare_bell(state, a, b)
         err = sample_error(link_noise, 2, rng)
-        state.apply_pauli(block_pauli(n, a, err.x_bits, err.z_bits))
+        state.apply_pauli(err, a)
     outcomes = swap_readout(state, pairs, rng)
     fx, fz = outcomes[-1]
     return ProtocolOutcome(classical_bits=outcomes, residual_frame=PauliOperator(1, [fz], [fx]))
@@ -223,7 +222,7 @@ def purify_pair_sampled(
     prepare_bell(state, 2, 3)  # pair b: (A2, B2)
     for qubit, pair_state in ((0, a), (2, b)):
         x, z = LABEL_XZ[pair_state.sample_label(rng)]
-        state.apply_pauli(block_pauli(4, qubit, [x], [z]))
+        state.apply_pauli(PauliOperator(1, [x], [z]), qubit)
     m_a, m_b = purify_round(state, (0, 1), (2, 3), basis, rng)
     success = m_a == m_b
     residual = None

@@ -15,6 +15,8 @@ import numpy as np
 
 from qnetcode.pauli import PauliOperator
 
+_SINGLE = {letter: PauliOperator.from_string(letter) for letter in "XYZ"}
+
 
 def _phase_exponents(x1, z1, x2, z2) -> np.ndarray:
     """Power of i (mod 4) picked up by the product (x1, z1) * (x2, z2),
@@ -27,7 +29,11 @@ def _phase_exponents(x1, z1, x2, z2) -> np.ndarray:
 
 
 class StabilizerState:
-    """All-zeros computational basis state on n qubits."""
+    """All-zeros computational basis state on n qubits.
+
+    A Pauli argument acts on a block: p with offset ``at`` acts on the
+    qubits [at, at + p.num_qubits); a block past either end is a ValueError.
+    """
 
     def __init__(self, num_qubits: int):
         if num_qubits < 1:
@@ -60,22 +66,25 @@ class StabilizerState:
         self.x[:, t] ^= self.x[:, c]
         self.z[:, c] ^= self.z[:, t]
 
-    def _anticommutes(self, p: PauliOperator) -> np.ndarray:
-        """Bit per tableau row: 1 where the row anticommutes with p."""
-        if p.num_qubits != self.num_qubits:
-            raise ValueError("Pauli length does not match state size")
-        comm = (self.x @ p.z_bits.astype(np.int64) + self.z @ p.x_bits.astype(np.int64)) % 2
+    def _anticommutes(self, p: PauliOperator, at: int = 0) -> np.ndarray:
+        """Bit per tableau row: 1 where the row anticommutes with p at ``at``."""
+        if not 0 <= at <= self.num_qubits - p.num_qubits:
+            raise ValueError(f"Pauli on qubits [{at}, {at + p.num_qubits}) does not fit n={self.num_qubits}")
+        block = slice(at, at + p.num_qubits)
+        comm = (self.x[:, block] @ p.z_bits.astype(np.int64) + self.z[:, block] @ p.x_bits.astype(np.int64)) % 2
         return comm.astype(np.uint8)
 
-    def apply_pauli(self, p: PauliOperator):
+    def apply_pauli(self, p: PauliOperator, at: int = 0):
         """Conjugation by a Pauli only flips signs of anticommuting rows."""
-        self.r ^= self._anticommutes(p)
+        self.r ^= self._anticommutes(p, at)
 
     def x_gate(self, q: int):
-        self.apply_pauli(PauliOperator.single(self.num_qubits, q, "X"))
+        self._check_qubit(q)
+        self.r ^= self.z[:, q]
 
     def z_gate(self, q: int):
-        self.apply_pauli(PauliOperator.single(self.num_qubits, q, "Z"))
+        self._check_qubit(q)
+        self.r ^= self.x[:, q]
 
     def apply_gate(self, gate: tuple):
         """Apply ('H', q), ('CNOT', c, t), ('X'|'Y'|'Z', q)."""
@@ -84,8 +93,9 @@ class StabilizerState:
             self.h(gate[1])
         elif name == "CNOT":
             self.cnot(gate[1], gate[2])
-        elif name in ("X", "Y", "Z"):
-            self.apply_pauli(PauliOperator.single(self.num_qubits, gate[1], name))
+        elif name in _SINGLE:
+            self._check_qubit(gate[1])
+            self.apply_pauli(_SINGLE[name], gate[1])
         else:
             raise ValueError(f"unsupported gate {gate!r}")
 
@@ -118,15 +128,15 @@ class StabilizerState:
 
     # --- measurement ------------------------------------------------------
 
-    def measure_pauli(self, p: PauliOperator, rng: np.random.Generator) -> int:
-        """Measure the Hermitian Pauli +p; returns the outcome bit.
+    def measure_pauli(self, p: PauliOperator, rng: np.random.Generator, at: int = 0) -> int:
+        """Measure the Hermitian Pauli +p at ``at``; returns the outcome bit.
 
         Outcome 0 projects onto the +1 eigenspace. Deterministic when
         +/-p is in the stabilizer group, else uniformly random with a
         tableau update.
         """
         n = self.num_qubits
-        comm = self._anticommutes(p)
+        comm = self._anticommutes(p, at)
         anti_stab = np.nonzero(comm[n:])[0]
         if anti_stab.size:
             piv = n + int(anti_stab[0])
@@ -138,8 +148,9 @@ class StabilizerState:
             self.x[piv - n] = self.x[piv]
             self.z[piv - n] = self.z[piv]
             self.r[piv - n] = self.r[piv]
-            self.x[piv] = p.x_bits
-            self.z[piv] = p.z_bits
+            self.x[piv] = self.z[piv] = 0
+            self.x[piv, at : at + p.num_qubits] = p.x_bits
+            self.z[piv, at : at + p.num_qubits] = p.z_bits
             self.r[piv] = outcome
             return outcome
         # deterministic: the stabilizer product equal to +/-p carries the sign
@@ -147,7 +158,7 @@ class StabilizerState:
 
     def measure_z(self, q: int, rng: np.random.Generator) -> int:
         self._check_qubit(q)
-        return self.measure_pauli(PauliOperator.single(self.num_qubits, q, "Z"), rng)
+        return self.measure_pauli(_SINGLE["Z"], rng, q)
 
     def bell_measure(self, q1: int, q2: int, rng: np.random.Generator) -> tuple[int, int]:
         """Joint XX/ZZ measurement of (q1, q2) via CNOT, H, two Z reads.
@@ -164,14 +175,16 @@ class StabilizerState:
         zz = self.measure_z(q2, rng)
         return xx, zz
 
-    def expectation(self, p: PauliOperator) -> int:
-        """+1/-1 if +/-p stabilizes the state, 0 if the outcome is random."""
+    def expectation(self, p: PauliOperator, at: int = 0) -> int:
+        """+1/-1 if +/-p at ``at`` stabilizes the state, 0 if the outcome is random."""
         n = self.num_qubits
-        comm = self._anticommutes(p)
+        comm = self._anticommutes(p, at)
         if comm[n:].any():
             return 0
         xh, zh, rh = self._stabilizer_product(n + np.nonzero(comm[:n])[0])
-        if not (np.array_equal(xh, p.x_bits) and np.array_equal(zh, p.z_bits)):
+        xh[at : at + p.num_qubits] ^= p.x_bits
+        zh[at : at + p.num_qubits] ^= p.z_bits
+        if xh.any() or zh.any():
             raise AssertionError("destabilizer bookkeeping out of sync")
         return 1 if rh == 0 else -1
 

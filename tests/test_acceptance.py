@@ -174,9 +174,9 @@ def test_criterion_07_single_shot_u_flip_membership():
     counter = {"n": 0}
     original = StabilizerState.measure_pauli
 
-    def counting(self, p, rng):
+    def counting(self, p, rng, at=0):
         counter["n"] += 1
-        return original(self, p, rng)
+        return original(self, p, rng, at)
 
     StabilizerState.measure_pauli = counting
     try:

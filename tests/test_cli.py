@@ -279,6 +279,32 @@ def test_bad_input_is_usage_error(capsys, argv, message):
     assert message in err
 
 
+NO_LOGICAL = "hgp:0:3:3:1"  # [[18, 0]]: the code encodes no logical qubit
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["knill", "--code", NO_LOGICAL, "--decoder", "lookup", "--noise", "depolarizing:0.1", "--trials", "200"],
+        ["decode", "--code", NO_LOGICAL, "--decoder", "lookup", "--trials", "50"],
+        ["chain", "--mode", "encoded_teleport", "--code", NO_LOGICAL, "--links", "2", "--trials", "50"],
+        ["chain", "--mode", "encoded_direct", "--code", NO_LOGICAL, "--links", "2", "--trials", "50"],
+    ],
+    ids=["knill", "decode", "encoded_teleport", "encoded_direct"],
+)
+def test_code_without_logical_qubit_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "encodes no logical qubit (k = 0)" in err
+
+
+def test_rate_accepts_a_code_without_logical_qubit(capsys):
+    code, out, err = run_cli(capsys, "rate", "--qubits", "100", "--code", NO_LOGICAL)
+    assert code == 0
+    assert parse_csv(out)[0]["k"] == "0"
+
+
 @pytest.mark.parametrize(
     "key,value,message",
     [

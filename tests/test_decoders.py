@@ -77,11 +77,9 @@ def test_lookup_corrects_all_single_qubit_errors(code):
 def test_lookup_prefers_minimum_weight():
     code = codes.shor9()
     dec = LookupDecoder(code)
-    from qnetcode.pauli import weight
-
     for err in single_qubit_paulis(code.n):
         res = dec.decode(codes.syndrome(code, err))
-        assert weight(res.correction) <= 1
+        assert np.count_nonzero(res.correction.x_bits | res.correction.z_bits) <= 1
 
 
 def test_lookup_undecodable():

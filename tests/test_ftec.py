@@ -9,7 +9,6 @@ from qnetcode.ftec import (
     ROUND_COST_T,
     KnillNoise,
     _frame_account,
-    _row_pauli,
     _run_round,
     apply_output_corrections,
     draw_faults,
@@ -39,11 +38,12 @@ def test_prepare_logical_zero_state():
     rng = stream(40)
     state = StabilizerState(3 * code.n)
     prepare_logical_zero(state, code, 0, rng)
+    zero = np.zeros(code.n)
     for row in code.h_x:
-        assert state.expectation(_row_pauli(3 * code.n, 0, row, "X")) == 1
+        assert state.expectation(PauliOperator(code.n, row)) == 1
     for row in code.h_z:
-        assert state.expectation(_row_pauli(3 * code.n, 0, row, "Z")) == 1
-    assert state.expectation(_row_pauli(3 * code.n, 0, code.logical_z[0], "Z")) == 1
+        assert state.expectation(PauliOperator(code.n, zero, row)) == 1
+    assert state.expectation(PauliOperator(code.n, zero, code.logical_z[0])) == 1
 
 
 def test_prepare_logical_epr_correlations():
@@ -51,7 +51,7 @@ def test_prepare_logical_epr_correlations():
     n = code.n
     rng = stream(41)
     state = StabilizerState(3 * n)
-    prepare_logical_epr(state, code, n, 2 * n, rng)
+    prepare_logical_epr(state, code, n, rng)
     x = np.zeros(3 * n, dtype=np.uint8)
     x[n : 2 * n] = code.logical_x[0]
     x[2 * n :] = code.logical_x[0]
@@ -180,9 +180,9 @@ def test_round_measures_each_qubit_exactly_once(monkeypatch):
     counter = {"n": 0}
     original = StabilizerState.measure_pauli
 
-    def counting(self, p, rng):
+    def counting(self, p, rng, at=0):
         counter["n"] += 1
-        return original(self, p, rng)
+        return original(self, p, rng, at)
 
     monkeypatch.setattr(StabilizerState, "measure_pauli", counting)
     knill_ec_round(code, dec, PauliOperator.identity(code.n), NO_NOISE, stream(47))
@@ -225,14 +225,13 @@ def _plus_data_block(original):
         original(state, code, offset, rng)
         if offset:
             return
-        n_total = state.num_qubits
+        n = code.n
         outcomes = np.array(
-            [state.measure_pauli(_row_pauli(n_total, 0, row, "X"), rng) for row in code.logical_x],
-            dtype=np.uint8,
+            [state.measure_pauli(PauliOperator(n, row), rng) for row in code.logical_x], dtype=np.uint8
         )
         fix = gf2.solve(gf2.matmul(code.logical_x, code.logical_z.T), outcomes)
         for i in np.flatnonzero(fix):
-            state.apply_pauli(_row_pauli(n_total, 0, code.logical_z[i], "Z"))
+            state.apply_pauli(PauliOperator(n, np.zeros(n), code.logical_z[i]))
 
     return prepare
 
@@ -283,7 +282,8 @@ def test_frame_engine_matches_tableau_on_pauli_basis(code, make_decoder, monkeyp
             acts = acts_as_x[0] if attr == "Z" else acts_as_z[0]
             for i in range(code.k):
                 want = -1 if acts[i] else 1
-                assert state.expectation(_row_pauli(3 * n, 2 * n, logical[i], attr)) == want, (attr, idx, i)
+                bits = (logical[i], np.zeros(n)) if attr == "X" else (np.zeros(n), logical[i])
+                assert state.expectation(PauliOperator(n, *bits), 2 * n) == want, (attr, idx, i)
             if attr == "Z":
                 clean = verify_output(state, code)
                 assert verify_output(state, code, logical_z_bits=acts_as_x[0]) == clean, idx
@@ -337,6 +337,16 @@ def test_frame_engine_counts_undecodable_as_both_bad():
     ]
     assert any(undecodable) and not all(undecodable)
     assert all(x_bad[t] and z_bad[t] for t in range(50) if undecodable[t])
+
+
+def test_code_without_logical_qubit_raises():
+    code = codes.from_id("hgp:0:3:3:1")
+    assert code.k == 0
+    decoder = LookupDecoder(code)
+    with pytest.raises(ValueError, match="no logical qubit"):
+        knill_residuals(code, decoder, NO_NOISE, 0, (), 5)
+    with pytest.raises(ValueError, match="no logical qubit"):
+        knill_ec_round(code, decoder, PauliOperator.identity(code.n), NO_NOISE, stream(0))
 
 
 @pytest.mark.parametrize(

@@ -2,10 +2,11 @@
 
 Each test hashes what a fixed-seed run produces: the JSON rows of the
 `protocol` subcommand, or the outcome records of a fixed-seed loop over
-purify_pair_sampled and sample_chain_trial. A digest moves when any draw
-or any measured outcome of the shared circuit steps (Pauli placement on a
-few qubits, the purification round, the swap-and-readout) moves, so a
-refactor of those steps must leave every digest as it is.
+purify_pair_sampled, sample_chain_trial and knill_ec_round. A digest
+moves when any draw or any measured outcome of the shared circuit steps
+(Pauli placement on a block of qubits, the purification round, the
+swap-and-readout, the encoded Bell measurement) moves, so a refactor of
+those steps must leave every digest as it is.
 """
 
 import hashlib
@@ -13,9 +14,12 @@ import json
 
 import pytest
 
-from qnetcode import cli
+from qnetcode import cli, codes
+from qnetcode.decoders import LookupDecoder, MatchingDecoder
+from qnetcode.ftec import KnillNoise, knill_ec_round
 from qnetcode.netchain import ChainConfig, sample_chain_trial
-from qnetcode.noise import BellDiagonalState, werner
+from qnetcode.noise import BellDiagonalState, NoiseModel, werner
+from qnetcode.pauli import PauliOperator
 from qnetcode.protocols import purify_pair_sampled
 from qnetcode.rng import stream
 
@@ -63,3 +67,33 @@ def test_sample_chain_trial_outcomes_are_pinned(links, rounds, digest):
     cfg = ChainConfig(num_links=links, link_state=werner(0.85), purify_rounds=rounds)
     record = [list(sample_chain_trial(cfg, stream(6, links, rounds, t))) for t in range(200)]
     assert _digest(record) == digest
+
+
+def _knill_record(code, decoder, noise) -> list:
+    identity = PauliOperator.identity(code.n)
+    record = []
+    for t in range(100):
+        rep = knill_ec_round(code, decoder, identity, noise, stream(7, t))
+        record.append([
+            *(a.tolist() for a in (rep.s_x_checks, rep.s_z_checks, rep.logical_xx, rep.logical_zz)),
+            rep.decodable, rep.logical_failure,
+            rep.residual_logical_x.tolist(), rep.residual_logical_z.tolist(),
+        ])
+    return record
+
+
+@pytest.mark.parametrize(
+    "code_id,digest",
+    [("shor9", "88ad2e79e8fb6e86"), ("surface:3", "91d840bc7d96daff")],
+)
+def test_knill_ec_round_reports_are_pinned(code_id, digest):
+    """The tableau oracle's seeded reports, its random teleportation frame
+    bits (logical_xx, logical_zz) included."""
+    code = codes.from_id(code_id)
+    decoder = LookupDecoder(code) if code_id == "shor9" else MatchingDecoder(code)
+    noise = KnillNoise(
+        epr_error=NoiseModel.independent_xz(0.03, 0.02),
+        meas_flip=0.03,
+        data_noise=NoiseModel.depolarizing(0.03),
+    )
+    assert _digest(_knill_record(code, decoder, noise)) == digest

@@ -33,9 +33,8 @@ ALLOWED = {
     "protocols.purify_pair_sampled": ACCEPTANCE,
     "noise.BellDiagonalState.perfect": CONSTRUCTOR,
     "noise.NoiseModel.phase_flip": CONSTRUCTOR,
-    "pauli.PauliOperator.from_string": CONSTRUCTOR,
     "pauli.PauliOperator.identity": CONSTRUCTOR,
-    "pauli.weight": "public measure of a public type, kept beside its constructors",
+    "pauli.PauliOperator.single": CONSTRUCTOR,
 }
 
 

@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import numpy as np
@@ -168,6 +169,65 @@ def test_argument_validation():
         state.apply_gate(("T", 0))
     with pytest.raises(ValueError):
         StabilizerState(0)
+
+
+def _random_state(n, rng):
+    state = StabilizerState(n)
+    for g in random_clifford_circuit(n, 30, rng):
+        state.apply_gate(g)
+    return state
+
+
+def _same_tableau(a, b):
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in "xzr")
+
+
+def test_pauli_on_a_block_equals_the_padded_pauli():
+    """apply_pauli, measure_pauli and expectation of a Pauli placed at
+    offset ``at`` give the same outcome and tableau as that Pauli padded
+    with identities to the state's width."""
+    n = 6
+    for seed in range(120):
+        rng = stream(9, seed)
+        width = int(rng.integers(1, n + 1))
+        at = int(rng.integers(0, n - width + 1))
+        x, z = rng.integers(0, 2, (2, width), dtype=np.uint8)
+        local = PauliOperator(width, x, z)
+        padded_x, padded_z = np.zeros((2, n), dtype=np.uint8)
+        padded_x[at : at + width], padded_z[at : at + width] = x, z
+        padded = PauliOperator(n, padded_x, padded_z)
+        state = _random_state(n, rng)
+        assert state.expectation(local, at) == state.expectation(padded)
+        a, b = copy.deepcopy(state), copy.deepcopy(state)
+        a.apply_pauli(local, at)
+        b.apply_pauli(padded)
+        assert _same_tableau(a, b)
+        a, b = copy.deepcopy(state), copy.deepcopy(state)
+        assert a.measure_pauli(local, stream(10, seed), at) == b.measure_pauli(padded, stream(10, seed))
+        assert _same_tableau(a, b) and tableau_ok(a)
+
+
+def test_pauli_past_the_last_qubit_raises():
+    state = StabilizerState(4)
+    p = PauliOperator.from_string("XZ")
+    for at in (-1, 3):
+        with pytest.raises(ValueError, match="does not fit"):
+            state.apply_pauli(p, at)
+        with pytest.raises(ValueError, match="does not fit"):
+            state.measure_pauli(p, stream(11), at)
+        with pytest.raises(ValueError, match="does not fit"):
+            state.expectation(p, at)
+
+
+@pytest.mark.parametrize("letter", ["X", "Z"])
+def test_x_and_z_gates_equal_one_qubit_paulis(letter):
+    rng = stream(12)
+    for q in range(5):
+        state = _random_state(5, rng)
+        gate, pauli = copy.deepcopy(state), copy.deepcopy(state)
+        (gate.x_gate if letter == "X" else gate.z_gate)(q)
+        pauli.apply_pauli(PauliOperator.from_string(letter), q)
+        assert _same_tableau(gate, pauli)
 
 
 def _ag_g(x1, z1, x2, z2):
