@@ -19,12 +19,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from qnetcode import codes, ratecalc
+from qnetcode import codes, ftec, ratecalc
 from qnetcode.codes import random_regular_check_matrix  # noqa: F401  (re-exported for callers of cli)
 from qnetcode.decoders import DECODERS, BpDecoder
 from qnetcode.ftec import KnillNoise, knill_residuals
 from qnetcode.netchain import MODES, ChainConfig, compare_latency, run_chain
-from qnetcode.noise import NoiseModel, effective_error_rate, werner
+from qnetcode.noise import LABEL_INDEX, LABELS, NoiseModel, effective_error_rate, werner
 from qnetcode.protocols import superdense, swap_chain, teleport
 from qnetcode.rng import stream
 
@@ -188,28 +188,31 @@ def cmd_protocol(args) -> list[dict]:
     if args.links is not None and args.name != "swap":
         raise UsageError(f"--links: not read in protocol {args.name}")
     links = 3 if args.links is None else args.links
-
-    def run_one(t: int) -> dict:
-        rng = stream(args.seed, t)
+    rows = []
+    for start in range(0, args.trials, ftec.FRAME_CHUNK):
+        trials = range(start, min(start + ftec.FRAME_CHUNK, args.trials))
+        rngs = [stream(args.seed, t) for t in trials]
         if args.name == "teleport":
-            out = teleport([("H", 0)], noise, rng)
-            pairs, success, frame = out.classical_bits, out.verified, out.residual_frame
+            outcomes, frame, success = teleport([("H", 0)], noise, rngs)
         elif args.name == "superdense":
-            sent = (t % 2, (t // 2) % 2)
-            got = superdense(sent, noise, rng)
-            pairs, success, frame = [got], got == sent, "I"
+            sent = np.array([(t % 2, (t // 2) % 2) for t in trials], dtype=np.uint8)
+            outcomes, _ = superdense(sent, noise, rngs)
+            frame = np.zeros((len(trials), 2), dtype=np.uint8)
+            success = (outcomes[:, 0] == sent).all(axis=1)
         else:  # swap
-            out = swap_chain(links, noise, rng)
-            pairs, success, frame = out.classical_bits, out.residual_frame.is_identity(), out.residual_frame
-        return {
-            "trial_id": t,
-            "protocol": args.name,
-            "outcome_bits": "".join(f"{a}{b}" for a, b in pairs),
-            "success": int(bool(success)),
-            "residual_frame": str(frame),
-        }
-
-    return [run_one(t) for t in range(args.trials)]
+            outcomes, frame = swap_chain(links, noise, rngs)
+            success = ~frame.any(axis=1)
+        rows += [
+            {
+                "trial_id": t,
+                "protocol": args.name,
+                "outcome_bits": "".join(map(str, bits.ravel().tolist())),
+                "success": int(ok),
+                "residual_frame": LABELS[LABEL_INDEX[(int(x), int(z))]],
+            }
+            for t, bits, ok, (x, z) in zip(trials, outcomes, success, frame)
+        ]
+    return rows
 
 
 def _knill_failures(args, noise: KnillNoise, prior: float):

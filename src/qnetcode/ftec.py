@@ -42,7 +42,7 @@ import numpy as np
 
 from qnetcode import gf2
 from qnetcode.codes import CssCode, parities
-from qnetcode.noise import NoiseModel, pauli_bits
+from qnetcode.noise import NoiseModel, draw_uniforms, pauli_bits
 from qnetcode.pauli import PauliOperator
 from qnetcode.rng import stream
 from qnetcode.stabsim import StabilizerState
@@ -92,7 +92,7 @@ def draw_faults(noise: KnillNoise, n: int, rngs):
     flip = NoiseModel.bit_flip(noise.meas_flip) if noise.meas_flip else NoiseModel.none()
     channels = ((noise.data_noise, n), (noise.epr_error, 2 * n), (flip, 2 * n))
     sizes = [model.uniforms(qubits) for model, qubits in channels]
-    u = np.stack([rng.random(sum(sizes)) for rng in rngs])
+    u = draw_uniforms(rngs, sum(sizes))
     (data_x, data_z), (epr_x, epr_z), (flips, _) = (
         pauli_bits(model, part, qubits)
         for (model, qubits), part in zip(channels, np.split(u, np.cumsum(sizes)[:-1], axis=1))
@@ -108,12 +108,12 @@ def prepare_logical_zero(state: StabilizerState, code: CssCode, offset: int, rng
     +1 eigenspace.
     """
     n = code.n
-    outcomes = np.array([state.measure_pauli(PauliOperator(n, row), rng, offset) for row in code.h_x], dtype=np.uint8)
+    outcomes = np.array([state.measure_pauli(PauliOperator(n, row), [rng], offset)[0] for row in code.h_x])
     if code.r_x and outcomes.any():
         fix = gf2.solve(code.h_x, outcomes)
         if fix is None:
             raise AssertionError("X-check outcomes inconsistent with h_x row space")
-        state.apply_pauli(PauliOperator(n, np.zeros(n), fix), offset)
+        state.apply_pauli(np.zeros(n), fix, offset)
 
 
 def prepare_logical_epr(state: StabilizerState, code: CssCode, offset: int, rng: np.random.Generator):
@@ -127,8 +127,8 @@ def prepare_logical_epr(state: StabilizerState, code: CssCode, offset: int, rng:
     prepare_logical_zero(state, code, offset, rng)
     prepare_logical_zero(state, code, offset + n, rng)
     for lx, lz in zip(code.logical_x, code.logical_z):
-        if state.measure_pauli(PauliOperator(2 * n, np.concatenate([lx, lx])), rng, offset):
-            state.apply_pauli(PauliOperator(n, np.zeros(n), lz), offset)
+        if state.measure_pauli(PauliOperator(2 * n, np.concatenate([lx, lx])), [rng], offset)[0]:
+            state.apply_pauli(np.zeros(n), lz, offset)
 
 
 def _run_round(
@@ -151,14 +151,14 @@ def _run_round(
     state = StabilizerState(3 * n)
     prepare_logical_zero(state, code, 0, rng)
     prepare_logical_epr(state, code, n, rng)
-    state.apply_pauli(data_error)
-    state.apply_pauli(epr_error, n)
+    state.apply_pauli(data_error.x_bits, data_error.z_bits)
+    state.apply_pauli(epr_error.x_bits, epr_error.z_bits, n)
     for i in range(n):
         state.cnot(i, n + i)
     for i in range(n):
         state.h(i)
     # u: qubits [0, n), v: qubits [n, 2n)
-    outcomes = np.array([state.measure_z(q, rng) for q in range(2 * n)], dtype=np.uint8)
+    outcomes = np.array([state.measure_z(q, [rng])[0] for q in range(2 * n)], dtype=np.uint8)
     return outcomes.reshape(2, n), state
 
 
@@ -188,13 +188,9 @@ def apply_output_corrections(
 ):
     """Apply the decoded correction plus the teleportation frame to the
     output block (offset 2n). Frame convention: Xbar^zz then Zbar^xx."""
-    n = code.n
-    state.apply_pauli(correction, 2 * n)
-    for i in range(code.k):
-        if logical_zz[i]:
-            state.apply_pauli(PauliOperator(n, code.logical_x[i]), 2 * n)
-        if logical_xx[i]:
-            state.apply_pauli(PauliOperator(n, np.zeros(n), code.logical_z[i]), 2 * n)
+    frame_x = gf2.matvec(code.logical_x.T, logical_zz)
+    frame_z = gf2.matvec(code.logical_z.T, logical_xx)
+    state.apply_pauli(correction.x_bits ^ frame_x, correction.z_bits ^ frame_z, 2 * code.n)
 
 
 def verify_output(
@@ -207,15 +203,15 @@ def verify_output(
     n = code.n
     zero = np.zeros(n)
     for row in code.h_x:
-        if state.expectation(PauliOperator(n, row), 2 * n) != 1:
+        if state.expectation(PauliOperator(n, row), 2 * n)[0] != 1:
             return False
     for row in code.h_z:
-        if state.expectation(PauliOperator(n, zero, row), 2 * n) != 1:
+        if state.expectation(PauliOperator(n, zero, row), 2 * n)[0] != 1:
             return False
     if logical_z_bits is not None:
         for i in range(code.k):
             want = -1 if logical_z_bits[i] else 1
-            if state.expectation(PauliOperator(n, zero, code.logical_z[i]), 2 * n) != want:
+            if state.expectation(PauliOperator(n, zero, code.logical_z[i]), 2 * n)[0] != want:
                 return False
     return True
 

@@ -24,7 +24,6 @@ import numpy as np
 from qnetcode.codes import CssCode
 from qnetcode.ftec import KnillNoise, knill_residuals
 from qnetcode.noise import BellDiagonalState, LABEL_INDEX, LABEL_XZ, NoiseModel, effective_error_rate
-from qnetcode.pauli import PauliOperator
 from qnetcode.protocols import purify_pair_dist, purify_round, swap_readout
 from qnetcode.stabsim import StabilizerState, prepare_bell
 
@@ -178,17 +177,17 @@ def sample_chain_trial(config: ChainConfig, rng: np.random.Generator):
     for a, b in pairs:
         prepare_bell(state, a, b)
         x, z = LABEL_XZ[config.link_state.sample_label(rng)]
-        state.apply_pauli(PauliOperator(1, [x], [z]), a)
+        state.apply_pauli([x], [z], a)
 
     for link in range(m):
         alive = pairs[link * per_link : (link + 1) * per_link]
         for basis in default_purify_schedule(config.purify_rounds):
             for keep, meas in zip(alive[::2], alive[1::2]):
-                bit_a, bit_b = purify_round(state, keep, meas, basis, rng)
-                if bit_a != bit_b:
+                bit_a, bit_b = purify_round(state, keep, meas, basis, [rng])
+                if bit_a[0] != bit_b[0]:
                     return False, None
             alive = alive[::2]
 
     # swap each link's kept pair (its first) and read the end-to-end label
-    xx, zz = swap_readout(state, pairs[::per_link], rng)[-1]
-    return True, LABEL_INDEX[(zz, xx)]
+    xx, zz = swap_readout(state, pairs[::per_link], [rng])[0, -1]
+    return True, LABEL_INDEX[(int(zz), int(xx))]

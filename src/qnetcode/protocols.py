@@ -1,6 +1,13 @@
 """LOCC protocols: teleportation, superdense coding, entanglement swapping,
 and recurrence-style entanglement purification.
 
+teleport, superdense and swap_chain run T trials at once on one tableau
+whose signs carry the trial axis (see stabsim): they take one generator
+per trial and return per-trial arrays. Trial t draws its noise with
+rngs[t].random(m) before any measurement draws its outcomes, as a
+one-trial run of the same circuit would. Outcome pairs are (xx, zz) bits
+and a Pauli frame is its (x, z) bits.
+
 A repeater node's two tableau steps, purify_round and swap_readout, are
 shared with netchain's tableau cross-check. Pauli-correction conventions
 are fixed once by the noiseless identity tests and pinned in the tests.
@@ -13,21 +20,21 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from qnetcode.noise import BellDiagonalState, LABEL_INDEX, LABEL_XZ, NoiseModel, sample_error
+from qnetcode.noise import BellDiagonalState, LABEL_INDEX, LABEL_XZ, NoiseModel, draw_uniforms, pauli_bits
 from qnetcode.pauli import PauliOperator
 from qnetcode.stabsim import StabilizerState, prepare_bell
 
 Gate = tuple
+_Z = PauliOperator.from_string("Z")
 
 
 @dataclass
 class ProtocolOutcome:
-    """Classical record of one protocol run."""
+    """Classical record of one purification round."""
 
     classical_bits: list[tuple[int, int]]
     residual_frame: Optional[PauliOperator] = None
     success: Optional[bool] = None
-    verified: Optional[bool] = None
 
 
 def _apply_prep(state: StabilizerState, prep: Sequence[Gate], qubit: int):
@@ -48,105 +55,101 @@ def _unapply_prep(state: StabilizerState, prep: Sequence[Gate], qubit: int):
 def teleport(
     input_prep: Sequence[Gate],
     epr_noise: NoiseModel,
-    rng: np.random.Generator,
-) -> ProtocolOutcome:
-    """Teleport the state prepared by ``input_prep`` through a (noisy) EPR pair.
+    rngs: Sequence[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Teleport the state prepared by ``input_prep`` through a (noisy) EPR
+    pair, once per generator in ``rngs``.
 
     Qubit 0 is the payload, qubit 1 Alice's EPR half, qubit 2 Bob's.
     Bob applies X^zz then Z^xx. Verification un-prepares Bob's qubit and
-    checks it is exactly |0>.
+    checks it is exactly |0>. Returns (outcomes (T, 1, 2), residual
+    frame (T, 2), verified (T,) bool).
     """
-    state = StabilizerState(3)
+    state = StabilizerState(3, len(rngs))
     prepare_bell(state, 1, 2)
-    epr_error = sample_error(epr_noise, 2, rng)
-    state.apply_pauli(epr_error, 1)
+    epr_x, epr_z = pauli_bits(epr_noise, draw_uniforms(rngs, epr_noise.uniforms(2)), 2)
+    state.apply_pauli(epr_x, epr_z, 1)
     _apply_prep(state, input_prep, 0)
-    xx, zz = state.bell_measure(0, 1, rng)
-    if zz:
-        state.x_gate(2)
-    if xx:
-        state.z_gate(2)
+    xx, zz = state.bell_measure(0, 1, rngs)
+    state.apply_pauli(zz[:, None], xx[:, None], 2)
     # injected EPR errors commute through to a fixed frame on the output
-    residual = PauliOperator(
-        1,
-        [epr_error.x_bits[0] ^ epr_error.x_bits[1]],
-        [epr_error.z_bits[0] ^ epr_error.z_bits[1]],
-    )
+    frame = np.stack([epr_x[:, 0] ^ epr_x[:, 1], epr_z[:, 0] ^ epr_z[:, 1]], axis=1)
     _unapply_prep(state, input_prep, 2)
-    verified = state.expectation(PauliOperator.from_string("Z"), 2) == 1
-    return ProtocolOutcome(classical_bits=[(xx, zz)], residual_frame=residual, verified=verified)
+    verified = state.expectation(_Z, 2) == 1
+    return np.stack([xx, zz], axis=1)[:, None], frame, verified
 
 
 def superdense(
-    bits: tuple[int, int],
+    bits,
     channel_noise: NoiseModel,
-    rng: np.random.Generator,
-) -> tuple[int, int]:
-    """Send two classical bits over one qubit plus a shared EPR pair.
+    rngs: Sequence[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Send two classical bits (a, b) over one qubit plus a shared EPR
+    pair, once per generator in ``rngs``; ``bits`` is one (a, b) pair for
+    every trial or a (T, 2) array.
 
-    Alice applies Z^a X^b to her half; Bob decodes (a', b') from the
-    (XX, ZZ) Bell outcomes.
+    Alice applies Z^a X^b to her half and sends it through the channel;
+    Bob decodes (a', b') from the (XX, ZZ) Bell outcomes. Returns
+    (outcomes (T, 1, 2), the channel Pauli on the sent qubit (T, 2)).
     """
-    a, b = bits
-    state = StabilizerState(2)
+    bits = np.asarray(bits, dtype=np.uint8)
+    state = StabilizerState(2, len(rngs))
     prepare_bell(state, 0, 1)
-    if b:
-        state.x_gate(0)
-    if a:
-        state.z_gate(0)
-    err = sample_error(channel_noise, 1, rng)
-    state.apply_pauli(err)
-    xx, zz = state.bell_measure(0, 1, rng)
-    return xx, zz
+    state.apply_pauli(bits[..., 1:], bits[..., :1])
+    err_x, err_z = pauli_bits(channel_noise, draw_uniforms(rngs, channel_noise.uniforms(1)), 1)
+    state.apply_pauli(err_x, err_z)
+    xx, zz = state.bell_measure(0, 1, rngs)
+    return np.stack([xx, zz], axis=1)[:, None], np.concatenate([err_x, err_z], axis=1)
 
 
 def swap_chain(
     num_links: int,
     link_noise: NoiseModel,
-    rng: np.random.Generator,
-) -> ProtocolOutcome:
-    """Fuse m noisy link pairs into one end-to-end pair via m-1 swaps.
+    rngs: Sequence[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fuse m noisy link pairs into one end-to-end pair via m-1 swaps,
+    once per generator in ``rngs``.
 
-    Returns the swap outcome record plus the end pair's measured error
-    frame from a final verification Bell measurement.
+    Trial t draws each link's two-qubit error in link order. Returns the
+    swap outcomes (T, m, 2), readout last, and the end pair's error frame
+    (T, 2) from the final verification Bell measurement.
     """
     if num_links < 1:
         raise ValueError("num_links must be >= 1")
-    n = 2 * num_links
-    state = StabilizerState(n)
+    n, trials = 2 * num_links, len(rngs)
+    state = StabilizerState(n, trials)
     pairs = [(q, q + 1) for q in range(0, n, 2)]
     for a, b in pairs:
         prepare_bell(state, a, b)
-        err = sample_error(link_noise, 2, rng)
-        state.apply_pauli(err, a)
-    outcomes = swap_readout(state, pairs, rng)
-    fx, fz = outcomes[-1]
-    return ProtocolOutcome(classical_bits=outcomes, residual_frame=PauliOperator(1, [fz], [fx]))
+    m = link_noise.uniforms(2)
+    u = draw_uniforms(rngs, num_links * m).reshape(trials, num_links, m)
+    err_x, err_z = pauli_bits(link_noise, u, 2)
+    state.apply_pauli(err_x.reshape(trials, n), err_z.reshape(trials, n))
+    outcomes = swap_readout(state, pairs, rngs)
+    return outcomes, outcomes[:, -1, ::-1]
 
 
-def swap_readout(state: StabilizerState, pairs: Sequence[tuple[int, int]], rng: np.random.Generator):
+def swap_readout(state: StabilizerState, pairs: Sequence[tuple[int, int]], rngs: Sequence[np.random.Generator]):
     """Swap a chain of Bell pairs, given as (left, right) qubits in chain
     order, into one end-to-end pair and read it out.
 
     Bell measurements join each right qubit to the next left one; their
     frame X^zz Z^xx goes onto the last right qubit, and a Bell measurement
     of the first left qubit against it reads the end pair. Returns the
-    (xx, zz) outcomes, readout last; its (zz, xx) is the end pair's label.
+    (xx, zz) outcomes as a (T, len(pairs), 2) array, readout last; its
+    (zz, xx) is the end pair's label.
     """
     outcomes = []
-    frame_x = frame_z = 0
+    frame_x = frame_z = np.zeros(state.trials, dtype=np.uint8)
     for (_, left), (right, _) in zip(pairs, pairs[1:]):
-        xx, zz = state.bell_measure(left, right, rng)
+        xx, zz = state.bell_measure(left, right, rngs)
         outcomes.append((xx, zz))
-        frame_x ^= zz
-        frame_z ^= xx
+        frame_x = frame_x ^ zz
+        frame_z = frame_z ^ xx
     end = pairs[-1][1]
-    if frame_x:
-        state.x_gate(end)
-    if frame_z:
-        state.z_gate(end)
-    outcomes.append(state.bell_measure(pairs[0][0], end, rng))
-    return outcomes
+    state.apply_pauli(frame_x[:, None], frame_z[:, None], end)
+    outcomes.append(state.bell_measure(pairs[0][0], end, rngs))
+    return np.stack([np.stack(pair, axis=1) for pair in outcomes], axis=1)
 
 
 _BASES = ("bitflip", "phaseflip")
@@ -187,17 +190,17 @@ def purify_pair_dist(
 
 
 def purify_round(state: StabilizerState, keep: tuple[int, int], meas: tuple[int, int], basis: str,
-                 rng: np.random.Generator) -> tuple[int, int]:
+                 rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
     """One recurrence round on the tableau: bilateral CNOT from the kept
     pair onto the measured pair, then a Z readout of both measured qubits
     (phaseflip conjugates the round by H on all four qubits). Returns the
-    two outcome bits; the round succeeds iff they agree."""
+    two (T,) outcome bit arrays; a trial's round succeeds iff they agree."""
     if basis == "phaseflip":
         for q in (*keep, *meas):
             state.h(q)
     state.cnot(keep[0], meas[0])
     state.cnot(keep[1], meas[1])
-    bits = state.measure_z(meas[0], rng), state.measure_z(meas[1], rng)
+    bits = state.measure_z(meas[0], rngs), state.measure_z(meas[1], rngs)
     if basis == "phaseflip":
         for q in keep:
             state.h(q)
@@ -222,11 +225,11 @@ def purify_pair_sampled(
     prepare_bell(state, 2, 3)  # pair b: (A2, B2)
     for qubit, pair_state in ((0, a), (2, b)):
         x, z = LABEL_XZ[pair_state.sample_label(rng)]
-        state.apply_pauli(PauliOperator(1, [x], [z]), qubit)
-    m_a, m_b = purify_round(state, (0, 1), (2, 3), basis, rng)
+        state.apply_pauli([x], [z], qubit)
+    m_a, m_b = (int(bit[0]) for bit in purify_round(state, (0, 1), (2, 3), basis, [rng]))
     success = m_a == m_b
     residual = None
     if success:
-        xx, zz = state.bell_measure(0, 1, rng)
-        residual = PauliOperator(1, [zz], [xx])
+        xx, zz = state.bell_measure(0, 1, [rng])
+        residual = PauliOperator(1, zz, xx)
     return ProtocolOutcome(classical_bits=[(m_a, m_b)], residual_frame=residual, success=success)

@@ -1,4 +1,5 @@
-"""Exact Clifford-circuit simulation with a sign-tracking stabilizer tableau.
+"""Exact Clifford-circuit simulation with a sign-tracking stabilizer tableau,
+run for T trials at once.
 
 The tableau holds n destabilizer rows followed by n stabilizer rows; each
 row is an (x_bits, z_bits, sign) triple. Updates follow the standard
@@ -7,6 +8,15 @@ phase rule of Aaronson & Gottesman (arXiv:quant-ph/0406196), written once
 in ``_phase_exponents``: a random measurement multiplies one pivot row into
 many rows at once, and a deterministic measurement or an expectation value
 multiplies the selected stabilizer rows together in one vectorized pass.
+
+Trials share the x/z bits and differ only in their signs. Every trial
+runs the same Clifford gates and measures the same Paulis; what differs
+between trials is the Paulis applied (noise, conditional frames) and the
+measurement outcomes, and both only flip signs. Conjugation moves x/z
+bits independently of the signs, and the x/z bits alone decide whether a
+measurement is random and which row is its pivot. So x and z are
+(2n, n) arrays, the signs r a (T, 2n) array, and T trials run exactly as
+T one-trial tableaus would.
 """
 
 from __future__ import annotations
@@ -29,20 +39,25 @@ def _phase_exponents(x1, z1, x2, z2) -> np.ndarray:
 
 
 class StabilizerState:
-    """All-zeros computational basis state on n qubits.
+    """All-zeros computational basis state on n qubits, for ``trials`` trials.
 
-    A Pauli argument acts on a block: p with offset ``at`` acts on the
-    qubits [at, at + p.num_qubits); a block past either end is a ValueError.
+    A Pauli argument acts on a block: a Pauli of width w with offset
+    ``at`` acts on the qubits [at, at + w); a block past either end is a
+    ValueError. A measurement takes one generator per trial and returns one
+    outcome bit per trial, as a (T,) array.
     """
 
-    def __init__(self, num_qubits: int):
+    def __init__(self, num_qubits: int, trials: int = 1):
         if num_qubits < 1:
             raise ValueError("num_qubits must be >= 1")
+        if trials < 1:
+            raise ValueError("trials must be >= 1")
         n = num_qubits
         self.num_qubits = n
+        self.trials = trials
         self.x = np.zeros((2 * n, n), dtype=np.uint8)
         self.z = np.zeros((2 * n, n), dtype=np.uint8)
-        self.r = np.zeros(2 * n, dtype=np.uint8)
+        self.r = np.zeros((trials, 2 * n), dtype=np.uint8)
         self.x[np.arange(n), np.arange(n)] = 1          # destabilizers X_i
         self.z[n + np.arange(n), np.arange(n)] = 1      # stabilizers Z_i
 
@@ -66,28 +81,28 @@ class StabilizerState:
         self.x[:, t] ^= self.x[:, c]
         self.z[:, c] ^= self.z[:, t]
 
-    def _anticommutes(self, p: PauliOperator, at: int = 0) -> np.ndarray:
-        """Bit per tableau row: 1 where the row anticommutes with p at ``at``."""
-        if not 0 <= at <= self.num_qubits - p.num_qubits:
-            raise ValueError(f"Pauli on qubits [{at}, {at + p.num_qubits}) does not fit n={self.num_qubits}")
-        block = slice(at, at + p.num_qubits)
-        comm = (self.x[:, block] @ p.z_bits.astype(np.int64) + self.z[:, block] @ p.x_bits.astype(np.int64)) % 2
+    def _anticommutes(self, x_bits, z_bits, at: int = 0) -> np.ndarray:
+        """Bit per tableau row, shape (..., 2n): 1 where the row anticommutes
+        with the Pauli (x_bits, z_bits) of shape (..., w) at ``at``."""
+        x_bits = np.asarray(x_bits, dtype=np.int64)
+        z_bits = np.asarray(z_bits, dtype=np.int64)
+        w = x_bits.shape[-1]
+        if z_bits.shape != x_bits.shape:
+            raise ValueError(f"x and z bits differ in shape: {x_bits.shape} vs {z_bits.shape}")
+        if not 0 <= at <= self.num_qubits - w:
+            raise ValueError(f"Pauli on qubits [{at}, {at + w}) does not fit n={self.num_qubits}")
+        block = slice(at, at + w)
+        comm = (z_bits @ self.x[:, block].T + x_bits @ self.z[:, block].T) % 2
         return comm.astype(np.uint8)
 
-    def apply_pauli(self, p: PauliOperator, at: int = 0):
-        """Conjugation by a Pauli only flips signs of anticommuting rows."""
-        self.r ^= self._anticommutes(p, at)
-
-    def x_gate(self, q: int):
-        self._check_qubit(q)
-        self.r ^= self.z[:, q]
-
-    def z_gate(self, q: int):
-        self._check_qubit(q)
-        self.r ^= self.x[:, q]
+    def apply_pauli(self, x_bits, z_bits, at: int = 0):
+        """Conjugate by the Pauli with bits (x_bits, z_bits) at ``at``: shape
+        (w,) for the same Pauli on every trial, (T, w) for one per trial.
+        Conjugation by a Pauli only flips signs of anticommuting rows."""
+        self.r ^= self._anticommutes(x_bits, z_bits, at)
 
     def apply_gate(self, gate: tuple):
-        """Apply ('H', q), ('CNOT', c, t), ('X'|'Y'|'Z', q)."""
+        """Apply ('H', q), ('CNOT', c, t), ('X'|'Y'|'Z', q) on every trial."""
         name = gate[0].upper()
         if name == "H":
             self.h(gate[1])
@@ -95,48 +110,54 @@ class StabilizerState:
             self.cnot(gate[1], gate[2])
         elif name in _SINGLE:
             self._check_qubit(gate[1])
-            self.apply_pauli(_SINGLE[name], gate[1])
+            self.apply_pauli(_SINGLE[name].x_bits, _SINGLE[name].z_bits, gate[1])
         else:
             raise ValueError(f"unsupported gate {gate!r}")
 
     # --- row arithmetic ---------------------------------------------------
 
     def _rowsum_many(self, rows: np.ndarray, i: int):
-        """Multiply row i into every row in ``rows`` at once."""
+        """Multiply row i into every row in ``rows`` at once, on every trial."""
         g = _phase_exponents(self.x[i], self.z[i], self.x[rows], self.z[rows])
-        total = 2 * self.r[rows].astype(np.int64) + 2 * int(self.r[i]) + g
-        self.r[rows] = ((total % 4) // 2).astype(np.uint8)
+        total = 2 * (self.r[:, rows].astype(np.int64) + self.r[:, i, None]) + g
+        self.r[:, rows] = ((total % 4) // 2).astype(np.uint8)
         self.x[rows] ^= self.x[i]
         self.z[rows] ^= self.z[i]
 
-    def _stabilizer_product(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-        """(x_bits, z_bits, sign bit) of the product of the given stabilizer rows.
+    def _stabilizer_product(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x_bits, z_bits, sign bits (T,)) of the product of the given stabilizer rows.
 
         Row j is multiplied onto the running product of the rows before
         it. The stabilizer rows commute, so every partial product is
         Hermitian and its phase exponent is even: reducing it to a sign
         bit after each step loses nothing, and the sign bit of the whole
-        product is half the summed exponents mod 4.
+        product is half the summed exponents mod 4. The exponents come
+        from the x/z bits alone, so one sum serves every trial.
         """
         x = self.x[rows]
         z = self.z[rows]
         # XOR with its own row turns the running product into the product before that row
         before_x = np.bitwise_xor.accumulate(x, axis=0) ^ x
         before_z = np.bitwise_xor.accumulate(z, axis=0) ^ z
-        total = 2 * int(self.r[rows].sum()) + int(_phase_exponents(x, z, before_x, before_z).sum())
-        return np.bitwise_xor.reduce(x, axis=0), np.bitwise_xor.reduce(z, axis=0), (total % 4) // 2
+        g = int(_phase_exponents(x, z, before_x, before_z).sum())
+        total = 2 * self.r[:, rows].sum(axis=1, dtype=np.int64) + g
+        sign = ((total % 4) // 2).astype(np.uint8)
+        return np.bitwise_xor.reduce(x, axis=0), np.bitwise_xor.reduce(z, axis=0), sign
 
     # --- measurement ------------------------------------------------------
 
-    def measure_pauli(self, p: PauliOperator, rng: np.random.Generator, at: int = 0) -> int:
-        """Measure the Hermitian Pauli +p at ``at``; returns the outcome bit.
+    def measure_pauli(self, p: PauliOperator, rngs, at: int = 0) -> np.ndarray:
+        """Measure the Hermitian Pauli +p at ``at`` on every trial; returns
+        the (T,) outcome bits. ``rngs`` holds one generator per trial.
 
         Outcome 0 projects onto the +1 eigenspace. Deterministic when
         +/-p is in the stabilizer group, else uniformly random with a
-        tableau update.
+        tableau update: trial t draws its outcome with rngs[t].integers(2).
         """
+        if len(rngs) != self.trials:
+            raise ValueError(f"need one generator per trial: {len(rngs)} for {self.trials} trials")
         n = self.num_qubits
-        comm = self._anticommutes(p, at)
+        comm = self._anticommutes(p.x_bits, p.z_bits, at)
         anti_stab = np.nonzero(comm[n:])[0]
         if anti_stab.size:
             piv = n + int(anti_stab[0])
@@ -144,49 +165,50 @@ class StabilizerState:
             others = others[others != piv]
             if others.size:
                 self._rowsum_many(others, piv)
-            outcome = int(rng.integers(2))
+            outcome = np.fromiter((rng.integers(2) for rng in rngs), dtype=np.uint8, count=self.trials)
             self.x[piv - n] = self.x[piv]
             self.z[piv - n] = self.z[piv]
-            self.r[piv - n] = self.r[piv]
+            self.r[:, piv - n] = self.r[:, piv]
             self.x[piv] = self.z[piv] = 0
             self.x[piv, at : at + p.num_qubits] = p.x_bits
             self.z[piv, at : at + p.num_qubits] = p.z_bits
-            self.r[piv] = outcome
+            self.r[:, piv] = outcome
             return outcome
         # deterministic: the stabilizer product equal to +/-p carries the sign
         return self._stabilizer_product(n + np.nonzero(comm[:n])[0])[2]
 
-    def measure_z(self, q: int, rng: np.random.Generator) -> int:
+    def measure_z(self, q: int, rngs) -> np.ndarray:
         self._check_qubit(q)
-        return self.measure_pauli(_SINGLE["Z"], rng, q)
+        return self.measure_pauli(_SINGLE["Z"], rngs, q)
 
-    def bell_measure(self, q1: int, q2: int, rng: np.random.Generator) -> tuple[int, int]:
+    def bell_measure(self, q1: int, q2: int, rngs) -> tuple[np.ndarray, np.ndarray]:
         """Joint XX/ZZ measurement of (q1, q2) via CNOT, H, two Z reads.
 
-        Returns (xx_bit, zz_bit); both qubits end in computational basis
-        states (consumed).
+        Returns the (T,) arrays (xx_bits, zz_bits); both qubits end in
+        computational basis states (consumed).
         """
         self._check_qubit(q1, q2)
         if q1 == q2:
             raise ValueError("Bell measurement needs two distinct qubits")
         self.cnot(q1, q2)
         self.h(q1)
-        xx = self.measure_z(q1, rng)
-        zz = self.measure_z(q2, rng)
+        xx = self.measure_z(q1, rngs)
+        zz = self.measure_z(q2, rngs)
         return xx, zz
 
-    def expectation(self, p: PauliOperator, at: int = 0) -> int:
-        """+1/-1 if +/-p at ``at`` stabilizes the state, 0 if the outcome is random."""
+    def expectation(self, p: PauliOperator, at: int = 0) -> np.ndarray:
+        """Per trial, +1/-1 if +/-p at ``at`` stabilizes the state, 0 if the
+        outcome is random; a (T,) int64 array."""
         n = self.num_qubits
-        comm = self._anticommutes(p, at)
+        comm = self._anticommutes(p.x_bits, p.z_bits, at)
         if comm[n:].any():
-            return 0
+            return np.zeros(self.trials, dtype=np.int64)
         xh, zh, rh = self._stabilizer_product(n + np.nonzero(comm[:n])[0])
         xh[at : at + p.num_qubits] ^= p.x_bits
         zh[at : at + p.num_qubits] ^= p.z_bits
         if xh.any() or zh.any():
             raise AssertionError("destabilizer bookkeeping out of sync")
-        return 1 if rh == 0 else -1
+        return 1 - 2 * rh.astype(np.int64)
 
 
 def prepare_bell(state: StabilizerState, q1: int, q2: int):

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from qnetcode import cli, codes
+from qnetcode import cli, codes, ftec
 from qnetcode.decoders import logical_failure
 from qnetcode.noise import NoiseModel, sample_error
 from qnetcode.rng import stream
@@ -93,6 +93,23 @@ def test_protocol_rows_are_deterministic(capsys):
     rows = parse_csv(out1)
     assert [r["trial_id"] for r in rows] == [str(i) for i in range(40)]
     assert all(r["success"] == "1" for r in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--name", "swap", "--links", "4", "--noise", "independent_xz:0.1,0.2"],
+        ["--name", "teleport", "--noise", "depolarizing:0.2"],
+        ["--name", "superdense", "--noise", "depolarizing:0.3"],
+    ],
+    ids=["swap", "teleport", "superdense"],
+)
+def test_protocol_rows_do_not_depend_on_the_chunk_size(capsys, monkeypatch, argv):
+    args = ["protocol", *argv, "--trials", "30", "--seed", "8", "--format", "json"]
+    _, whole, _ = run_cli(capsys, *args)
+    monkeypatch.setattr(ftec, "FRAME_CHUNK", 7)
+    _, chunked, _ = run_cli(capsys, *args)
+    assert chunked == whole
 
 
 @pytest.mark.parametrize(

@@ -227,11 +227,11 @@ def _plus_data_block(original):
             return
         n = code.n
         outcomes = np.array(
-            [state.measure_pauli(PauliOperator(n, row), rng) for row in code.logical_x], dtype=np.uint8
+            [state.measure_pauli(PauliOperator(n, row), [rng])[0] for row in code.logical_x], dtype=np.uint8
         )
         fix = gf2.solve(gf2.matmul(code.logical_x, code.logical_z.T), outcomes)
         for i in np.flatnonzero(fix):
-            state.apply_pauli(PauliOperator(n, np.zeros(n), code.logical_z[i]))
+            state.apply_pauli(np.zeros(n), code.logical_z[i])
 
     return prepare
 

@@ -99,4 +99,4 @@ def test_commutation_matches_dense_matrices(n, a, b):
     commute = np.allclose(mp @ mq, mq @ mp)
     state = StabilizerState(n)
     state.x[0], state.z[0] = q.x_bits, q.z_bits
-    assert state._anticommutes(p)[0] == (0 if commute else 1)
+    assert state._anticommutes(p.x_bits, p.z_bits)[0] == (0 if commute else 1)

@@ -79,74 +79,70 @@ def dense_purify(a: BellDiagonalState, b: BellDiagonalState, basis: str):
 PREPS = [[], [("H", 0)], [("X", 0)], [("H", 0), ("Z", 0)], [("X", 0), ("H", 0)]]
 
 
+def _streams(*key, trials):
+    return [stream(*key, t) for t in range(trials)]
+
+
 @pytest.mark.parametrize("prep", PREPS, ids=lambda p: "-".join(g[0] for g in p) or "zero")
 def test_noiseless_teleport_verifies(prep):
-    rng = stream(11)
-    for _ in range(50):
-        out = teleport(prep, NoiseModel.none(), rng)
-        assert out.verified
-        assert out.residual_frame.is_identity()
-        assert len(out.classical_bits) == 1
+    outcomes, frame, verified = teleport(prep, NoiseModel.none(), _streams(11, trials=50))
+    assert verified.all()
+    assert not frame.any()
+    assert outcomes.shape == (50, 1, 2)
 
 
 def test_teleport_residual_frame_is_consistent_per_trial():
     """For payload |0>, verification succeeds exactly when the residual
     frame has no X component; for |+>, exactly when it has no Z."""
-    rng = stream(12)
     noise = NoiseModel.independent_xz(0.4, 0.4)
-    for _ in range(300):
-        out = teleport([], noise, rng)
-        assert out.verified == (out.residual_frame.x_bits[0] == 0)
-        out = teleport([("H", 0)], noise, rng)
-        assert out.verified == (out.residual_frame.z_bits[0] == 0)
+    _, frame, verified = teleport([], noise, _streams(12, 0, trials=300))
+    assert np.array_equal(verified, frame[:, 0] == 0)
+    _, frame, verified = teleport([("H", 0)], noise, _streams(12, 1, trials=300))
+    assert np.array_equal(verified, frame[:, 1] == 0)
 
 
 def test_teleport_rejects_multi_qubit_prep():
     with pytest.raises(ValueError):
-        teleport([("CNOT", 0, 1)], NoiseModel.none(), stream(0))
+        teleport([("CNOT", 0, 1)], NoiseModel.none(), [stream(0)])
 
 
 def test_superdense_all_bit_pairs():
-    rng = stream(13)
-    for bits in itertools.product((0, 1), repeat=2):
-        for _ in range(25):
-            assert superdense(bits, NoiseModel.none(), rng) == bits
+    sent = np.array(list(itertools.product((0, 1), repeat=2)) * 25, dtype=np.uint8)
+    outcomes, channel = superdense(sent, NoiseModel.none(), _streams(13, trials=len(sent)))
+    assert np.array_equal(outcomes[:, 0], sent)
+    assert not channel.any()
 
 
 def test_superdense_under_full_flip_noise():
     """An X error anticommutes with ZZ, so it flips exactly the b bit;
-    a Z error flips the a bit."""
-    rng = stream(14)
-    for bits in itertools.product((0, 1), repeat=2):
-        got = superdense(bits, NoiseModel.bit_flip(1.0), rng)
-        assert got == (bits[0], bits[1] ^ 1)
-        got = superdense(bits, NoiseModel.phase_flip(1.0), rng)
-        assert got == (bits[0] ^ 1, bits[1])
+    a Z error flips the a bit. The channel Pauli is returned per trial."""
+    sent = np.array(list(itertools.product((0, 1), repeat=2)), dtype=np.uint8)
+    outcomes, channel = superdense(sent, NoiseModel.bit_flip(1.0), _streams(14, 0, trials=4))
+    assert np.array_equal(outcomes[:, 0], sent ^ [0, 1])
+    assert np.array_equal(channel, [[1, 0]] * 4)
+    outcomes, channel = superdense(sent, NoiseModel.phase_flip(1.0), _streams(14, 1, trials=4))
+    assert np.array_equal(outcomes[:, 0], sent ^ [1, 0])
+    assert np.array_equal(channel, [[0, 1]] * 4)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_noiseless_swap_chain(m):
-    rng = stream(15, m)
-    for _ in range(30):
-        out = swap_chain(m, NoiseModel.none(), rng)
-        assert out.residual_frame.is_identity()
-        assert len(out.classical_bits) == m  # m-1 swaps + final verification
+    outcomes, frame = swap_chain(m, NoiseModel.none(), _streams(15, m, trials=30))
+    assert not frame.any()
+    assert outcomes.shape == (30, m, 2)  # m-1 swaps + final verification
 
 
 def test_swap_chain_validation():
     with pytest.raises(ValueError):
-        swap_chain(0, NoiseModel.none(), stream(0))
+        swap_chain(0, NoiseModel.none(), [stream(0)])
 
 
 def test_noisy_swap_chain_residual_distribution():
     """End-to-end X rate of a 2-link chain of bit-flip pairs is p+q-2pq."""
     p = 0.2
-    rng = stream(16)
     trials = 4000
-    flips = 0
-    for _ in range(trials):
-        out = swap_chain(2, NoiseModel.bit_flip(p), rng)
-        flips += int(out.residual_frame.x_bits[0])
+    _, frame = swap_chain(2, NoiseModel.bit_flip(p), _streams(16, trials=trials))
+    flips = int(frame[:, 0].sum())
     # each link has two halves; X rate per link is 2p(1-p)
     q = 2 * p * (1 - p)
     target = 2 * q * (1 - q)

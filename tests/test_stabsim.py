@@ -56,7 +56,7 @@ def test_expectations_match_dense_oracle(n):
             dense.apply_gate(g)
         assert tableau_ok(stab)
         for s in all_pauli_strings(n):
-            got = stab.expectation(PauliOperator.from_string(s))
+            got = stab.expectation(PauliOperator.from_string(s))[0]
             want = dense.expectation_pauli(s)
             assert got == pytest.approx(want, abs=1e-9), (s, gates)
 
@@ -75,13 +75,13 @@ def test_measurements_match_dense_oracle(n):
                 dense.apply_gate(g)
             q = int(rng.integers(n))
             prob0 = dense.prob_z0(q)
-            expect = stab.expectation(PauliOperator.single(n, q, "Z"))
+            expect = stab.expectation(PauliOperator.single(n, q, "Z"))[0]
             want_prob0 = {1: 1.0, -1: 0.0, 0: 0.5}[expect]
             assert prob0 == pytest.approx(want_prob0, abs=1e-9)
-            outcome = stab.measure_z(q, rng)
+            outcome = int(stab.measure_z(q, [rng])[0])
             dense.project_z(q, outcome)
         for s in all_pauli_strings(n):
-            got = stab.expectation(PauliOperator.from_string(s))
+            got = stab.expectation(PauliOperator.from_string(s))[0]
             assert got == pytest.approx(dense.expectation_pauli(s), abs=1e-9)
 
 
@@ -90,10 +90,10 @@ def test_repeated_measurement_is_stable():
     state = StabilizerState(3)
     state.h(0)
     state.cnot(0, 1)
-    first = state.measure_z(0, rng)
+    first = state.measure_z(0, [rng])
     for _ in range(5):
-        assert state.measure_z(0, rng) == first
-        assert state.measure_z(1, rng) == first
+        assert state.measure_z(0, [rng]) == first
+        assert state.measure_z(1, [rng]) == first
 
 
 def test_bell_pair_measurements():
@@ -103,7 +103,7 @@ def test_bell_pair_measurements():
     assert state.expectation(PauliOperator.from_string("XX")) == 1
     assert state.expectation(PauliOperator.from_string("ZZ")) == 1
     assert state.expectation(PauliOperator.from_string("YY")) == -1
-    assert state.bell_measure(0, 1, rng) == (0, 0)
+    assert state.bell_measure(0, 1, [rng]) == (0, 0)
 
 
 @pytest.mark.parametrize(
@@ -115,21 +115,22 @@ def test_bell_measure_reads_error_labels(letter, expected):
     rng = stream(3)
     state = StabilizerState(2)
     prepare_bell(state, 0, 1)
-    state.apply_pauli(PauliOperator.from_string(letter + "I"))
-    assert state.bell_measure(0, 1, rng) == expected
+    p = PauliOperator.from_string(letter + "I")
+    state.apply_pauli(p.x_bits, p.z_bits)
+    assert state.bell_measure(0, 1, [rng]) == expected
 
 
 def test_deterministic_measurements():
     rng = stream(4)
     state = StabilizerState(2)
-    assert state.measure_z(0, rng) == 0
-    state.x_gate(0)
-    assert state.measure_z(0, rng) == 1
+    assert state.measure_z(0, [rng]) == 0
+    state.apply_pauli([1], [0], 0)
+    assert state.measure_z(0, [rng]) == 1
     state.h(1)
     x1 = PauliOperator.single(2, 1, "X")
-    assert state.measure_pauli(x1, rng) == 0
-    state.z_gate(1)
-    assert state.measure_pauli(x1, rng) == 1
+    assert state.measure_pauli(x1, [rng]) == 0
+    state.apply_pauli([0], [1], 1)
+    assert state.measure_pauli(x1, [rng]) == 1
 
 
 def test_random_measurement_statistics():
@@ -138,7 +139,7 @@ def test_random_measurement_statistics():
     for _ in range(400):
         state = StabilizerState(1)
         state.h(0)
-        outcomes.append(state.measure_z(0, rng))
+        outcomes.append(state.measure_z(0, [rng])[0])
     mean = np.mean(outcomes)
     assert abs(mean - 0.5) < 3 * 0.5 / np.sqrt(400)
 
@@ -147,11 +148,11 @@ def test_joint_pauli_measurement():
     rng = stream(6)
     state = StabilizerState(2)
     xx = PauliOperator.from_string("XX")
-    outcome = state.measure_pauli(xx, rng)
+    outcome = state.measure_pauli(xx, [rng])
     assert state.expectation(xx) == (1 if outcome == 0 else -1)
     # |00> is a ZZ=+1 eigenstate; XX measurement must preserve that
     assert state.expectation(PauliOperator.from_string("ZZ")) == 1
-    assert state.measure_pauli(xx, rng) == outcome
+    assert state.measure_pauli(xx, [rng]) == outcome
 
 
 def test_argument_validation():
@@ -162,17 +163,23 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         state.cnot(1, 1)
     with pytest.raises(ValueError):
-        state.bell_measure(0, 0, rng)
+        state.bell_measure(0, 0, [rng])
     with pytest.raises(ValueError):
-        state.apply_pauli(PauliOperator.identity(3))
+        state.apply_pauli(np.zeros(3), np.zeros(3))
+    with pytest.raises(ValueError):
+        state.apply_pauli(np.zeros(2), np.zeros(1))
     with pytest.raises(ValueError):
         state.apply_gate(("T", 0))
+    with pytest.raises(ValueError, match="one generator per trial"):
+        state.measure_z(0, [rng, rng])
     with pytest.raises(ValueError):
         StabilizerState(0)
+    with pytest.raises(ValueError):
+        StabilizerState(2, trials=0)
 
 
-def _random_state(n, rng):
-    state = StabilizerState(n)
+def _random_state(n, rng, trials=1):
+    state = StabilizerState(n, trials)
     for g in random_clifford_circuit(n, 30, rng):
         state.apply_gate(g)
     return state
@@ -199,11 +206,11 @@ def test_pauli_on_a_block_equals_the_padded_pauli():
         state = _random_state(n, rng)
         assert state.expectation(local, at) == state.expectation(padded)
         a, b = copy.deepcopy(state), copy.deepcopy(state)
-        a.apply_pauli(local, at)
-        b.apply_pauli(padded)
+        a.apply_pauli(x, z, at)
+        b.apply_pauli(padded_x, padded_z)
         assert _same_tableau(a, b)
         a, b = copy.deepcopy(state), copy.deepcopy(state)
-        assert a.measure_pauli(local, stream(10, seed), at) == b.measure_pauli(padded, stream(10, seed))
+        assert a.measure_pauli(local, [stream(10, seed)], at) == b.measure_pauli(padded, [stream(10, seed)])
         assert _same_tableau(a, b) and tableau_ok(a)
 
 
@@ -212,22 +219,129 @@ def test_pauli_past_the_last_qubit_raises():
     p = PauliOperator.from_string("XZ")
     for at in (-1, 3):
         with pytest.raises(ValueError, match="does not fit"):
-            state.apply_pauli(p, at)
+            state.apply_pauli(p.x_bits, p.z_bits, at)
         with pytest.raises(ValueError, match="does not fit"):
-            state.measure_pauli(p, stream(11), at)
+            state.measure_pauli(p, [stream(11)], at)
         with pytest.raises(ValueError, match="does not fit"):
             state.expectation(p, at)
 
 
 @pytest.mark.parametrize("letter", ["X", "Z"])
-def test_x_and_z_gates_equal_one_qubit_paulis(letter):
+def test_conditional_frame_flips_only_its_trials(letter):
+    """A conditional frame is apply_pauli with (T, 1) bits: a trial whose
+    bit is set ends as under the one-qubit Pauli, the others as before."""
     rng = stream(12)
+    bits = np.array([[0], [1], [1], [0]], dtype=np.uint8)
+    zero = np.zeros_like(bits)
     for q in range(5):
-        state = _random_state(5, rng)
-        gate, pauli = copy.deepcopy(state), copy.deepcopy(state)
-        (gate.x_gate if letter == "X" else gate.z_gate)(q)
-        pauli.apply_pauli(PauliOperator.from_string(letter), q)
-        assert _same_tableau(gate, pauli)
+        state = _random_state(5, rng, trials=len(bits))
+        frame, pauli = copy.deepcopy(state), copy.deepcopy(state)
+        frame.apply_pauli(*((bits, zero) if letter == "X" else (zero, bits)), q)
+        pauli.apply_gate((letter, q))
+        assert np.array_equal(frame.x, state.x) and np.array_equal(frame.z, state.z)
+        assert np.array_equal(frame.r, np.where(bits == 1, pauli.r, state.r))
+
+
+# --- trial axis: T trials on one tableau against T one-trial runs ------------
+
+
+def _trial_circuit(n, steps, rng):
+    """Steps that every trial runs: H and CNOT gates, per-trial Paulis on
+    a block ("pauli", at, w), measurements ("measure", p, at) and
+    expectations ("expect", p, at) of random Paulis p on a block."""
+    ops = []
+    for _ in range(steps):
+        kind = int(rng.integers(5))
+        q = int(rng.integers(n))
+        if kind == 0 and n > 1:
+            t = int(rng.integers(n - 1))
+            ops.append(("CNOT", q, t if t < q else t + 1))
+        elif kind <= 1:
+            ops.append(("H", q))
+        else:
+            w = int(rng.integers(1, n + 1))
+            at = int(rng.integers(0, n - w + 1))
+            if kind == 2:
+                ops.append(("pauli", at, w))
+            else:
+                p = PauliOperator(w, *rng.integers(0, 2, (2, w), dtype=np.uint8))
+                ops.append(("measure" if kind == 3 else "expect", p, at))
+    return ops
+
+
+def _run_trials(n, ops, rngs):
+    """Run ops on one tableau over len(rngs) trials. Trial t draws its
+    Pauli bits from rngs[t]. Returns the state and one record per
+    non-gate step: Pauli bits (T, 2, w), outcomes (T,) or expectations (T,)."""
+    state = StabilizerState(n, len(rngs))
+    record = []
+    for op in ops:
+        if op[0] in ("H", "CNOT"):
+            state.apply_gate(op)
+        elif op[0] == "pauli":
+            _, at, w = op
+            bits = np.stack([rng.integers(0, 2, (2, w), dtype=np.uint8) for rng in rngs])
+            state.apply_pauli(bits[:, 0], bits[:, 1], at)
+            record.append(bits)
+        elif op[0] == "measure":
+            record.append(state.measure_pauli(op[1], rngs, op[2]))
+        else:
+            record.append(state.expectation(op[1], op[2]))
+    return state, record
+
+
+def _padded(p, at, n, bits=None):
+    """Letters of the n-qubit Pauli that is p (or the bits (2, w)) at ``at``."""
+    x, z = (p.x_bits, p.z_bits) if bits is None else bits
+    letters = ["I"] * n
+    for i, (xi, zi) in enumerate(zip(x, z)):
+        letters[at + i] = "IZXY"[2 * int(xi) + int(zi)]
+    return "".join(letters)
+
+
+def _dense_replay(n, ops, record, t):
+    """Replay trial t of a record on the dense statevector and check every
+    expectation and the probability of every measured outcome."""
+    dense = DenseState(n)
+    steps = iter(record)
+    for op in ops:
+        if op[0] in ("H", "CNOT"):
+            dense.apply_gate(op)
+            continue
+        got = next(steps)[t]
+        if op[0] == "pauli":
+            for q, letter in enumerate(_padded(None, op[1], n, got)):
+                dense.apply_gate((letter, q))
+            continue
+        letters = _padded(op[1], op[2], n)
+        if op[0] == "expect":
+            assert dense.expectation_pauli(letters) == pytest.approx(got, abs=1e-9)
+            continue
+        # project onto the (-1)^outcome eigenspace of the measured Pauli
+        psi = dense.psi.reshape(-1)
+        projected = (psi + (-1) ** int(got) * (dense.pauli_matrix(letters) @ psi)) / 2
+        prob = float(np.vdot(projected, projected).real)
+        assert prob == pytest.approx(0.5, abs=1e-9) or prob == pytest.approx(1.0, abs=1e-9)
+        dense.psi = (projected / np.sqrt(prob)).reshape((2,) * n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_trials_equal_one_trial_runs_on_their_own_generators(n):
+    """16 trials on one tableau give each trial the outcomes, expectations
+    and signs of a one-trial run on that trial's own generator; for
+    n <= 4 every trial also agrees with the dense statevector."""
+    trials = 16
+    for seed in range(6):
+        ops = _trial_circuit(n, 40, stream(13, n, seed))
+        state, record = _run_trials(n, ops, [stream(14, n, seed, t) for t in range(trials)])
+        assert tableau_ok(state)
+        for t in range(trials):
+            one, one_record = _run_trials(n, ops, [stream(14, n, seed, t)])
+            assert all(np.array_equal(got[t], want[0]) for got, want in zip(record, one_record)), (seed, t)
+            assert np.array_equal(state.x, one.x) and np.array_equal(state.z, one.z)
+            assert np.array_equal(state.r[t], one.r[0]), (seed, t)
+            if n <= 4:
+                _dense_replay(n, ops, record, t)
 
 
 def _ag_g(x1, z1, x2, z2):
