@@ -196,8 +196,7 @@ def cmd_protocol(args) -> list[dict]:
             outcomes, frame, success = teleport([("H", 0)], noise, rngs)
         elif args.name == "superdense":
             sent = np.array([(t % 2, (t // 2) % 2) for t in trials], dtype=np.uint8)
-            outcomes, _ = superdense(sent, noise, rngs)
-            frame = np.zeros((len(trials), 2), dtype=np.uint8)
+            outcomes, frame = superdense(sent, noise, rngs)
             success = (outcomes[:, 0] == sent).all(axis=1)
         else:  # swap
             outcomes, frame = swap_chain(links, noise, rngs)

@@ -95,6 +95,13 @@ def test_protocol_rows_are_deterministic(capsys):
     assert all(r["success"] == "1" for r in rows)
 
 
+@pytest.mark.parametrize("spec,letter", [("independent_xz:1,0", "X"), ("independent_xz:0,1", "Z")])
+def test_superdense_rows_name_the_channel_pauli(capsys, spec, letter):
+    _, out, _ = run_cli(capsys, "protocol", "--name", "superdense", "--noise", spec, "--trials", "4")
+    rows = parse_csv(out)
+    assert [(r["success"], r["residual_frame"]) for r in rows] == [("0", letter)] * 4
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -35,7 +35,7 @@ def _digest(obj) -> str:
         (["--name", "swap", "--links", "1", "--noise", "independent_xz:0.1,0.2", "--trials", "200"], "917a3eaad271d51e"),
         (["--name", "swap", "--links", "3", "--noise", "bit_flip:0.1", "--trials", "200"], "4597ba1172b2c055"),
         (["--name", "teleport", "--noise", "depolarizing:0.1", "--trials", "200"], "4247761a315b0de7"),
-        (["--name", "superdense", "--noise", "depolarizing:0.2", "--trials", "200"], "9bc1c1a5b34427a8"),
+        (["--name", "superdense", "--noise", "depolarizing:0.2", "--trials", "200"], "99648351e1b23666"),
     ],
 )
 def test_protocol_rows_are_pinned(capsys, argv, digest):
