@@ -83,17 +83,17 @@ class StabilizerState:
 
     def _anticommutes(self, x_bits, z_bits, at: int = 0) -> np.ndarray:
         """Bit per tableau row, shape (..., 2n): 1 where the row anticommutes
-        with the Pauli (x_bits, z_bits) of shape (..., w) at ``at``."""
-        x_bits = np.asarray(x_bits, dtype=np.int64)
-        z_bits = np.asarray(z_bits, dtype=np.int64)
+        with the Pauli (x_bits, z_bits) of shape (..., w) at ``at``. The
+        products are uint8, which wraps mod 256 and so keeps every parity."""
+        x_bits = np.asarray(x_bits, dtype=np.uint8)
+        z_bits = np.asarray(z_bits, dtype=np.uint8)
         w = x_bits.shape[-1]
         if z_bits.shape != x_bits.shape:
             raise ValueError(f"x and z bits differ in shape: {x_bits.shape} vs {z_bits.shape}")
         if not 0 <= at <= self.num_qubits - w:
             raise ValueError(f"Pauli on qubits [{at}, {at + w}) does not fit n={self.num_qubits}")
         block = slice(at, at + w)
-        comm = (z_bits @ self.x[:, block].T + x_bits @ self.z[:, block].T) % 2
-        return comm.astype(np.uint8)
+        return (z_bits @ self.x[:, block].T + x_bits @ self.z[:, block].T) & 1
 
     def apply_pauli(self, x_bits, z_bits, at: int = 0):
         """Conjugate by the Pauli with bits (x_bits, z_bits) at ``at``: shape
@@ -117,10 +117,15 @@ class StabilizerState:
     # --- row arithmetic ---------------------------------------------------
 
     def _rowsum_many(self, rows: np.ndarray, i: int):
-        """Multiply row i into every row in ``rows`` at once, on every trial."""
+        """Multiply row i into every row in ``rows`` at once, on every trial.
+
+        A product's sign bit is ((2 r_row + 2 r_i + g) mod 4) // 2, which
+        equals r_row ^ r_i ^ ((g >> 1) & 1) for every integer g (>> floors).
+        g depends on the x/z bits alone, so one bit per row serves every
+        trial.
+        """
         g = _phase_exponents(self.x[i], self.z[i], self.x[rows], self.z[rows])
-        total = 2 * (self.r[:, rows].astype(np.int64) + self.r[:, i, None]) + g
-        self.r[:, rows] = ((total % 4) // 2).astype(np.uint8)
+        self.r[:, rows] ^= self.r[:, i, None] ^ ((g >> 1) & 1).astype(np.uint8)
         self.x[rows] ^= self.x[i]
         self.z[rows] ^= self.z[i]
 
@@ -131,8 +136,10 @@ class StabilizerState:
         it. The stabilizer rows commute, so every partial product is
         Hermitian and its phase exponent is even: reducing it to a sign
         bit after each step loses nothing, and the sign bit of the whole
-        product is half the summed exponents mod 4. The exponents come
-        from the x/z bits alone, so one sum serves every trial.
+        product is half the summed exponents mod 4: the XOR of the rows'
+        sign bits and bit 1 of the exponents' sum, as in _rowsum_many. The
+        exponents come from the x/z bits alone, so one sum serves every
+        trial.
         """
         x = self.x[rows]
         z = self.z[rows]
@@ -140,8 +147,7 @@ class StabilizerState:
         before_x = np.bitwise_xor.accumulate(x, axis=0) ^ x
         before_z = np.bitwise_xor.accumulate(z, axis=0) ^ z
         g = int(_phase_exponents(x, z, before_x, before_z).sum())
-        total = 2 * self.r[:, rows].sum(axis=1, dtype=np.int64) + g
-        sign = ((total % 4) // 2).astype(np.uint8)
+        sign = np.bitwise_xor.reduce(self.r[:, rows], axis=1) ^ ((g >> 1) & 1)
         return np.bitwise_xor.reduce(x, axis=0), np.bitwise_xor.reduce(z, axis=0), sign
 
     # --- measurement ------------------------------------------------------
