@@ -1,8 +1,14 @@
 """Syndrome decoders: minimum-weight lookup tables, exact MWPM for surface
 codes, and sum-product belief propagation for sparse-graph CSS codes.
 
-X and Z sides are decoded independently (standard CSS simplification);
-tie-breaking is lexicographic everywhere so runs are reproducible.
+X and Z sides are decoded independently (standard CSS simplification).
+Every tie is broken by a fixed rule, so runs are reproducible. Lookup
+keeps the first error in lexicographic (x_bits, z_bits) order within a
+weight. MWPM's subset DP gives a side syndrome's lowest defect the
+boundary before a partner and partners in ascending order; above
+DP_MAX_DEFECTS defects, ties are whatever networkx's blossom returns on
+a graph built in a fixed order. BP has no ties: it thresholds
+posteriors.
 
 Every decoder decodes a batch: ``decode_batch(s_x, s_z)`` takes (T, r_x)
 and (T, r_z) uint8 syndrome arrays and returns
@@ -20,7 +26,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-import networkx as nx
 import numpy as np
 
 from qnetcode import gf2
@@ -169,71 +174,146 @@ class LookupDecoder:
 
 _BOUNDARY = "boundary"
 
+# Side syndromes with at most this many defects are matched by the subset DP,
+# larger ones by networkx's blossom. The DP's cost depends on the defect count
+# alone and doubles or more per defect. The crossover, mean per syndrome over
+# 30 random defect sets on surface:11 (2-core Intel Xeon): DP 0.4 ms against
+# blossom 2.7 ms at 10 defects, 4.3–4.9 against 5.5–7.0 ms at 15,
+# 5.2–7.7 against 5.0–6.1 ms at 16, and 10–15 against 7.5–8.1 ms at 17.
+DP_MAX_DEFECTS = 15
+
+
+def _dp_matching(paths: dict, defects: list) -> list:
+    """(defect, defect or _BOUNDARY) pairs of a minimum total path length
+    matching of the defects, each of which may go to the boundary instead.
+
+    A DP over the subsets S of the defects, memoized from the whole set
+    down, so it visits only the subsets it reaches: with i the lowest
+    defect of S, f(S) = min(b_i + f(S - i), min_j D_ij + f(S - i - j)),
+    where b and D are path lengths. Ties go to the boundary before a
+    partner and to partners in ascending order; the first minimum wins."""
+    to_boundary = [len(paths[d][_BOUNDARY]) for d in defects]
+    dist = [[len(paths[a][b]) for b in defects] for a in defects]
+    solved = {0: (0, -1)}  # S -> (f(S), partner of S's lowest defect, -1 for the boundary)
+
+    def f(s: int) -> int:
+        done = solved.get(s)
+        if done is not None:
+            return done[0]
+        low = s & -s
+        i = low.bit_length() - 1
+        rest = s ^ low
+        best, pick = to_boundary[i] + f(rest), -1
+        r = rest
+        while r:
+            bit = r & -r
+            j = bit.bit_length() - 1
+            c = dist[i][j] + f(rest ^ bit)
+            if c < best:
+                best, pick = c, j
+            r ^= bit
+        solved[s] = (best, pick)
+        return best
+
+    s = (1 << len(defects)) - 1
+    f(s)
+    pairs = []
+    while s:
+        low = s & -s
+        i, j = low.bit_length() - 1, solved[s][1]
+        pairs.append((defects[i], _BOUNDARY if j < 0 else defects[j]))
+        s ^= low if j < 0 else low | (1 << j)
+    return pairs
+
+
+def _blossom_matching(paths: dict, defects: list, n: int) -> list:
+    """Pairs as _dp_matching gives them, of a minimum total path length
+    matching found by networkx's blossom: a maximum-weight perfect
+    matching of the defects and one boundary copy each, the copies pairing
+    among themselves at no cost. Its ties are networkx's."""
+    import networkx as nx  # imported here: only large defect sets need it
+
+    match_graph = nx.Graph()
+    big = 4 * n
+    for i, d1 in enumerate(defects):
+        match_graph.add_edge(("d", d1), ("b", d1), weight=big - len(paths[d1][_BOUNDARY]))
+        for d2 in defects[i + 1 :]:
+            match_graph.add_edge(("d", d1), ("d", d2), weight=big - len(paths[d1][d2]))
+            match_graph.add_edge(("b", d1), ("b", d2), weight=big)
+    pairs = []
+    for u, v in nx.max_weight_matching(match_graph, maxcardinality=True):
+        kinds = {u[0], v[0]}
+        if kinds == {"d"}:
+            pairs.append((u[1], v[1]))
+        elif kinds == {"d", "b"}:
+            pairs.append((u[1] if u[0] == "d" else v[1], _BOUNDARY))
+    return pairs
+
 
 class MatchingDecoder:
     """Exact MWPM decoder for codes whose qubits touch at most two checks
-    per side (rotated surface codes). Edge weights are uniform: under one
-    i.i.d. error rate every edge has the same log-likelihood weight, so
-    the rate cannot change a matching and the decoder takes none.
+    per side (rotated surface codes) and whose checks all have a path to
+    the boundary. Edge weights are uniform: under one i.i.d. error rate
+    every edge has the same log-likelihood weight, so the rate cannot
+    change a matching and the decoder takes none.
 
     The shortest paths from every check are found once, here; a batch
-    runs one matching per distinct side syndrome."""
+    runs one matching per distinct side syndrome: the subset DP for at
+    most DP_MAX_DEFECTS defects, blossom above. Both find a minimum total
+    path length; they may pick different matchings of equal length."""
 
     def __init__(self, code: CssCode):
         self.code = code
         self._paths_x_side = self._shortest_paths(code.h_z)  # corrects X errors
         self._paths_z_side = self._shortest_paths(code.h_x)  # corrects Z errors
+        for name, paths in (("h_z", self._paths_x_side), ("h_x", self._paths_z_side)):
+            cut = [c for c, found in paths.items() if _BOUNDARY not in found]
+            if cut:
+                raise ValueError(f"check {cut[0]} of {name} has no path to the boundary")
 
     @staticmethod
     def _shortest_paths(h: np.ndarray) -> dict:
         """paths[c][target]: the qubits along a shortest path of the
-        matching graph from check c to another check or the boundary."""
-        g = nx.Graph()
-        g.add_node(_BOUNDARY)
-        g.add_nodes_from(range(h.shape[0]))
-        for q in range(h.shape[1]):
-            checks = np.nonzero(h[:, q])[0]
-            if len(checks) == 1:
-                g.add_edge(int(checks[0]), _BOUNDARY, qubit=q)
-            elif len(checks) == 2:
-                g.add_edge(int(checks[0]), int(checks[1]), qubit=q)
-            elif len(checks) > 2:
+        matching graph from check c to each check, or the boundary, that
+        it reaches. Each qubit is an edge between its two checks, or its
+        one check and the boundary; of parallel edges the last qubit
+        counts. Breadth first, level by level, each node's edges in the
+        order they were added; the first discovery of a node wins."""
+        adj = {c: {} for c in range(h.shape[0])}
+        adj[_BOUNDARY] = {}
+        for q, column in enumerate(h.T):
+            checks = np.flatnonzero(column).tolist()
+            if len(checks) > 2:
                 raise ValueError("matching requires <= 2 checks per qubit per side")
+            if checks:
+                a, b = (checks + [_BOUNDARY])[:2]
+                adj[a][b] = adj[b][a] = q
         paths = {}
         for c in range(h.shape[0]):
-            paths[c] = {
-                target: np.array([g.edges[a, b]["qubit"] for a, b in zip(path, path[1:])], dtype=np.intp)
-                for target, path in nx.single_source_shortest_path(g, c).items()
-            }
+            found = {c: []}
+            level = [c]
+            while level:
+                next_level = []
+                for v in level:
+                    for w, q in adj[v].items():
+                        if w not in found:
+                            found[w] = found[v] + [q]
+                            next_level.append(w)
+                level = next_level
+            paths[c] = {target: np.array(qubits, dtype=np.intp) for target, qubits in found.items()}
         return paths
 
     def _match(self, paths: dict, syn: np.ndarray):
-        """(correction, True, 0) for one side syndrome: a maximum-cardinality
-        matching of the defects, each of which may instead take its own
-        boundary copy, at minimum total path length."""
-        n = self.code.n
-        correction = np.zeros(n, dtype=np.uint8)
-        defects = [int(i) for i in np.nonzero(syn)[0]]
-        if not defects:
-            return correction, True, 0
-        match_graph = nx.Graph()
-        big = 4 * n
-        for i, d1 in enumerate(defects):
-            match_graph.add_edge(("d", d1), ("b", d1), weight=big - len(paths[d1][_BOUNDARY]))
-            for d2 in defects[i + 1 :]:
-                match_graph.add_edge(("d", d1), ("d", d2), weight=big - len(paths[d1][d2]))
-                match_graph.add_edge(("b", d1), ("b", d2), weight=big)
-        matching = nx.max_weight_matching(match_graph, maxcardinality=True)
-        for u, v in matching:
-            kinds = {u[0], v[0]}
-            if kinds == {"b"}:
-                continue
-            if kinds == {"d"}:
-                qubits = paths[u[1]][v[1]]
-            else:
-                d = u[1] if u[0] == "d" else v[1]
-                qubits = paths[d][_BOUNDARY]
-            correction[qubits] ^= 1  # a shortest path crosses each qubit at most once
+        """(correction, True, 0) for one side syndrome: the paths of a
+        minimum total length matching of its defects."""
+        correction = np.zeros(self.code.n, dtype=np.uint8)
+        defects = np.flatnonzero(syn).tolist()
+        if len(defects) <= DP_MAX_DEFECTS:
+            pairs = _dp_matching(paths, defects)
+        else:
+            pairs = _blossom_matching(paths, defects, self.code.n)
+        for a, b in pairs:
+            correction[paths[a][b]] ^= 1  # a shortest path crosses each qubit at most once
         return correction, True, 0
 
     def decode_batch(self, s_x, s_z) -> Batch:

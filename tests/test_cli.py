@@ -294,6 +294,10 @@ KNILL = ["knill", "--code", "rep3", "--trials", "5"]
         (KNILL + ["--meas-flip", "none:0.3"], "none takes no arguments"),
         (KNILL + ["--noise", "none:0.5"], "none takes no arguments"),
         (["protocol", "--name", "swap", "--noise", "none:0.9"], "none takes no arguments"),
+        (["decode", "--code", "hgp:0:2:2:2", "--decoder", "mwpm"],
+         "decoder mwpm cannot decode hgp:0:2:2:2: check 0 of h_z has no path to the boundary"),
+        (["knill", "--code", "hgp:0:4:5:2", "--decoder", "mwpm", "--pc", "0.05"],
+         "decoder mwpm cannot decode hgp:0:4:5:2: check 1 of h_z has no path to the boundary"),
     ],
 )
 def test_bad_input_is_usage_error(capsys, argv, message):

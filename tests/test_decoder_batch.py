@@ -1,15 +1,21 @@
 """decode_batch against references written out here: the serial BP loop,
-per-shot BFS plus networkx matching, and the dict-built lookup table. Each
-must agree trial for trial, on batches with repeated syndromes, the
-all-zero syndrome and (for lookup) undecodable rows."""
+per-shot BFS plus networkx matching, a brute-force matching, and the
+dict-built lookup table. Each must agree trial for trial, on batches with
+repeated syndromes, the all-zero syndrome and (for lookup) undecodable
+rows; MWPM at or below DP_MAX_DEFECTS defects agrees with networkx in
+total path length and logical class, as ties may fall differently."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from qnetcode import codes, decoders
+from qnetcode import codes, decoders, gf2
 from qnetcode.decoders import BpDecoder, LookupDecoder, MatchingDecoder
 from qnetcode.noise import NoiseModel, sample_error
 from qnetcode.pauli import PauliOperator
@@ -182,27 +188,38 @@ def test_serial_levels_structure():
             assert np.all(np.diff(level_of[np.flatnonzero(h[:, v])]) > 0), v
 
 
-# --- MWPM: per-shot BFS and matching -----------------------------------------
+# --- MWPM: per-shot BFS and matching, brute force, import path ---------------
 
 
-def bfs_matching_side(h, syn):
-    """Matching graph of h, shortest paths from each defect found per
-    shot, minimum-weight perfect matching with one boundary node per
-    defect."""
-    n = h.shape[1]
+def matching_graph(h):
+    """networkx matching graph of h: a node per check and one boundary
+    node, an edge per qubit carrying its index."""
     g = nx.Graph()
     g.add_node("boundary")
     g.add_nodes_from(range(h.shape[0]))
-    for q in range(n):
+    for q in range(h.shape[1]):
         checks = np.nonzero(h[:, q])[0]
         if len(checks) == 1:
             g.add_edge(int(checks[0]), "boundary", qubit=q)
         elif len(checks) == 2:
             g.add_edge(int(checks[0]), int(checks[1]), qubit=q)
+    return g
+
+
+def path_qubits(g, path):
+    return [g.edges[a, b]["qubit"] for a, b in zip(path, path[1:])]
+
+
+def bfs_matching_side(h, syn):
+    """(correction, total path length): shortest paths from each defect
+    found per shot, minimum-weight perfect matching with one boundary node
+    per defect."""
+    n = h.shape[1]
+    g = matching_graph(h)
     correction = np.zeros(n, dtype=np.uint8)
     defects = [int(i) for i in np.nonzero(syn)[0]]
     if not defects:
-        return correction
+        return correction, 0
     paths = {d: nx.single_source_shortest_path(g, d) for d in defects}
     match_graph = nx.Graph()
     big = 4 * n
@@ -211,6 +228,7 @@ def bfs_matching_side(h, syn):
         for d2 in defects[i + 1 :]:
             match_graph.add_edge(("d", d1), ("d", d2), weight=big - (len(paths[d1][d2]) - 1))
             match_graph.add_edge(("b", d1), ("b", d2), weight=big)
+    length = 0
     for u, v in nx.max_weight_matching(match_graph, maxcardinality=True):
         if u[0] == v[0] == "b":
             continue
@@ -218,20 +236,159 @@ def bfs_matching_side(h, syn):
             path = paths[u[1]][v[1]]
         else:
             path = paths[u[1] if u[0] == "d" else v[1]]["boundary"]
-        for a, b in zip(path, path[1:]):
-            correction[g.edges[a, b]["qubit"]] ^= 1
-    return correction
+        correction[path_qubits(g, path)] ^= 1
+        length += len(path) - 1
+    return correction, length
+
+
+def assert_matches_per_shot_matching(code, s_x, s_z):
+    """Per side syndrome: above DP_MAX_DEFECTS the correction is the
+    reference's bit for bit (both run blossom on the same graph). At or
+    below it the correction is the XOR of the DP's pairs' paths, it
+    reproduces the syndrome, and its total path length and logical class
+    are the reference's."""
+    dec = MatchingDecoder(code)
+    corr_x, corr_z, ok, converged, iterations = dec.decode_batch(s_x, s_z)
+    assert ok.all() and converged.all() and not iterations.any()
+    sides = [
+        (code.h_z, code.logical_z, dec._paths_x_side, s_z, corr_x),
+        (code.h_x, code.logical_x, dec._paths_z_side, s_x, corr_z),
+    ]
+    for h, logical, paths, syns, corrs in sides:
+        for t, (syn, corr) in enumerate(zip(syns, corrs)):
+            ref, ref_length = bfs_matching_side(h, syn)
+            defects = np.flatnonzero(syn).tolist()
+            if len(defects) > decoders.DP_MAX_DEFECTS:
+                assert np.array_equal(corr, ref), t
+                continue
+            pairs = decoders._dp_matching(paths, defects)
+            from_pairs = np.zeros(code.n, dtype=np.uint8)
+            for a, b in pairs:
+                from_pairs[paths[a][b]] ^= 1
+            assert np.array_equal(corr, from_pairs), t
+            assert np.array_equal(gf2.matvec(h, corr), syn), t
+            assert sum(len(paths[a][b]) for a, b in pairs) == ref_length, t
+            assert np.array_equal(gf2.matvec(logical, corr), gf2.matvec(logical, ref)), t
 
 
 @pytest.mark.parametrize("d,p", [(3, 0.08), (5, 0.08), (5, 0.02)])
 def test_mwpm_batch_matches_per_shot_matching(d, p):
     code = codes.rotated_surface(d)
-    s_x, s_z = syndrome_batch(code, p, 150, 71)
+    assert_matches_per_shot_matching(code, *syndrome_batch(code, p, 150, 71))
+
+
+def test_mwpm_above_the_cap_is_the_blossom_reference():
+    """surface:9 at p = 0.3, keeping the shots whose two side syndromes
+    both have more than DP_MAX_DEFECTS defects: blossom decodes every side."""
+    code = codes.rotated_surface(9)
+    s_x, s_z = syndrome_batch(code, 0.3, 50, 73)
+    cap = decoders.DP_MAX_DEFECTS
+    keep = (s_x.sum(axis=1) > cap) & (s_z.sum(axis=1) > cap)
+    assert keep.sum() >= 20
+    assert_matches_per_shot_matching(code, s_x[keep], s_z[keep])
+
+
+def test_mwpm_at_the_cap_and_one_above():
+    """Side syndromes of exactly DP_MAX_DEFECTS and DP_MAX_DEFECTS + 1
+    defects on surface:9, the DP on one side of each shot and blossom on
+    the other."""
+    code = codes.rotated_surface(9)
+    cap = decoders.DP_MAX_DEFECTS
+    rng = stream(74)
+
+    def rows(r, counts):
+        out = np.zeros((len(counts), r), dtype=np.uint8)
+        for row, m in zip(out, counts):
+            row[rng.choice(r, m, replace=False)] = 1
+        return out
+
+    counts = [cap, cap + 1] * 8
+    s_x, s_z = rows(code.r_x, counts), rows(code.r_z, counts[::-1])
+    assert_matches_per_shot_matching(code, s_x, s_z)
+
+
+def all_matchings(defects):
+    """Every matching of the defects in which each defect goes to a partner
+    or to its own boundary copy (the copies left over pair among
+    themselves at no cost), as (defect, partner or "boundary") pairs. The
+    lowest unmatched defect takes the boundary first, then each partner in
+    ascending order."""
+    if not defects:
+        yield []
+        return
+    first, rest = defects[0], defects[1:]
+    for tail in all_matchings(rest):
+        yield [(first, "boundary")] + tail
+    for k, partner in enumerate(rest):
+        for tail in all_matchings(rest[:k] + rest[k + 1 :]):
+            yield [(first, partner)] + tail
+
+
+def brute_force_side(g, n, syn):
+    """Correction of the first minimum total path length matching, in the
+    order of all_matchings, over networkx's shortest paths."""
+    defects = np.flatnonzero(syn).tolist()
+    paths = {d: nx.single_source_shortest_path(g, d) for d in defects}
+    best = min(all_matchings(defects), key=lambda pairs: sum(len(paths[a][b]) - 1 for a, b in pairs))
+    correction = np.zeros(n, dtype=np.uint8)
+    for a, b in best:
+        correction[path_qubits(g, paths[a][b])] ^= 1
+    return correction
+
+
+def every_side_syndrome(r):
+    return np.array(list(itertools.product((0, 1), repeat=r)), dtype=np.uint8)
+
+
+@pytest.mark.parametrize("d,p,shots", [(3, None, None), (5, 0.1, 150), (7, 0.07, 100)])
+def test_mwpm_dp_matches_brute_force(d, p, shots):
+    """Bit for bit: every side syndrome of surface:3; sampled side
+    syndromes of surface:5 and surface:7 with at most 8 defects."""
+    code = codes.rotated_surface(d)
+    if p is None:
+        s_x, s_z = every_side_syndrome(code.r_x), every_side_syndrome(code.r_z)
+    else:
+        s_x, s_z = syndrome_batch(code, p, shots, 75)
+        keep = (s_x.sum(axis=1) <= 8) & (s_z.sum(axis=1) <= 8)
+        s_x, s_z = s_x[keep], s_z[keep]
+        assert max(s_x.sum(axis=1).max(), s_z.sum(axis=1).max()) == 8
+    g_x, g_z = matching_graph(code.h_z), matching_graph(code.h_x)
     reference = [
-        (bfs_matching_side(code.h_z, sz), bfs_matching_side(code.h_x, sx), True, True, 0)
+        (brute_force_side(g_x, code.n, sz), brute_force_side(g_z, code.n, sx), True, True, 0)
         for sx, sz in zip(s_x, s_z)
     ]
     assert_batch_equals(MatchingDecoder(code).decode_batch(s_x, s_z), reference)
+
+
+BFS_CODES = ["rep3", "shor9", *(f"surface:{d}" for d in range(3, 14, 2)),
+             "hgp:1:2:4:2", "hgp:0:3:6:2", "hgp:0:4:5:2"]
+
+
+@pytest.mark.parametrize("code_id", BFS_CODES)
+def test_shortest_paths_match_networkx(code_id):
+    """Same targets in the same order, and the same qubits along each path,
+    as networkx's single_source_shortest_path, on both sides."""
+    code = codes.from_id(code_id)
+    for h in (code.h_x, code.h_z):
+        g = matching_graph(h)
+        paths = MatchingDecoder._shortest_paths(h)
+        assert list(paths) == list(range(h.shape[0]))
+        for c in range(h.shape[0]):
+            reference = nx.single_source_shortest_path(g, c)
+            assert list(paths[c]) == list(reference), (c,)
+            for target, path in reference.items():
+                assert paths[c][target].tolist() == path_qubits(g, path), (c, target)
+
+
+def test_cli_import_leaves_networkx_out():
+    """networkx is imported by the blossom path alone, not by the CLI."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, qnetcode.cli; print(sorted(sys.modules).count('networkx'))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "0"
 
 
 # --- lookup: the dict-built table --------------------------------------------
