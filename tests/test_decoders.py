@@ -257,8 +257,8 @@ PINNED_BP = {
     "stream900": "31e3d82a8b0d2ca9b5f09195d72a1b0ff8fb4f11bacb61496b697a54bceac7df",
 }
 PINNED_MWPM = {
-    3: "453af202e3c57b8b03a6e78aa2c8bb5f17bf40ae7bb91e1faf56b3f91cc947ed",
-    5: "bdab89a6894f29d4ccf9c0a468e81069ef4d6b84b32c32716a382e10af0ae431",
+    3: "05852afaf33fa109fc222418d8eae29707f7201cfbbd5eeeb4007a3830b0d1e5",
+    5: "7a78cdfdd484df9484b9ed139b514dc7482c2f2294400e88f2de7dbb63ae0775",
 }
 PINNED_LOOKUP = {
     "shor9": "6599966703801998ef0073186986f8a7542f8b7effdcef81b465708eb8bfa962",
