@@ -435,6 +435,28 @@ def test_knill_surface5_seeded_row_is_pinned(capsys):
     assert (row["p_eff"], row["trials"], row["logical_failures"]) == (0.015, 400, 1)
 
 
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (["chain", "--mode", "encoded_teleport", "--links", "4", "--code", "shor9", "--fidelity", "0.95",
+          "--rounds", "2", "--seed", "1"], "b6e955e046324b01"),
+        (["decode", "--code", "surface:5", "--decoder", "mwpm", "--p", "0.08", "--trials", "1500",
+          "--seed", "41"], "9339d4c018a8e15e"),
+    ],
+    ids=["chain-encoded_teleport", "decode-surface5-mwpm"],
+)
+def test_seeded_monte_carlo_rows_are_pinned(capsys, argv, digest):
+    """Data rows (timing fields dropped) of two seeded runs whose every
+    trial draws from its own stream, hashed byte for byte."""
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    for row in rows:
+        row.pop("wall_time_ms", None)
+        row.pop("seconds", None)
+    assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()[:16] == digest
+
+
 def test_check_matrix_draws_are_pinned():
     """Ids whose draw covered every column keep their exact matrix."""
     h = cli.random_regular_check_matrix(9, 12, 4, 2)  # hgp:2:9:12:4

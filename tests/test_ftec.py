@@ -326,6 +326,25 @@ def test_frame_engine_chunks_do_not_change_results(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
 
 
+def test_frame_engine_chunks_equal_one_batch_of_per_trial_streams(monkeypatch):
+    """knill_residuals in chunks of 7 gives what one batch of the trials'
+    own stream(seed, *key, t) generators gives, for a key whose first word
+    takes two 32-bit entropy words."""
+    code = codes.rotated_surface(3)
+    decoder = MatchingDecoder(code)
+    noise = KnillNoise(
+        epr_error=NoiseModel.independent_xz(0.04, 0.02), meas_flip=0.03, data_noise=NoiseModel.depolarizing(0.05)
+    )
+    key, trials = (2**33, 5), 30
+    monkeypatch.setattr(ftec, "FRAME_CHUNK", 7)
+    x_bad, z_bad, iterations = knill_residuals(code, decoder, noise, 68, key, trials)
+    faults = draw_faults(noise, code.n, [stream(68, *key, t) for t in range(trials)])
+    _, _, acts_as_x, acts_as_z, (_, _, _, _, its) = _frame_account(code, decoder, *faults)
+    assert np.array_equal(x_bad, acts_as_x.any(axis=1)) and np.array_equal(z_bad, acts_as_z.any(axis=1))
+    assert np.array_equal(iterations, its)
+    assert 0 < (x_bad | z_bad).sum() < trials
+
+
 def test_frame_engine_counts_undecodable_as_both_bad():
     code = codes.shor9()
     decoder = LookupDecoder(code, weight_cap=0)  # only the empty syndrome decodes
