@@ -26,14 +26,15 @@ from qnetcode.ftec import KnillNoise, knill_residuals
 from qnetcode.netchain import MODES, ChainConfig, compare_latency, run_chain
 from qnetcode.noise import LABEL_INDEX, LABELS, NoiseModel, effective_error_rate, werner
 from qnetcode.protocols import superdense, swap_chain, teleport
-from qnetcode.rng import stream
+from qnetcode.rng import MAX_TRIALS, streams
+from qnetcode.rng import stream  # noqa: F401  (perfbench/test_perfbench.py reads cli.stream)
 
 
 class UsageError(Exception):
     pass
 
 
-def _int_at_least(minimum: int):
+def _int_in(minimum: int, maximum: int | None = None):
     def convert(text: str) -> int:
         try:
             value = int(text)
@@ -41,13 +42,16 @@ def _int_at_least(minimum: int):
             value = minimum - 1
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be an integer <= {maximum}, got {text!r}")
         return value
 
     return convert
 
 
-_positive_int = _int_at_least(1)
-_nonnegative_int = _int_at_least(0)
+_positive_int = _int_in(1)
+_nonnegative_int = _int_in(0)
+_trial_count = _int_in(1, MAX_TRIALS)
 
 
 def _float_in(low: float, high: float, what: str):
@@ -191,7 +195,7 @@ def cmd_protocol(args) -> list[dict]:
     rows = []
     for start in range(0, args.trials, ftec.FRAME_CHUNK):
         trials = range(start, min(start + ftec.FRAME_CHUNK, args.trials))
-        rngs = [stream(args.seed, t) for t in trials]
+        rngs = streams(args.seed, (), trials)
         if args.name == "teleport":
             outcomes, frame, success = teleport([("H", 0)], noise, rngs)
         elif args.name == "superdense":
@@ -366,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, trials_default=1000, trials_help=None):
         p.add_argument("--seed", type=_nonnegative_int, default=0)
-        p.add_argument("--trials", type=_positive_int, default=trials_default, help=trials_help)
+        p.add_argument("--trials", type=_trial_count, default=trials_default, help=trials_help)
 
     p = sub.add_parser("rate", help="EPR generation rate table")
     p.add_argument("--qubits", type=_positive_int, required=True)

@@ -44,7 +44,7 @@ from qnetcode import gf2
 from qnetcode.codes import CssCode, parities
 from qnetcode.noise import NoiseModel, draw_uniforms, pauli_bits
 from qnetcode.pauli import PauliOperator
-from qnetcode.rng import stream
+from qnetcode.rng import streams
 from qnetcode.stabsim import StabilizerState
 
 ROUND_COST_T = 4
@@ -267,7 +267,7 @@ def knill_residuals(
     iterations = np.zeros(trials, dtype=np.int64)
     for start in range(0, trials, FRAME_CHUNK):
         rows = slice(start, min(start + FRAME_CHUNK, trials))
-        faults = draw_faults(noise, code.n, [stream(seed, *key, t) for t in range(rows.start, rows.stop)])
+        faults = draw_faults(noise, code.n, streams(seed, key, range(rows.start, rows.stop)))
         _, _, acts_as_x, acts_as_z, (_, _, _, _, its) = _frame_account(code, decoder, *faults)
         x_bad[rows] = acts_as_x.any(axis=1)
         z_bad[rows] = acts_as_z.any(axis=1)

@@ -25,6 +25,7 @@ from qnetcode.codes import CssCode
 from qnetcode.ftec import KnillNoise, knill_residuals
 from qnetcode.noise import BellDiagonalState, LABEL_INDEX, LABEL_XZ, NoiseModel, effective_error_rate
 from qnetcode.protocols import purify_pair_dist, purify_round, swap_readout
+from qnetcode.rng import MAX_TRIALS
 from qnetcode.stabsim import StabilizerState, prepare_bell
 
 MODES = ("physical", "encoded_teleport", "encoded_direct")
@@ -63,8 +64,8 @@ class ChainConfig:
             raise ValueError("num_links must be >= 1")
         if self.purify_rounds < 0:
             raise ValueError("purify_rounds must be >= 0")
-        if self.mc_trials < 1:
-            raise ValueError("mc_trials must be >= 1")
+        if not 1 <= self.mc_trials <= MAX_TRIALS:
+            raise ValueError(f"mc_trials must lie in [1, 2**32], got {self.mc_trials}")
         if self.hop_delay_D < 0:
             raise ValueError("hop delay must be >= 0")
         if self.mode not in MODES:

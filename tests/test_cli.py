@@ -298,6 +298,13 @@ KNILL = ["knill", "--code", "rep3", "--trials", "5"]
          "decoder mwpm cannot decode hgp:0:2:2:2: check 0 of h_z has no path to the boundary"),
         (["knill", "--code", "hgp:0:4:5:2", "--decoder", "mwpm", "--pc", "0.05"],
          "decoder mwpm cannot decode hgp:0:4:5:2: check 1 of h_z has no path to the boundary"),
+        # a trial index is one 32-bit word of its stream key
+        (KNILL[:-1] + ["4294967297"], "--trials: must be an integer <= 4294967296"),
+        (["decode", "--code", "surface:3", "--decoder", "mwpm", "--trials", "4294967297"],
+         "--trials: must be an integer <= 4294967296"),
+        (["protocol", "--name", "swap", "--trials", str(10**30)], "--trials: must be an integer <= 4294967296"),
+        (["chain", "--mode", "encoded_teleport", "--code", "rep3", "--trials", "4294967297"],
+         "--trials: must be an integer <= 4294967296"),
     ],
 )
 def test_bad_input_is_usage_error(capsys, argv, message):

@@ -400,8 +400,8 @@ def test_frame_engine_draws_only_what_models_read(monkeypatch, noise, uniforms_p
             handed_out[self.trial] += np.prod(size, dtype=int)
             return self.rng.random(size)
 
-    stream_of = ftec.stream
-    monkeypatch.setattr(ftec, "stream", lambda *key: CountingRng(stream_of(*key)))
+    streams_of = ftec.streams
+    monkeypatch.setattr(ftec, "streams", lambda *args: [CountingRng(rng) for rng in streams_of(*args)])
     x_bad, z_bad, _ = knill_residuals(code, decoder, noise, 66, (), 40)
     assert handed_out == [uniforms_per_trial] * 40
     n = code.n

@@ -67,6 +67,16 @@ def test_config_validation():
                     code=code, decoder=LookupDecoder(code), mc_trials=0)
 
 
+def test_chain_config_takes_at_most_one_stream_key_word_of_trials():
+    """Hop trials are indexed by one 32-bit word of their stream key."""
+    code = codes.rep3()
+    encoded = dict(num_links=2, link_state=werner(0.9), mode="encoded_teleport", code=code,
+                   decoder=LookupDecoder(code))
+    assert ChainConfig(**encoded, mc_trials=2**32).mc_trials == 2**32
+    with pytest.raises(ValueError, match=r"mc_trials must lie in \[1, 2\*\*32\], got 4294967297"):
+        ChainConfig(**encoded, mc_trials=2**32 + 1)
+
+
 def test_single_perfect_link_physical():
     cfg = ChainConfig(num_links=1, link_state=BellDiagonalState.perfect())
     rep = run_chain(cfg)

@@ -37,6 +37,7 @@ ALLOWED = {
     "noise.NoiseModel.phase_flip": CONSTRUCTOR,
     "pauli.PauliOperator.identity": CONSTRUCTOR,
     "pauli.PauliOperator.single": CONSTRUCTOR,
+    "rng._PhiloxKey.generate_state": "called by numpy: Philox(seed) takes its key from seed.generate_state",
 }
 
 
