@@ -22,7 +22,8 @@ classes.
   linearly through the round's Clifford circuit, so the outcome flips,
   the syndromes and the residual on the output block are GF(2) products
   of the drawn fault bits; no tableau is needed. Each chunk of trials
-  is decoded with one decode_batch call, with no per-trial Python loop.
+  takes its per-trial streams from one rng.streams call and is decoded
+  with one decode_batch call.
   This is the Monte Carlo engine of the knill and decode commands and the
   encoded chain modes (decode is a round with a perfect EPR pair and
   exact readout).

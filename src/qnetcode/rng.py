@@ -17,6 +17,8 @@ numpy's (numpy/random/bit_generator.pyx); stream() stays the exact oracle.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
@@ -62,7 +64,7 @@ def _words(n: int) -> int:
     return max(1, -(-n.bit_length() // 32))
 
 
-def streams(seed: int, key: tuple[int, ...], trials) -> list[np.random.Generator]:
+def streams(seed: int, key: tuple[int, ...], trials: Sequence[int]) -> list[np.random.Generator]:
     """[stream(seed, *key, t) for t in trials], built in one pass.
 
     Each trial index must lie in [0, MAX_TRIALS), one entropy word; any

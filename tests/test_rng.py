@@ -27,7 +27,8 @@ def test_streams_equal_per_trial_streams(seed, key):
     assert len(got) == len(TRIALS)
     for t, rng in zip(TRIALS, got):
         ref = stream(seed, *key, t)
-        assert np.array_equal(rng.bit_generator.state["state"]["key"], ref.bit_generator.state["state"]["key"]), t
+        philox_key = rng.bit_generator.state["state"]["key"]
+        assert np.array_equal(philox_key, ref.bit_generator.state["state"]["key"]), t
         for a, b in zip(_draws(rng), _draws(ref)):
             assert np.array_equal(a, b), t
 
