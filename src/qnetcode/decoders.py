@@ -17,7 +17,11 @@ and per shot whether the syndrome was decodable (False only where the
 lookup table has no entry), whether BP converged, and BP's iteration
 count (0 for the other decoders). ``decode(syn)`` is the one-row case,
 returned as a DecodeResult. MWPM and BP decode each distinct side
-syndrome of a batch once; lookup is one gather from a dense table.
+syndrome of a batch once, all of a side's together: BP sweeps them as
+rows of one array, dropping each as it converges, and MWPM's subset DP
+keeps one memo per side for the call, keyed by defect sets, so the
+syndromes share their subproblems. Lookup is one gather from a dense
+table.
 """
 
 from __future__ import annotations
@@ -72,21 +76,18 @@ def _one_row(syn: Syndrome) -> Syndrome:
     return tuple(np.asarray(s, dtype=np.uint8).reshape(1, -1) for s in syn)
 
 
-def _per_distinct_row(syn: np.ndarray, n: int, solve):
-    """Run ``solve(row) -> (correction, converged, iterations)`` once per
-    distinct row of the (T, r) array ``syn`` and gather the results back
-    to all T rows. Rows are told apart by their bytes, which costs a few
-    microseconds per row where np.unique(axis=0) costs 0.1 ms and more."""
+def _distinct_rows(syn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, inverse): the distinct rows of the (T, r) uint8 array syn in
+    order of first appearance, and the index into rows of each of its T
+    rows, so rows[inverse] is syn. Rows are told apart by their bytes,
+    which costs a few microseconds per row where np.unique(axis=0) costs
+    0.1 ms and more."""
     index: dict[bytes, int] = {}
     inverse = np.fromiter(
         (index.setdefault(row.tobytes(), len(index)) for row in syn), dtype=np.intp, count=len(syn)
     )
-    corr = np.zeros((len(index), n), dtype=np.uint8)
-    converged = np.ones(len(index), dtype=bool)
-    iterations = np.zeros(len(index), dtype=np.int64)
-    for key, i in index.items():
-        corr[i], converged[i], iterations[i] = solve(np.frombuffer(key, dtype=np.uint8))
-    return corr[inverse], converged[inverse], iterations[inverse]
+    rows = np.frombuffer(b"".join(index), dtype=np.uint8).reshape(len(index), syn.shape[1])
+    return rows, inverse
 
 
 # --- lookup decoding -------------------------------------------------------
@@ -183,18 +184,20 @@ _BOUNDARY = "boundary"
 DP_MAX_DEFECTS = 15
 
 
-def _dp_matching(paths: dict, defects: list) -> list:
+def _dp_matching(to_boundary: list, dist: list, defects: int, solved: dict) -> list:
     """(defect, defect or _BOUNDARY) pairs of a minimum total path length
     matching of the defects, each of which may go to the boundary instead.
 
-    A DP over the subsets S of the defects, memoized from the whole set
-    down, so it visits only the subsets it reaches: with i the lowest
-    defect of S, f(S) = min(b_i + f(S - i), min_j D_ij + f(S - i - j)),
-    where b and D are path lengths. Ties go to the boundary before a
-    partner and to partners in ascending order; the first minimum wins."""
-    to_boundary = [len(paths[d][_BOUNDARY]) for d in defects]
-    dist = [[len(paths[a][b]) for b in defects] for a in defects]
-    solved = {0: (0, -1)}  # S -> (f(S), partner of S's lowest defect, -1 for the boundary)
+    defects is a bitmask over the side's check indices. A DP over the
+    subsets S of the defects, memoized from the whole set down, so it
+    visits only the subsets it reaches: with i the lowest defect of S,
+    f(S) = min(b_i + f(S - i), min_j D_ij + f(S - i - j)), where
+    b = to_boundary and D = dist are path lengths. Ties go to the boundary
+    before a partner and to partners in ascending order; the first minimum
+    wins. So f(S) and its pick depend on S alone, and ``solved``
+    (S -> (f(S), partner of S's lowest defect or -1 for the boundary),
+    holding at least {0: (0, -1)}) carries over from one syndrome of a
+    side to the next."""
 
     def f(s: int) -> int:
         done = solved.get(s)
@@ -215,13 +218,13 @@ def _dp_matching(paths: dict, defects: list) -> list:
         solved[s] = (best, pick)
         return best
 
-    s = (1 << len(defects)) - 1
+    s = defects
     f(s)
     pairs = []
     while s:
         low = s & -s
         i, j = low.bit_length() - 1, solved[s][1]
-        pairs.append((defects[i], _BOUNDARY if j < 0 else defects[j]))
+        pairs.append((i, _BOUNDARY if j < 0 else j))
         s ^= low if j < 0 else low | (1 << j)
     return pairs
 
@@ -257,10 +260,11 @@ class MatchingDecoder:
     every edge has the same log-likelihood weight, so the rate cannot
     change a matching and the decoder takes none.
 
-    The shortest paths from every check are found once, here; a batch
-    runs one matching per distinct side syndrome: the subset DP for at
-    most DP_MAX_DEFECTS defects, blossom above. Both find a minimum total
-    path length; they may pick different matchings of equal length."""
+    The shortest paths from every check, and the path length tables the
+    subset DP reads, are found once, here; a batch runs one matching per
+    distinct side syndrome: the subset DP for at most DP_MAX_DEFECTS
+    defects, blossom above. Both find a minimum total path length; they
+    may pick different matchings of equal length."""
 
     def __init__(self, code: CssCode):
         self.code = code
@@ -270,6 +274,8 @@ class MatchingDecoder:
             cut = [c for c, found in paths.items() if _BOUNDARY not in found]
             if cut:
                 raise ValueError(f"check {cut[0]} of {name} has no path to the boundary")
+        self._lengths_x_side = self._path_lengths(self._paths_x_side)
+        self._lengths_z_side = self._path_lengths(self._paths_z_side)
 
     @staticmethod
     def _shortest_paths(h: np.ndarray) -> dict:
@@ -300,27 +306,47 @@ class MatchingDecoder:
                             found[w] = found[v] + [q]
                             next_level.append(w)
                 level = next_level
-            paths[c] = {target: np.array(qubits, dtype=np.intp) for target, qubits in found.items()}
+            paths[c] = found
         return paths
 
-    def _match(self, paths: dict, syn: np.ndarray):
-        """(correction, True, 0) for one side syndrome: the paths of a
-        minimum total length matching of its defects."""
-        correction = np.zeros(self.code.n, dtype=np.uint8)
-        defects = np.flatnonzero(syn).tolist()
-        if len(defects) <= DP_MAX_DEFECTS:
-            pairs = _dp_matching(paths, defects)
-        else:
-            pairs = _blossom_matching(paths, defects, self.code.n)
-        for a, b in pairs:
-            correction[paths[a][b]] ^= 1  # a shortest path crosses each qubit at most once
-        return correction, True, 0
+    @staticmethod
+    def _path_lengths(paths: dict) -> tuple[list, list]:
+        """(b, D) of one side, as the subset DP reads them: b[c] is the
+        path length from check c to the boundary, D[a][c] from check a to
+        check c."""
+        checks = range(len(paths))
+        to_boundary = [len(paths[c][_BOUNDARY]) for c in checks]
+        return to_boundary, [[len(paths[a][c]) for c in checks] for a in checks]
+
+    def _match_side(self, paths: dict, lengths: tuple, syn: np.ndarray) -> np.ndarray:
+        """(T, n) corrections of the (T, r) side syndromes syn: the paths
+        of a minimum total length matching of each distinct row's defects.
+        The rows of one call share the subset DP's memo, which is dropped
+        when the call returns."""
+        rows, inverse = _distinct_rows(syn)
+        n = self.code.n
+        solved = {0: (0, -1)}
+        owner, qubits = [], []  # the qubits of every matched path, and the row of each
+        # each row's defects as a bitmask, check c at bit c
+        masks = map(bytes, np.packbits(rows, axis=1, bitorder="little"))
+        for k, (row, mask) in enumerate(zip(rows, masks)):
+            defects = int.from_bytes(mask, "little")
+            if defects.bit_count() <= DP_MAX_DEFECTS:
+                pairs = _dp_matching(*lengths, defects, solved)
+            else:
+                pairs = _blossom_matching(paths, np.flatnonzero(row).tolist(), n)
+            for a, b in pairs:
+                qubits += paths[a][b]
+                owner += [k] * len(paths[a][b])
+        # a correction bit is the parity of the number of paths on its qubit
+        hits = np.bincount(np.array(owner, dtype=np.intp) * n + np.array(qubits, dtype=np.intp),
+                           minlength=len(rows) * n)
+        return (hits.reshape(len(rows), n) & 1).astype(np.uint8)[inverse]
 
     def decode_batch(self, s_x, s_z) -> Batch:
         s_x, s_z = _as_batch(self.code, s_x, s_z)
-        n = self.code.n
-        corr_x, _, _ = _per_distinct_row(s_z, n, lambda row: self._match(self._paths_x_side, row))
-        corr_z, _, _ = _per_distinct_row(s_x, n, lambda row: self._match(self._paths_z_side, row))
+        corr_x = self._match_side(self._paths_x_side, self._lengths_x_side, s_z)
+        corr_z = self._match_side(self._paths_z_side, self._lengths_z_side, s_x)
         ok = np.ones(len(s_x), dtype=bool)
         return corr_x, corr_z, ok, ok.copy(), np.zeros(len(s_x), dtype=np.int64)
 
@@ -368,27 +394,28 @@ def _bp_steps(h: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, Optional[np.n
 
 
 def _level_update(total, slots, pad, check_sign, c2v):
-    """One level of the serial sweep, in place: each check of the level
-    replaces its check-to-variable messages c2v (m, W) and moves its
-    variables' totals by the change. check_sign (m, 1) is -1 where the
-    check's syndrome bit is set and +1 elsewhere."""
+    """One level of the serial sweep on S rows at once, in place: each
+    check of the level replaces its check-to-variable messages c2v
+    (S, m, W) and moves its variables' totals (S, n + 1) by the change.
+    check_sign (S, m, 1) is -1 where the check's syndrome bit is set and
+    +1 elsewhere. A zero message divides by zero; the caller silences
+    that with np.errstate."""
     # np.minimum(np.maximum(...)) is np.clip without its Python wrapper,
     # whose overhead cost about 8% of a BP decode
-    t = np.tanh(np.minimum(np.maximum(total[slots] - c2v, -30.0), 30.0) / 2.0)
+    t = np.tanh(np.minimum(np.maximum(total[:, slots] - c2v, -30.0), 30.0) / 2.0)
     if pad is not None:
-        t[pad] = 1.0  # exact in the product
-    prod = t.prod(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        leave_one_out = np.where(t != 0.0, prod / t, 0.0)
-    zero = t == 0.0
-    if zero.any():
+        np.copyto(t, 1.0, where=pad)  # exact in the product
+    prod = t.prod(axis=2, keepdims=True)
+    leave_one_out = prod / t
+    if not prod.all():
         # a check's single zeroed message gets the product of the rest;
         # with two or more zeros every zeroed one gets 0
-        lone = zero & (zero.sum(axis=1, keepdims=True) == 1)
-        rest = np.where(zero, 1.0, t).prod(axis=1, keepdims=True)
-        leave_one_out = np.where(lone, rest, leave_one_out)
+        zero = t == 0.0
+        lone = zero & (zero.sum(axis=2, keepdims=True) == 1)
+        rest = np.where(zero, 1.0, t).prod(axis=2, keepdims=True)
+        leave_one_out = np.where(zero, np.where(lone, rest, 0.0), leave_one_out)
     new = 2.0 * np.arctanh(np.minimum(np.maximum(check_sign * leave_one_out, -1 + 1e-12), 1 - 1e-12))
-    total[slots] += new - c2v
+    total[:, slots] += new - c2v
     c2v[...] = new
 
 
@@ -399,7 +426,8 @@ class BpDecoder:
     the checks after it in the same sweep) with no damping. Hard decision
     after every sweep, stopping early once the tentative correction
     reproduces the syndrome. A sweep runs the checks level by level
-    (serial_levels), one vectorized step per level.
+    (serial_levels), one vectorized step per level, over all of a side's
+    distinct syndromes that have not yet converged.
     """
 
     def __init__(self, code: CssCode, channel_prior: float, max_iters: int = 100):
@@ -411,30 +439,47 @@ class BpDecoder:
         self._steps_z = _bp_steps(code.h_z)
         self._steps_x = _bp_steps(code.h_x)
 
-    def _bp_side(self, h: np.ndarray, steps: list, syn: np.ndarray):
+    def _bp(self, h: np.ndarray, steps: list, syn: np.ndarray):
+        """(decision, converged, iterations) of the (T, r) side syndromes
+        syn. Each distinct row runs once, and all of them run together: a
+        row leaves the sweeps once its hard decision reproduces it, and
+        the rows left at the cap keep their last decision."""
+        rows, inverse = _distinct_rows(syn)
         n = h.shape[1]
-        decision = np.zeros(n, dtype=np.uint8)
-        if not syn.any():
-            return decision, True, 0
+        decision = np.zeros((len(rows), n), dtype=np.uint8)
+        converged = ~rows.any(axis=1)
+        iterations = np.zeros(len(rows), dtype=np.int64)
+        active = np.flatnonzero(~converged)  # the rows still sweeping
+        rows = rows[active]
         l0 = float(np.log((1.0 - self.p) / self.p))
-        total = np.full(n + 1, l0, dtype=np.float64)  # entry n: the padding slots' dummy variable
-        sign = 1.0 - 2.0 * syn
-        levels = [(slots, pad, sign[checks, None], np.zeros(slots.shape)) for checks, slots, pad in steps]
-        for it in range(1, self.max_iters + 1):
-            for level in levels:
-                _level_update(total, *level)
-            decision = (total[:n] < 0.0).astype(np.uint8)
-            if np.array_equal(gf2.matvec(h, decision), syn):
-                return decision, True, it
-        return decision, False, self.max_iters
+        total = np.full((len(rows), n + 1), l0)  # column n: the padding slots' dummy variable
+        sign = 1.0 - 2.0 * rows
+        levels = [(slots, pad, sign[:, checks, None], np.zeros((len(rows), *slots.shape)))
+                  for checks, slots, pad in steps]
+        hard = decision[active]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for it in range(1, self.max_iters + 1):
+                if not len(active):
+                    break
+                for level in levels:
+                    _level_update(total, *level)
+                hard = (total[:, :n] < 0.0).astype(np.uint8)
+                done = (gf2.matmul(hard, h.T) == rows).all(axis=1)
+                if done.any():
+                    decision[active[done]] = hard[done]
+                    converged[active[done]] = True
+                    iterations[active[done]] = it
+                    keep = ~done
+                    active, rows, total, hard = active[keep], rows[keep], total[keep], hard[keep]
+                    levels = [(slots, pad, sign[keep], c2v[keep]) for slots, pad, sign, c2v in levels]
+        decision[active] = hard
+        iterations[active] = self.max_iters
+        return decision[inverse], converged[inverse], iterations[inverse]
 
     def decode_batch(self, s_x, s_z) -> Batch:
         s_x, s_z = _as_batch(self.code, s_x, s_z)
-        code = self.code
-        corr_x, conv_x, it_x = _per_distinct_row(
-            s_z, code.n, lambda row: self._bp_side(code.h_z, self._steps_z, row))
-        corr_z, conv_z, it_z = _per_distinct_row(
-            s_x, code.n, lambda row: self._bp_side(code.h_x, self._steps_x, row))
+        corr_x, conv_x, it_x = self._bp(self.code.h_z, self._steps_z, s_z)
+        corr_z, conv_z, it_z = self._bp(self.code.h_x, self._steps_x, s_x)
         return corr_x, corr_z, np.ones(len(s_x), dtype=bool), conv_x & conv_z, np.maximum(it_x, it_z)
 
     def decode(self, syn: Syndrome) -> DecodeResult:

@@ -226,12 +226,13 @@ def test_criterion_09_bp_decoder_sanity():
     p = 0.01
     trials = 10_000
     noise = NoiseModel.independent_xz(p, p)
-    failures = 0
-    for t in range(trials):
-        err = sample_error(noise, code.n, stream(900, t))
-        res = dec.decode(codes.syndrome(code, err))
-        if not res.converged or logical_failure(code, err, res.correction):
-            failures += 1
+    errors = [sample_error(noise, code.n, stream(900, t)) for t in range(trials)]
+    x = np.array([err.x_bits for err in errors])
+    z = np.array([err.z_bits for err in errors])
+    s_x, s_z, _, _ = codes.parities(code, x, z)
+    corr_x, corr_z, _, converged, _ = dec.decode_batch(s_x, s_z)
+    _, _, l_x, l_z = codes.parities(code, x ^ corr_x, z ^ corr_z)  # the residual's logical class
+    failures = int(np.count_nonzero(~converged | l_x.any(axis=1) | l_z.any(axis=1)))
     raw_block = 1 - (1 - p) ** (2 * code.n)  # X and Z channels per qubit
     assert failures / trials < raw_block
     print(

@@ -1,9 +1,10 @@
 """decode_batch against references written out here: the serial BP loop,
-per-shot BFS plus networkx matching, a brute-force matching, and the
-dict-built lookup table. Each must agree trial for trial, on batches with
-repeated syndromes, the all-zero syndrome and (for lookup) undecodable
-rows; MWPM at or below DP_MAX_DEFECTS defects agrees with networkx in
-total path length and logical class, as ties may fall differently."""
+per-shot BFS plus networkx matching, a brute-force matching, the
+dict-built lookup table, and MWPM one row per call. Each must agree trial
+for trial, on batches with repeated syndromes, the all-zero syndrome and
+(for lookup) undecodable rows; MWPM at or below DP_MAX_DEFECTS defects
+agrees with networkx in total path length and logical class, as ties may
+fall differently."""
 
 import itertools
 import os
@@ -120,12 +121,56 @@ def test_bp_batch_matches_serial_loop(hgp_bp_case):
     assert_batch_equals(BpDecoder(code, 0.01).decode_batch(s_x, s_z), reference)
 
 
+# (code, prior, iteration cap, p): each code has levels that need padding.
+# BP seldom converges on the two small codes, so a 20-sweep cap keeps their
+# serial references short.
+BP_BATCH_CASES = [
+    (small_hgp, 0.05, 20, 0.04),
+    (sparse_hgp, 0.01, 100, 0.01),
+    (lambda: codes.rotated_surface(5), 0.05, 20, 0.04),
+]
+
+
+@pytest.fixture(scope="module", params=BP_BATCH_CASES, ids=["small_hgp", "sparse_hgp", "surface:5"])
+def bp_batch_case(request):
+    """206 shuffled rows with repeats, and their serial-loop results."""
+    make_code, prior, cap, p = request.param
+    code = make_code()
+    assert any(pad is not None for h in (code.h_x, code.h_z) for _, _, pad in decoders._bp_steps(h))
+    dec = BpDecoder(code, prior, max_iters=cap)
+    s_x, s_z = syndrome_batch(code, p, 200, 76)
+    return dec, s_x, s_z, serial_bp_reference(dec, s_x, s_z)
+
+
+def test_bp_batch_matches_serial_loop_at_every_batch_size(bp_batch_case):
+    """The first 1, 2, 36 and all 206 rows, each decoded as one call. The
+    rows converge at different sweeps, so some leave the sweeps while
+    others go on, and some never converge."""
+    dec, s_x, s_z, reference = bp_batch_case
+    assert len({it for _, _, _, conv, it in reference if conv and it > 0}) >= 3
+    assert not all(conv for _, _, _, conv, _ in reference)
+    for size in (1, 2, 36, len(reference)):
+        assert_batch_equals(dec.decode_batch(s_x[:size], s_z[:size]), reference[:size])
+
+
 def test_bp_batch_matches_serial_loop_at_a_short_cap():
-    """A 10-iteration cap on the small code leaves most shots unconverged."""
+    """A 10-iteration cap on the small code leaves most shots unconverged;
+    a 3-iteration cap on hgp:2:9:12:4 at p = 0.08 leaves a batch in which
+    every row runs to the cap."""
     code = small_hgp()
     dec = BpDecoder(code, 0.05, max_iters=10)
     s_x, s_z = syndrome_batch(code, 0.1, 80, 70)
     assert_batch_equals(dec.decode_batch(s_x, s_z), serial_bp_reference(dec, s_x, s_z))
+
+    code = sparse_hgp()
+    dec = BpDecoder(code, 0.05, max_iters=3)
+    s_x, s_z = syndrome_batch(code, 0.08, 24, 77)
+    keep = s_x.any(axis=1) & s_z.any(axis=1)
+    s_x, s_z = s_x[keep], s_z[keep]
+    reference = serial_bp_reference(dec, s_x, s_z)
+    assert len(reference) >= 20
+    assert all(not conv and it == 3 for _, _, _, conv, it in reference)
+    assert_batch_equals(dec.decode_batch(s_x, s_z), reference)
 
 
 def test_bp_merging_two_adjacent_levels_breaks_the_oracle(hgp_bp_case, monkeypatch):
@@ -146,7 +191,11 @@ def test_bp_merging_two_adjacent_levels_breaks_the_oracle(hgp_bp_case, monkeypat
 
 def test_level_update_matches_serial_checks_with_zero_messages():
     """Messages that are exactly 0 (t == 0) take the leave-one-out
-    special cases: one zero in a check, two zeros, none; plus padding."""
+    special cases. Three rows update at once, each with its own syndrome
+    and its own zeros per check: row 0 has one zero in check 0 and two in
+    check 1; row 1 none in check 0, one in check 1 and one in check 2;
+    row 2 two in check 0 and none elsewhere. Checks 2 and 3 are padded,
+    check 3 entirely."""
     h = np.array([
         [1, 1, 1, 0, 0, 0, 0, 0],
         [0, 0, 0, 1, 1, 1, 1, 0],
@@ -156,20 +205,26 @@ def test_level_update_matches_serial_checks_with_zero_messages():
     (level,) = decoders.serial_levels(h)
     (checks, slots, pad), = decoders._bp_steps(h)
     assert np.array_equal(level, checks) and pad is not None
-    total = np.array([0.0, 0.7, -1.3, 0.0, 0.0, 2.0, -0.4, 0.9, 5.0])  # last: dummy
-    syn = np.array([1, 0, 1, 0], dtype=np.uint8)
-    c2v = np.zeros(slots.shape)
+    total = np.array([  # last column: the dummy variable
+        [0.0, 0.7, -1.3, 0.0, 0.0, 2.0, -0.4, 0.9, 5.0],
+        [0.3, 0.7, -1.3, 0.5, 0.0, 2.0, -0.4, 0.0, 5.0],
+        [0.0, 0.0, -1.3, 0.5, 1.1, 2.0, -0.4, 0.9, 5.0],
+    ])
+    syn = np.array([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 0]], dtype=np.uint8)
+    c2v = np.zeros((len(total), *slots.shape))
     batch_total = total.copy()
-    decoders._level_update(batch_total, slots, pad, (1.0 - 2.0 * syn)[checks, None], c2v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        decoders._level_update(batch_total, slots, pad, (1.0 - 2.0 * syn)[:, checks, None], c2v)
 
-    ref_total = total[:8].copy()
     adj = [np.flatnonzero(row) for row in h]
-    ref_c2v = [np.zeros(len(vs)) for vs in adj]
-    for c, vs in enumerate(adj):
-        serial_check_update(ref_total, ref_c2v, c, vs, syn[c])
-    assert np.array_equal(batch_total[:8], ref_total)
-    for i, vs in enumerate(adj):
-        assert np.array_equal(c2v[i, : len(vs)], ref_c2v[i])
+    for row in range(len(total)):
+        ref_total = total[row, :8].copy()
+        ref_c2v = [np.zeros(len(vs)) for vs in adj]
+        for c, vs in enumerate(adj):
+            serial_check_update(ref_total, ref_c2v, c, vs, syn[row, c])
+        assert np.array_equal(batch_total[row, :8], ref_total), row
+        for i, vs in enumerate(adj):
+            assert np.array_equal(c2v[row, i, : len(vs)], ref_c2v[i]), (row, i)
 
 
 def test_serial_levels_structure():
@@ -251,17 +306,17 @@ def assert_matches_per_shot_matching(code, s_x, s_z):
     corr_x, corr_z, ok, converged, iterations = dec.decode_batch(s_x, s_z)
     assert ok.all() and converged.all() and not iterations.any()
     sides = [
-        (code.h_z, code.logical_z, dec._paths_x_side, s_z, corr_x),
-        (code.h_x, code.logical_x, dec._paths_z_side, s_x, corr_z),
+        (code.h_z, code.logical_z, dec._paths_x_side, dec._lengths_x_side, s_z, corr_x),
+        (code.h_x, code.logical_x, dec._paths_z_side, dec._lengths_z_side, s_x, corr_z),
     ]
-    for h, logical, paths, syns, corrs in sides:
+    for h, logical, paths, lengths, syns, corrs in sides:
         for t, (syn, corr) in enumerate(zip(syns, corrs)):
             ref, ref_length = bfs_matching_side(h, syn)
             defects = np.flatnonzero(syn).tolist()
             if len(defects) > decoders.DP_MAX_DEFECTS:
                 assert np.array_equal(corr, ref), t
                 continue
-            pairs = decoders._dp_matching(paths, defects)
+            pairs = decoders._dp_matching(*lengths, sum(1 << d for d in defects), {0: (0, -1)})
             from_pairs = np.zeros(code.n, dtype=np.uint8)
             for a, b in pairs:
                 from_pairs[paths[a][b]] ^= 1
@@ -275,6 +330,29 @@ def assert_matches_per_shot_matching(code, s_x, s_z):
 def test_mwpm_batch_matches_per_shot_matching(d, p):
     code = codes.rotated_surface(d)
     assert_matches_per_shot_matching(code, *syndrome_batch(code, p, 150, 71))
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_mwpm_batch_equals_one_row_per_call(d):
+    """Rows at p = 0.04 and at p = 0.3, shuffled, with repeats and the
+    all-zero row, decoded as one call: every correction equals the one
+    the row gets alone, though the batch's rows share the subset DP's
+    memo. surface:7's side syndromes reach DP_MAX_DEFECTS and pass it;
+    surface:3 and 5 have 4 and 12 checks per side."""
+    code = codes.rotated_surface(d)
+    low, high = syndrome_batch(code, 0.04, 100, 78), syndrome_batch(code, 0.3, 100, 79)
+    order = stream(80).permutation(len(low[0]) + len(high[0]))
+    s_x, s_z = (np.concatenate([a, b])[order] for a, b in zip(low, high))
+    defects = np.concatenate([s_x.sum(axis=1), s_z.sum(axis=1)])
+    if d == 7:
+        assert defects.min() == 0 and (defects == decoders.DP_MAX_DEFECTS).any()
+        assert (defects > decoders.DP_MAX_DEFECTS).any()
+    dec = MatchingDecoder(code)
+    reference = []
+    for t in range(len(s_x)):
+        corr_x, corr_z, _, _, _ = dec.decode_batch(s_x[t : t + 1], s_z[t : t + 1])
+        reference.append((corr_x[0], corr_z[0], True, True, 0))
+    assert_batch_equals(dec.decode_batch(s_x, s_z), reference)
 
 
 def test_mwpm_above_the_cap_is_the_blossom_reference():
@@ -377,7 +455,7 @@ def test_shortest_paths_match_networkx(code_id):
             reference = nx.single_source_shortest_path(g, c)
             assert list(paths[c]) == list(reference), (c,)
             for target, path in reference.items():
-                assert paths[c][target].tolist() == path_qubits(g, path), (c, target)
+                assert paths[c][target] == path_qubits(g, path), (c, target)
 
 
 def test_cli_import_leaves_networkx_out():
@@ -446,6 +524,20 @@ def test_lookup_batch_matches_dict_table(make_code, cap):
     if cap < 4:
         assert not all(ok for _, _, ok, _, _ in reference)  # the batch has undecodable rows
     assert_batch_equals(dec.decode_batch(s_x, s_z), reference)
+
+
+@pytest.mark.parametrize("make_decoder", [
+    lambda: LookupDecoder(codes.shor9()),
+    lambda: MatchingDecoder(codes.rotated_surface(3)),
+    lambda: BpDecoder(small_hgp(), 0.05),
+], ids=["lookup", "mwpm", "bp"])
+def test_decode_batch_of_no_rows(make_decoder):
+    dec = make_decoder()
+    code = dec.code
+    corr_x, corr_z, ok, converged, iterations = dec.decode_batch(
+        np.zeros((0, code.r_x), dtype=np.uint8), np.zeros((0, code.r_z), dtype=np.uint8))
+    assert corr_x.shape == corr_z.shape == (0, code.n)
+    assert ok.shape == converged.shape == iterations.shape == (0,)
 
 
 def test_decode_batch_rejects_wrong_shapes():
