@@ -24,7 +24,7 @@ from qnetcode.codes import random_regular_check_matrix  # noqa: F401  (re-export
 from qnetcode.decoders import DECODERS, BpDecoder
 from qnetcode.ftec import KnillNoise, knill_residuals
 from qnetcode.netchain import MODES, ChainConfig, compare_latency, run_chain
-from qnetcode.noise import LABEL_INDEX, LABELS, NoiseModel, effective_error_rate, werner
+from qnetcode.noise import LABEL_OF, LABELS, NoiseModel, effective_error_rate, werner
 from qnetcode.protocols import superdense, swap_chain, teleport
 from qnetcode.rng import MAX_TRIALS, streams
 from qnetcode.rng import stream  # noqa: F401  (perfbench/test_perfbench.py reads cli.stream)
@@ -205,15 +205,16 @@ def cmd_protocol(args) -> list[dict]:
         else:  # swap
             outcomes, frame = swap_chain(links, noise, rngs)
             success = ~frame.any(axis=1)
+        labels = LABEL_OF[2 * frame[:, 0] + frame[:, 1]].tolist()
         rows += [
             {
                 "trial_id": t,
                 "protocol": args.name,
                 "outcome_bits": "".join(map(str, bits.ravel().tolist())),
                 "success": int(ok),
-                "residual_frame": LABELS[LABEL_INDEX[(int(x), int(z))]],
+                "residual_frame": LABELS[label],
             }
-            for t, bits, ok, (x, z) in zip(trials, outcomes, success, frame)
+            for t, bits, ok, label in zip(trials, outcomes, success, labels)
         ]
     return rows
 

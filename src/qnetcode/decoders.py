@@ -1,8 +1,10 @@
 """Syndrome decoders: minimum-weight lookup tables, exact MWPM for surface
 codes, and sum-product belief propagation for sparse-graph CSS codes.
 
-X and Z sides are decoded independently (standard CSS simplification).
-Every tie is broken by a fixed rule, so runs are reproducible. Lookup
+MWPM and BP decode the X and Z sides independently (the standard CSS
+simplification). Lookup decodes them jointly: it indexes one table by
+both syndromes and counts Y as weight 1, so on shor9 X0·Z2 decodes to
+Y0 while Z2 alone decodes to Z2. Every tie is broken by a fixed rule, so runs are reproducible. Lookup
 keeps the first error in lexicographic (x_bits, z_bits) order within a
 weight. MWPM's subset DP gives a side syndrome's lowest defect the
 boundary before a partner and partners in ascending order; above

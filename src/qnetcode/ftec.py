@@ -29,9 +29,11 @@ classes.
   exact readout).
 - knill_ec_round draws the same faults first, then runs the round on the
   3n-qubit stabilizer tableau and asserts that the tableau syndrome
-  equals the account's. It is the oracle of the frame engine; the tests
-  check the two against each other on every single-qubit error and
-  readout flip, and trial for trial on seeded noise.
+  equals the account's. It runs a batch of trials on one tableau (see
+  stabsim), and each of its steps takes and returns one row per trial.
+  It is the oracle of the frame engine; the tests check the two against
+  each other on every single-qubit error and readout flip, and trial for
+  trial on seeded noise.
 """
 
 from __future__ import annotations
@@ -55,13 +57,14 @@ FRAME_CHUNK = 4096
 
 @dataclass
 class KnillReport:
+    # one row per trial: (T, r) syndromes, (T, k) logical Bell outcomes, (T,) flags
     s_x_checks: np.ndarray
     s_z_checks: np.ndarray
     logical_xx: np.ndarray
     logical_zz: np.ndarray
-    decodable: bool
-    logical_failure: bool
-    # k-bit indicators: residual acts as logical X_i / Z_i on the output
+    decodable: np.ndarray
+    logical_failure: np.ndarray
+    # (T, k) indicators: residual acts as logical X_i / Z_i on the output
     residual_logical_x: np.ndarray
     residual_logical_z: np.ndarray
 
@@ -101,23 +104,25 @@ def draw_faults(noise: KnillNoise, n: int, rngs):
     return data_x, data_z, epr_x, epr_z, flips.reshape(-1, 2, n)
 
 
-def prepare_logical_zero(state: StabilizerState, code: CssCode, offset: int, rng: np.random.Generator):
+def prepare_logical_zero(state: StabilizerState, code: CssCode, offset: int, rngs):
     """Project the all-zeros block at ``offset`` into logical |0> of the code.
 
     |0...0> already satisfies the Z checks and logical Z; measuring each
     X check and applying a Z fixup solving h_x f = outcomes forces the
-    +1 eigenspace.
+    +1 eigenspace. Each distinct outcome row is solved once.
     """
+    if not code.r_x:
+        return
     n = code.n
-    outcomes = np.array([state.measure_pauli(PauliOperator(n, row), [rng], offset)[0] for row in code.h_x])
-    if code.r_x and outcomes.any():
-        fix = gf2.solve(code.h_x, outcomes)
-        if fix is None:
-            raise AssertionError("X-check outcomes inconsistent with h_x row space")
-        state.apply_pauli(np.zeros(n), fix, offset)
+    outcomes = np.stack([state.measure_pauli(PauliOperator(n, row), rngs, offset) for row in code.h_x], axis=1)
+    rows, inverse = np.unique(outcomes, axis=0, return_inverse=True)
+    fixes = [gf2.solve(code.h_x, row) for row in rows]  # all-zero outcomes: no fixup
+    if any(fix is None for fix in fixes):
+        raise AssertionError("X-check outcomes inconsistent with h_x row space")
+    state.apply_pauli(np.zeros((state.trials, n)), np.array(fixes)[inverse.ravel()], offset)
 
 
-def prepare_logical_epr(state: StabilizerState, code: CssCode, offset: int, rng: np.random.Generator):
+def prepare_logical_epr(state: StabilizerState, code: CssCode, offset: int, rngs):
     """Entangle two logical-|0> blocks, A at ``offset`` and B right after
     it, into a logical EPR pair.
 
@@ -125,47 +130,45 @@ def prepare_logical_epr(state: StabilizerState, code: CssCode, offset: int, rng:
     logical Z on block A.
     """
     n = code.n
-    prepare_logical_zero(state, code, offset, rng)
-    prepare_logical_zero(state, code, offset + n, rng)
+    prepare_logical_zero(state, code, offset, rngs)
+    prepare_logical_zero(state, code, offset + n, rngs)
     for lx, lz in zip(code.logical_x, code.logical_z):
-        if state.measure_pauli(PauliOperator(2 * n, np.concatenate([lx, lx])), [rng], offset)[0]:
-            state.apply_pauli(np.zeros(n), lz, offset)
+        flip = state.measure_pauli(PauliOperator(2 * n, np.concatenate([lx, lx])), rngs, offset)
+        state.apply_pauli(np.zeros((state.trials, n)), flip[:, None] & lz, offset)
 
 
-def _run_round(
-    code: CssCode,
-    data_error: PauliOperator,
-    epr_error: PauliOperator,
-    rng: np.random.Generator,
-):
-    """Full tableau execution of one encoded Bell measurement.
+def _run_round(code: CssCode, data_x, data_z, epr_x, epr_z, rngs):
+    """Full tableau execution of one encoded Bell measurement per generator
+    in ``rngs``, with the data error (data_x, data_z) of n qubits and the
+    EPR error (epr_x, epr_z) of 2n, each the same on every trial or one
+    row per trial.
 
     Returns (outcomes, state): the noiseless readout [u; v] of the
-    transversal Bell measurement as a (2, n) array, and the post-state,
+    transversal Bell measurement as a (T, 2, n) array, and the post-state,
     which holds the (uncorrected) output block at offset 2n.
     """
     n = code.n
-    if data_error.num_qubits != n:
+    if np.shape(data_x)[-1] != n or np.shape(data_z)[-1] != n:
         raise ValueError("data error must act on n qubits")
-    if epr_error.num_qubits != 2 * n:
+    if np.shape(epr_x)[-1] != 2 * n or np.shape(epr_z)[-1] != 2 * n:
         raise ValueError("EPR error must span the 2n EPR qubits")
-    state = StabilizerState(3 * n)
-    prepare_logical_zero(state, code, 0, rng)
-    prepare_logical_epr(state, code, n, rng)
-    state.apply_pauli(data_error.x_bits, data_error.z_bits)
-    state.apply_pauli(epr_error.x_bits, epr_error.z_bits, n)
+    state = StabilizerState(3 * n, len(rngs))
+    prepare_logical_zero(state, code, 0, rngs)
+    prepare_logical_epr(state, code, n, rngs)
+    state.apply_pauli(data_x, data_z)
+    state.apply_pauli(epr_x, epr_z, n)
     for i in range(n):
         state.cnot(i, n + i)
     for i in range(n):
         state.h(i)
     # u: qubits [0, n), v: qubits [n, 2n)
-    outcomes = np.array([state.measure_z(q, [rng])[0] for q in range(2 * n)], dtype=np.uint8)
-    return outcomes.reshape(2, n), state
+    outcomes = np.stack([state.measure_z(q, rngs) for q in range(2 * n)], axis=1)
+    return outcomes.reshape(-1, 2, n), state
 
 
 def extract(outcomes: np.ndarray, code: CssCode):
-    """(s_x_checks, s_z_checks, logical_xx, logical_zz) from the (2, n)
-    readout [u; v].
+    """(s_x_checks, s_z_checks, logical_xx, logical_zz), each with one row
+    per trial, from the (T, 2, n) readout [u; v].
 
     Assignment validated against the tableau oracle: the X-basis data
     outcomes u shift with Z errors and feed the phase checks and logical
@@ -173,48 +176,35 @@ def extract(outcomes: np.ndarray, code: CssCode):
     bit checks and logical ZZ.
     """
     outcomes = np.asarray(outcomes, dtype=np.uint8)
-    if outcomes.shape != (2, code.n):
-        raise ValueError(f"outcomes must be a (2, {code.n}) array [u; v], got shape {outcomes.shape}")
-    u, v = outcomes[:, None]
-    s_x, s_z, logical_xx, logical_zz = parities(code, v, u)
-    return s_x[0], s_z[0], logical_xx[0], logical_zz[0]
+    if outcomes.ndim != 3 or outcomes.shape[1:] != (2, code.n):
+        raise ValueError(f"outcomes must be a (T, 2, {code.n}) array [u; v], got shape {outcomes.shape}")
+    return parities(code, outcomes[:, 1], outcomes[:, 0])
 
 
-def apply_output_corrections(
-    state: StabilizerState,
-    code: CssCode,
-    correction: PauliOperator,
-    logical_xx: np.ndarray,
-    logical_zz: np.ndarray,
-):
-    """Apply the decoded correction plus the teleportation frame to the
+def apply_output_corrections(state: StabilizerState, code: CssCode, corr_x, corr_z, logical_xx, logical_zz):
+    """Apply the decoded correction (corr_x, corr_z), (T, n), plus the
+    teleportation frame from the (T, k) logical_xx, logical_zz to the
     output block (offset 2n). Frame convention: Xbar^zz then Zbar^xx."""
-    frame_x = gf2.matvec(code.logical_x.T, logical_zz)
-    frame_z = gf2.matvec(code.logical_z.T, logical_xx)
-    state.apply_pauli(correction.x_bits ^ frame_x, correction.z_bits ^ frame_z, 2 * code.n)
+    frame_x = gf2.matmul(logical_zz, code.logical_x)
+    frame_z = gf2.matmul(logical_xx, code.logical_z)
+    state.apply_pauli(corr_x ^ frame_x, corr_z ^ frame_z, 2 * code.n)
 
 
 def verify_output(
     state: StabilizerState,
     code: CssCode,
     logical_z_bits: Optional[np.ndarray] = None,
-) -> bool:
-    """Output block (offset 2n) is syndrome-clean and (optionally) holds
-    the expected logical Z eigenvalues."""
+) -> np.ndarray:
+    """Per trial, a (T,) bool: the output block (offset 2n) is
+    syndrome-clean and (optionally) holds the expected logical Z
+    eigenvalues, given as (T, k) bits."""
     n = code.n
     zero = np.zeros(n)
-    for row in code.h_x:
-        if state.expectation(PauliOperator(n, row), 2 * n)[0] != 1:
-            return False
-    for row in code.h_z:
-        if state.expectation(PauliOperator(n, zero, row), 2 * n)[0] != 1:
-            return False
+    reads = [(row, zero, 1) for row in code.h_x] + [(zero, row, 1) for row in code.h_z]
     if logical_z_bits is not None:
-        for i in range(code.k):
-            want = -1 if logical_z_bits[i] else 1
-            if state.expectation(PauliOperator(n, zero, code.logical_z[i]), 2 * n)[0] != want:
-                return False
-    return True
+        wants = 1 - 2 * np.asarray(logical_z_bits, dtype=np.int64)
+        reads += [(zero, lz, want) for lz, want in zip(code.logical_z, wants.T)]
+    return np.all([state.expectation(PauliOperator(n, x, z), 2 * n) == want for x, z, want in reads], axis=0)
 
 
 def _frame_account(code: CssCode, decoder, data_x, data_z, epr_x, epr_z, flips):
@@ -281,33 +271,37 @@ def knill_ec_round(
     decoder,
     data_error: PauliOperator,
     noise: KnillNoise,
-    rng: np.random.Generator,
+    rngs,
 ) -> KnillReport:
-    """One single-shot EC round on the stabilizer tableau: encoded Bell
-    measurement, extraction, one decode, failure accounting.
+    """Single-shot EC rounds on the stabilizer tableau, one per generator
+    in ``rngs``: encoded Bell measurement, extraction, one decode, failure
+    accounting. Every field of the report has one row per trial.
 
-    The round's faults are drawn first (draw_faults), with data_error
-    added to the data noise, and the tableau's own draws follow them; so
-    on one stream this round and knill_residuals see the same faults.
-    The failure account is _frame_account's; the tableau syndrome must
-    equal the account's on every call. The output block itself is never
-    corrected (apply_output_corrections and verify_output are the tableau
-    oracle of the residual in the tests). An undecodable syndrome is
-    recorded as a failure.
+    Each trial's faults are drawn first (draw_faults), with data_error
+    added to the data noise of every trial, and the tableau's own draws
+    follow them; so on one stream this round and knill_residuals see the
+    same faults. The failure account is _frame_account's; the tableau
+    syndrome must equal the account's on every call. The output block
+    itself is never corrected (apply_output_corrections and verify_output
+    are the tableau oracle of the residual in the tests). An undecodable
+    syndrome is recorded as a failure.
     """
     n = code.n
-    data_x, data_z, epr_x, epr_z, flips = draw_faults(noise, n, [rng])
-    data = data_error * PauliOperator(n, data_x[0], data_z[0])  # checks data_error's length
-    outcomes, _ = _run_round(code, data, PauliOperator(2 * n, epr_x[0], epr_z[0]), rng)
-    s_x, s_z, logical_xx, logical_zz = extract(outcomes ^ flips[0], code)
+    if data_error.num_qubits != n:
+        raise ValueError(f"data error acts on {data_error.num_qubits} qubits, code has n={n}")
+    data_x, data_z, epr_x, epr_z, flips = draw_faults(noise, n, rngs)
+    data_x ^= data_error.x_bits
+    data_z ^= data_error.z_bits
+    outcomes, _ = _run_round(code, data_x, data_z, epr_x, epr_z, rngs)
+    s_x, s_z, logical_xx, logical_zz = extract(outcomes ^ flips, code)
     frame_s_x, frame_s_z, acts_as_x, acts_as_z, (_, _, ok, _, _) = _frame_account(
-        code, decoder, data.x_bits[None], data.z_bits[None], epr_x, epr_z, flips
+        code, decoder, data_x, data_z, epr_x, epr_z, flips
     )
-    if not (np.array_equal(s_x, frame_s_x[0]) and np.array_equal(s_z, frame_s_z[0])):
+    if not (np.array_equal(s_x, frame_s_x) and np.array_equal(s_z, frame_s_z)):
         raise AssertionError("tableau syndrome disagrees with the linear error model")
     return KnillReport(
         s_x, s_z, logical_xx, logical_zz,
-        decodable=bool(ok[0]),
-        logical_failure=bool(acts_as_x.any() or acts_as_z.any()),
-        residual_logical_x=acts_as_x[0], residual_logical_z=acts_as_z[0],
+        decodable=ok,
+        logical_failure=acts_as_x.any(axis=1) | acts_as_z.any(axis=1),
+        residual_logical_x=acts_as_x, residual_logical_z=acts_as_z,
     )

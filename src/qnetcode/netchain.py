@@ -3,9 +3,10 @@ accounting, and encoded-channel modes.
 
 The primary engine evolves Bell-diagonal label distributions exactly;
 tableau sampling (sample_chain_trial) is the independent cross-check
-for small chains. Latency is counted in units of the gate time T, with
-D the classical one-hop delay. run_chain reports classical-communication
-latency only (acknowledgments and correction frames):
+for small chains; it runs a batch of trials and masks the failed ones.
+Latency is counted in units of the gate time T, with D the classical
+one-hop delay. run_chain reports classical-communication latency only
+(acknowledgments and correction frames):
 
     physical (two-way purification):  2*D*rounds + (m-1)*D swap corrections
     encoded modes (one-way):          D*m
@@ -23,10 +24,9 @@ import numpy as np
 
 from qnetcode.codes import CssCode
 from qnetcode.ftec import KnillNoise, knill_residuals
-from qnetcode.noise import BellDiagonalState, LABEL_INDEX, LABEL_XZ, NoiseModel, effective_error_rate
-from qnetcode.protocols import purify_pair_dist, purify_round, swap_readout
+from qnetcode.noise import BellDiagonalState, LABEL_INDEX, LABEL_OF, LABEL_XZ, NoiseModel, effective_error_rate
+from qnetcode.protocols import noisy_pairs, purify_pair_dist, purify_round, swap_readout
 from qnetcode.rng import MAX_TRIALS
-from qnetcode.stabsim import StabilizerState, prepare_bell
 
 MODES = ("physical", "encoded_teleport", "encoded_direct")
 
@@ -138,10 +138,9 @@ def run_chain(config: ChainConfig) -> ChainReport:
         # p_c + 5 p_g already counts the Bell-measurement fault, so no readout flips
         noise = KnillNoise(data_noise=NoiseModel.depolarizing(effective_error_rate(config.p_c, config.p_g)))
     hops = []
-    label_of = np.array([LABEL_INDEX[(x, z)] for x in (0, 1) for z in (0, 1)])  # indexed by 2x + z
     for hop in range(m):  # each hop's logical error distribution from seeded Knill rounds
         x_bad, z_bad, _ = knill_residuals(config.code, config.decoder, noise, config.seed, (900 + hop,), config.mc_trials)
-        counts = np.bincount(label_of[2 * x_bad + z_bad], minlength=4)
+        counts = np.bincount(LABEL_OF[2 * x_bad + z_bad], minlength=4)
         hops.append(BellDiagonalState(counts / counts.sum()))
         log.append({"stage": "hop", "hop": hop, "logical_fidelity": hops[-1].fidelity})
     end = _fold(hops)
@@ -161,34 +160,27 @@ def compare_latency(config: ChainConfig) -> tuple[float, float]:
 # --- tableau cross-check -----------------------------------------------------
 
 
-def sample_chain_trial(config: ChainConfig, rng: np.random.Generator):
-    """One full tableau trial of the physical mode.
+def sample_chain_trial(config: ChainConfig, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Tableau trials of the physical mode, one per generator in ``rngs``.
 
-    Returns (success, end_label_index or None). A trial fails when any
-    purification comparison disagrees.
+    Returns (success (T,), end label index (T,)). A trial fails when any
+    of its purification comparisons disagrees; its label is then -1.
     """
     if config.mode != "physical":
         raise ValueError("sampling cross-check covers the physical mode only")
-    m = config.num_links
     per_link = 2 ** config.purify_rounds
-    n = m * per_link * 2
-    state = StabilizerState(n)
+    state = noisy_pairs([config.link_state] * (config.num_links * per_link), rngs)
     # link l owns pairs [l * per_link, (l + 1) * per_link); pair i is qubits (2i, 2i + 1)
-    pairs = [(q, q + 1) for q in range(0, n, 2)]
-    for a, b in pairs:
-        prepare_bell(state, a, b)
-        x, z = LABEL_XZ[config.link_state.sample_label(rng)]
-        state.apply_pauli([x], [z], a)
-
-    for link in range(m):
+    pairs = [(q, q + 1) for q in range(0, state.num_qubits, 2)]
+    success = np.ones(state.trials, dtype=bool)
+    for link in range(config.num_links):
         alive = pairs[link * per_link : (link + 1) * per_link]
         for basis in default_purify_schedule(config.purify_rounds):
             for keep, meas in zip(alive[::2], alive[1::2]):
-                bit_a, bit_b = purify_round(state, keep, meas, basis, [rng])
-                if bit_a[0] != bit_b[0]:
-                    return False, None
+                bit_a, bit_b = purify_round(state, keep, meas, basis, rngs)
+                success &= bit_a == bit_b
             alive = alive[::2]
 
     # swap each link's kept pair (its first) and read the end-to-end label
-    xx, zz = swap_readout(state, pairs[::per_link], [rng])[0, -1]
-    return True, LABEL_INDEX[(int(zz), int(xx))]
+    xx, zz = swap_readout(state, pairs[::per_link], rngs)[:, -1].T
+    return success, np.where(success, LABEL_OF[2 * zz + xx], -1)

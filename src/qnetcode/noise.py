@@ -128,6 +128,7 @@ def effective_error_rate(p_c: float, p_g: float) -> float:
 LABELS = ("I", "X", "Y", "Z")
 LABEL_XZ = ((0, 0), (1, 0), (1, 1), (0, 1))
 LABEL_INDEX = {xz: i for i, xz in enumerate(LABEL_XZ)}  # (x, z) bits -> label index
+LABEL_OF = np.array([LABEL_INDEX[(x, z)] for x in (0, 1) for z in (0, 1)])  # label index at 2x + z
 
 
 @dataclass(frozen=True)
@@ -154,9 +155,13 @@ class BellDiagonalState:
     def fidelity(self) -> float:
         return float(self.probs[0])
 
-    def sample_label(self, rng: np.random.Generator) -> int:
-        """Index into LABELS, drawn from the label distribution."""
-        return int(rng.choice(4, p=self.probs / self.probs.sum()))
+    def labels(self, u: np.ndarray) -> np.ndarray:
+        """Indices into LABELS, one per uniform in u: a searchsorted on the
+        normalised CDF, which is what Generator.choice(4, p=...) does with
+        its one uniform."""
+        cdf = (self.probs / self.probs.sum()).cumsum()
+        cdf /= cdf[-1]
+        return cdf.searchsorted(u, side="right")
 
 
 def werner(F: float) -> BellDiagonalState:

@@ -85,9 +85,6 @@ class PauliOperator:
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         return multiply(self, other)
 
-    def is_identity(self) -> bool:
-        return not (self.x_bits.any() or self.z_bits.any())
-
 
 def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     """Phase-free Pauli group product: XOR of the bit vectors."""

@@ -8,33 +8,26 @@ rngs[t].random(m) before any measurement draws its outcomes, as a
 one-trial run of the same circuit would. Outcome pairs are (xx, zz) bits
 and a Pauli frame is its (x, z) bits.
 
-A repeater node's two tableau steps, purify_round and swap_readout, are
-shared with netchain's tableau cross-check. Pauli-correction conventions
-are fixed once by the noiseless identity tests and pinned in the tests.
+purify_pair_sampled and netchain's tableau cross-check batch their
+trials the same way, from noisy_pairs (labelled Bell pairs) through a
+repeater node's two tableau steps, purify_round and swap_readout; a
+trial whose comparison fails is masked, as its result is already fixed.
+Pauli-correction conventions are fixed once by the noiseless identity
+tests and pinned in the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from qnetcode.noise import BellDiagonalState, LABEL_INDEX, LABEL_XZ, NoiseModel, draw_uniforms, pauli_bits
+from qnetcode.noise import BellDiagonalState, LABEL_INDEX, LABEL_OF, LABEL_XZ, NoiseModel, draw_uniforms, pauli_bits
 from qnetcode.pauli import PauliOperator
 from qnetcode.stabsim import StabilizerState, prepare_bell
 
 Gate = tuple
 _Z = PauliOperator.from_string("Z")
-
-
-@dataclass
-class ProtocolOutcome:
-    """Classical record of one purification round."""
-
-    classical_bits: list[tuple[int, int]]
-    residual_frame: Optional[PauliOperator] = None
-    success: Optional[bool] = None
 
 
 def _apply_prep(state: StabilizerState, prep: Sequence[Gate], qubit: int):
@@ -129,6 +122,23 @@ def swap_chain(
     return outcomes, outcomes[:, -1, ::-1]
 
 
+def noisy_pairs(states: Sequence[BellDiagonalState], rngs: Sequence[np.random.Generator]) -> StabilizerState:
+    """A tableau of len(states) Bell pairs, pair i on qubits (2i, 2i + 1),
+    for T = len(rngs) trials.
+
+    Trial t draws the pairs' error labels from one row of uniforms, pair i
+    from states[i] with the row's i-th uniform, and puts each label's Pauli
+    on its pair's first qubit.
+    """
+    state = StabilizerState(2 * len(states), len(rngs))
+    u = draw_uniforms(rngs, len(states))
+    for i, pair in enumerate(states):
+        prepare_bell(state, 2 * i, 2 * i + 1)
+        x, z = np.array(LABEL_XZ, dtype=np.uint8)[pair.labels(u[:, i])].T
+        state.apply_pauli(x[:, None], z[:, None], 2 * i)
+    return state
+
+
 def swap_readout(state: StabilizerState, pairs: Sequence[tuple[int, int]], rngs: Sequence[np.random.Generator]):
     """Swap a chain of Bell pairs, given as (left, right) qubits in chain
     order, into one end-to-end pair and read it out.
@@ -211,25 +221,19 @@ def purify_pair_sampled(
     a: BellDiagonalState,
     b: BellDiagonalState,
     basis: str,
-    rng: np.random.Generator,
-) -> ProtocolOutcome:
-    """Monte Carlo twin of purify_pair_dist, executed on the tableau simulator.
+    rngs: Sequence[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Monte Carlo twin of purify_pair_dist on the tableau, once per
+    generator in ``rngs``.
 
-    residual_frame carries the kept pair's measured error label when the
-    round succeeds (pair a is consumed by the final readout).
+    Returns (outcomes (T, 2), success (T,), kept (T,)): the two measured
+    bits, whether they agree, and the kept pair's error label, read by a
+    final Bell measurement of pair a; kept is -1 where the round failed.
     """
     if basis not in _BASES:
         raise ValueError(f"basis must be one of {_BASES}")
-    state = StabilizerState(4)
-    prepare_bell(state, 0, 1)  # pair a: (A1, B1)
-    prepare_bell(state, 2, 3)  # pair b: (A2, B2)
-    for qubit, pair_state in ((0, a), (2, b)):
-        x, z = LABEL_XZ[pair_state.sample_label(rng)]
-        state.apply_pauli([x], [z], qubit)
-    m_a, m_b = (int(bit[0]) for bit in purify_round(state, (0, 1), (2, 3), basis, [rng]))
+    state = noisy_pairs([a, b], rngs)  # pair a: (A1, B1), pair b: (A2, B2)
+    m_a, m_b = purify_round(state, (0, 1), (2, 3), basis, rngs)
     success = m_a == m_b
-    residual = None
-    if success:
-        xx, zz = state.bell_measure(0, 1, [rng])
-        residual = PauliOperator(1, zz, xx)
-    return ProtocolOutcome(classical_bits=[(m_a, m_b)], residual_frame=residual, success=success)
+    xx, zz = state.bell_measure(0, 1, rngs)
+    return np.stack([m_a, m_b], axis=1), success, np.where(success, LABEL_OF[2 * zz + xx], -1)

@@ -61,5 +61,5 @@ def compare(config_a: RateConfig, config_b: RateConfig) -> Fraction:
 
 
 def fold_description(ratio: Fraction) -> str:
-    """Integer-fold rendering, rounded down: Fraction(1419, 19.5) -> '≈72-fold'."""
+    """Integer-fold rendering, rounded down: Fraction(2838, 39) -> '≈72-fold'."""
     return f"≈{int(ratio)}-fold"

@@ -22,7 +22,7 @@ from qnetcode.netchain import ChainConfig, compose_swap, run_chain, sample_chain
 from qnetcode.noise import BellDiagonalState, NoiseModel, effective_error_rate, sample_error, werner
 from qnetcode.pauli import PauliOperator
 from qnetcode.protocols import purify_pair_dist, purify_pair_sampled, superdense, swap_chain, teleport
-from qnetcode.rng import stream
+from qnetcode.rng import stream, streams
 from qnetcode.stabsim import StabilizerState
 
 
@@ -89,15 +89,9 @@ def test_criterion_05_purification_oracle_equivalence():
     assert sp == pytest.approx(197.0 / 225.0, abs=1e-12)
 
     trials = 100_000
-    rng = stream(500)
-    succ = 0
-    kept_i = 0
-    for _ in range(trials):
-        res = purify_pair_sampled(w, w, "bitflip", rng)
-        if res.success:
-            succ += 1
-            if res.residual_frame.is_identity():
-                kept_i += 1
+    _, success, kept = purify_pair_sampled(w, w, "bitflip", streams(500, (), range(trials)))
+    succ = int(success.sum())
+    kept_i = int((kept == 0).sum())
     sigma = math.sqrt(sp * (1 - sp) / trials)
     assert abs(succ / trials - sp) < 3 * sigma
     sigma_f = math.sqrt(out.fidelity * (1 - out.fidelity) / succ)
@@ -128,22 +122,24 @@ def test_criterion_06_knill_extract_oracle_equivalence():
     cases = [(codes.rep3(), 5000), (codes.shor9(), 3000), (codes.rotated_surface(3), 2000)]
     checked = 0
     for code, _ in cases:
-        none2n = PauliOperator.identity(2 * code.n)
-        for i, err in enumerate(_exhaustive_errors(code.n)):
-            outcomes, _ = _run_round(code, err, none2n, stream(600, code.n, i))
-            s_x, s_z, _, _ = extract(outcomes, code)
+        errs = list(_exhaustive_errors(code.n))
+        data_x = np.array([err.x_bits for err in errs])
+        data_z = np.array([err.z_bits for err in errs])
+        none2n = np.zeros(2 * code.n, dtype=np.uint8)
+        outcomes, _ = _run_round(code, data_x, data_z, none2n, none2n, streams(600, (code.n,), range(len(errs))))
+        s_x, s_z, _, _ = extract(outcomes, code)
+        for err, got_sx, got_sz in zip(errs, s_x, s_z):
             want_sx, want_sz = codes.syndrome(code, err)
-            assert np.array_equal(s_x, want_sx) and np.array_equal(s_z, want_sz), (code.name, err)
+            assert np.array_equal(got_sx, want_sx) and np.array_equal(got_sz, want_sz), (code.name, err)
             checked += 1
     total = 0
     for code, trials in cases:
         dec = MatchingDecoder(code) if code.name.startswith("surface") else LookupDecoder(code)
         identity = PauliOperator.identity(code.n)
-        for t in range(trials):
-            rep = knill_ec_round(code, dec, identity, KnillNoise(), stream(601, code.n, t))
-            assert not rep.s_x_checks.any() and not rep.s_z_checks.any()
-            assert not rep.logical_failure
-            total += 1
+        rep = knill_ec_round(code, dec, identity, KnillNoise(), streams(601, (code.n,), range(trials)))
+        assert not rep.s_x_checks.any() and not rep.s_z_checks.any()
+        assert not rep.logical_failure.any()
+        total += trials
     print(
         f"PASS criterion 6: extract == syndrome for {checked} exhaustive 1- and 2-qubit errors; "
         f"{total} zero-noise rounds clean"
@@ -154,16 +150,14 @@ def test_criterion_07_single_shot_u_flip_membership():
     code = codes.shor9()
     n = code.n
     # delta table of every single-qubit data error: (s_x, s_z, lxx, lzz)
-    table = set()
-    for err in _exhaustive_errors(n, max_weight=1):
-        s_x, s_z, lxx, lzz = extract(np.array([err.z_bits, err.x_bits]), code)
-        table.add((s_x.tobytes(), s_z.tobytes(), lxx.tobytes(), lzz.tobytes()))
-    base = np.zeros((2, n), dtype=np.uint8)  # [u; v]
-    base_out = extract(base, code)
-    for j in range(n):
-        flipped_u = base.copy()
-        flipped_u[0, j] = 1
-        flipped = extract(flipped_u, code)
+    errs = list(_exhaustive_errors(n, max_weight=1))
+    shifts = extract(np.array([[err.z_bits, err.x_bits] for err in errs]), code)
+    table = {tuple(a.tobytes() for a in row) for row in zip(*shifts)}
+    base = np.zeros((1, 2, n), dtype=np.uint8)  # one trial's [u; v]
+    base_out = [a[0] for a in extract(base, code)]
+    flipped_u = np.zeros((n, 2, n), dtype=np.uint8)
+    flipped_u[:, 0] = np.eye(n, dtype=np.uint8)  # trial j flips u_j
+    for j, flipped in enumerate(zip(*extract(flipped_u, code))):
         delta = tuple((a ^ b).tobytes() for a, b in zip(flipped, base_out))
         assert delta in table, f"u-flip at {j} matches no single-qubit data error"
 
@@ -178,7 +172,7 @@ def test_criterion_07_single_shot_u_flip_membership():
 
     StabilizerState.measure_pauli = counting
     try:
-        knill_ec_round(code, LookupDecoder(code), PauliOperator.identity(n), KnillNoise(), stream(700))
+        knill_ec_round(code, LookupDecoder(code), PauliOperator.identity(n), KnillNoise(), [stream(700)])
     finally:
         StabilizerState.measure_pauli = original
     assert counter["n"] == 3 * code.r_x + code.k + 2 * n
@@ -253,15 +247,9 @@ def test_criterion_10_chain_oracle_equivalence():
     )
     exact = run_chain(cfg)
     trials = 50_000
-    rng = stream(1000)
-    survived = 0
-    fid_hits = 0
-    for _ in range(trials):
-        ok, label = sample_chain_trial(cfg, rng)
-        if ok:
-            survived += 1
-            if label == 0:
-                fid_hits += 1
+    success, labels = sample_chain_trial(cfg, streams(1000, (), range(trials)))
+    survived = int(success.sum())
+    fid_hits = int((labels == 0).sum())
     sp = exact.survival
     sigma_s = math.sqrt(sp * (1 - sp) / trials)
     assert abs(survived / trials - sp) < 3 * sigma_s

@@ -147,7 +147,7 @@ def test_mwpm_requires_matching_structure():
 def test_mwpm_empty_syndrome():
     code = codes.rotated_surface(3)
     res = MatchingDecoder(code).decode(codes.syndrome(code, PauliOperator.identity(code.n)))
-    assert res.correction.is_identity()
+    assert res.correction == PauliOperator.identity(code.n)
 
 
 def test_bp_prior_validation():
@@ -177,7 +177,7 @@ def test_bp_reports_iterations_and_converged():
     assert res.converged
     assert res.iterations >= 1
     trivial = dec.decode(codes.syndrome(code, PauliOperator.identity(code.n)))
-    assert trivial.iterations == 0 and trivial.correction.is_identity()
+    assert trivial.iterations == 0 and trivial.correction == PauliOperator.identity(code.n)
 
 
 def test_bp_converged_corrections_reproduce_syndrome():

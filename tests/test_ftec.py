@@ -21,7 +21,7 @@ from qnetcode.ftec import (
 )
 from qnetcode.noise import NoiseModel
 from qnetcode.pauli import PauliOperator
-from qnetcode.rng import stream
+from qnetcode.rng import stream, streams
 from qnetcode.stabsim import StabilizerState
 
 NO_NOISE = KnillNoise()
@@ -37,7 +37,7 @@ def test_prepare_logical_zero_state():
     code = codes.shor9()
     rng = stream(40)
     state = StabilizerState(3 * code.n)
-    prepare_logical_zero(state, code, 0, rng)
+    prepare_logical_zero(state, code, 0, [rng])
     zero = np.zeros(code.n)
     for row in code.h_x:
         assert state.expectation(PauliOperator(code.n, row)) == 1
@@ -51,7 +51,7 @@ def test_prepare_logical_epr_correlations():
     n = code.n
     rng = stream(41)
     state = StabilizerState(3 * n)
-    prepare_logical_epr(state, code, n, rng)
+    prepare_logical_epr(state, code, n, [rng])
     x = np.zeros(3 * n, dtype=np.uint8)
     x[n : 2 * n] = code.logical_x[0]
     x[2 * n :] = code.logical_x[0]
@@ -67,13 +67,11 @@ def test_prepare_logical_epr_correlations():
 )
 def test_zero_noise_round_is_clean(code):
     dec = decoder_for(code)
-    identity = PauliOperator.identity(code.n)
-    for t in range(25):
-        rep = knill_ec_round(code, dec, identity, NO_NOISE, stream(42, t))
-        assert not rep.s_x_checks.any() and not rep.s_z_checks.any()
-        assert rep.decodable and not rep.logical_failure
-        assert ROUND_COST_T == 4
-        assert not rep.residual_logical_x.any() and not rep.residual_logical_z.any()
+    rep = knill_ec_round(code, dec, PauliOperator.identity(code.n), NO_NOISE, streams(42, (), range(25)))
+    assert not rep.s_x_checks.any() and not rep.s_z_checks.any()
+    assert rep.decodable.all() and not rep.logical_failure.any()
+    assert ROUND_COST_T == 4
+    assert not rep.residual_logical_x.any() and not rep.residual_logical_z.any()
 
 
 @pytest.mark.parametrize("code", [codes.shor9(), codes.rotated_surface(3)], ids=lambda c: c.name)
@@ -82,11 +80,11 @@ def test_single_qubit_data_errors_corrected(code):
     for q in range(code.n):
         for letter in "XYZ":
             err = PauliOperator.single(code.n, q, letter)
-            rep = knill_ec_round(code, dec, err, NO_NOISE, stream(43, q, ord(letter)))
-            assert not rep.logical_failure, (q, letter)
+            rep = knill_ec_round(code, dec, err, NO_NOISE, [stream(43, q, ord(letter))])
+            assert not rep.logical_failure[0], (q, letter)
             want_sx, want_sz = codes.syndrome(code, err)
-            assert np.array_equal(rep.s_x_checks, want_sx)
-            assert np.array_equal(rep.s_z_checks, want_sz)
+            assert np.array_equal(rep.s_x_checks[0], want_sx)
+            assert np.array_equal(rep.s_z_checks[0], want_sz)
 
 
 def test_extract_equals_code_syndrome_for_injected_errors():
@@ -95,21 +93,20 @@ def test_extract_equals_code_syndrome_for_injected_errors():
     codes.syndrome()."""
     code = codes.shor9()
     n = code.n
-    for q in range(n):
-        for letter in "XYZ":
-            err = PauliOperator.single(n, q, letter)
-            s_x, s_z, lxx, lzz = extract(np.array([err.z_bits, err.x_bits]), code)
-            want_sx, want_sz = codes.syndrome(code, err)
-            assert np.array_equal(s_x, want_sx)
-            assert np.array_equal(s_z, want_sz)
-            assert np.array_equal(lxx, gf2.matvec(code.logical_x, err.z_bits))
-            assert np.array_equal(lzz, gf2.matvec(code.logical_z, err.x_bits))
+    errs = [PauliOperator.single(n, q, letter) for q in range(n) for letter in "XYZ"]
+    extracted = extract(np.array([[err.z_bits, err.x_bits] for err in errs]), code)
+    for err, s_x, s_z, lxx, lzz in zip(errs, *extracted):
+        want_sx, want_sz = codes.syndrome(code, err)
+        assert np.array_equal(s_x, want_sx)
+        assert np.array_equal(s_z, want_sz)
+        assert np.array_equal(lxx, gf2.matvec(code.logical_x, err.z_bits))
+        assert np.array_equal(lzz, gf2.matvec(code.logical_z, err.x_bits))
 
 
 def test_extract_validates_shapes():
     code = codes.rep3()
-    for shape in ((2, 2), (3, 3), (6,)):
-        with pytest.raises(ValueError, match=r"\(2, 3\) array"):
+    for shape in ((2, 3), (1, 2, 2), (1, 3, 3), (6,)):
+        with pytest.raises(ValueError, match=r"\(T, 2, 3\) array"):
             extract(np.zeros(shape, dtype=np.uint8), code)
 
 
@@ -118,19 +115,16 @@ def test_epr_half_a_errors_look_like_data_errors():
     matching data error; half-B errors leave the outcomes untouched."""
     code = codes.rep3()
     n = code.n
-    rng_pairs = [(stream(44, t, 0), stream(44, t, 1), stream(44, t, 2)) for t in range(10)]
-    for rng_a, rng_b, rng_c in rng_pairs:
-        epr_a = PauliOperator(2 * n, [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0])
-        data = PauliOperator(n, [1, 0, 0], [0, 1, 0])
-        out_a = extract(_run_round(code, PauliOperator.identity(n), epr_a, rng_a)[0], code)
-        out_d = extract(_run_round(code, data, PauliOperator.identity(2 * n), rng_b)[0], code)
-        # compare syndromes only: the logical bits are genuinely random
-        # teleportation outcomes in every run
-        for got, want in zip(out_a[:2], out_d[:2]):
-            assert np.array_equal(got, want)
-        epr_b = PauliOperator(2 * n, [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0])
-        out_b = extract(_run_round(code, PauliOperator.identity(n), epr_b, rng_c)[0], code)
-        assert not out_b[0].any() and not out_b[1].any()
+    zero, zero2 = np.zeros(n, dtype=np.uint8), np.zeros(2 * n, dtype=np.uint8)
+    rngs_a, rngs_b, rngs_c = ([stream(44, t, i) for t in range(10)] for i in range(3))
+    out_a = extract(_run_round(code, zero, zero, [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], rngs_a)[0], code)
+    out_d = extract(_run_round(code, [1, 0, 0], [0, 1, 0], zero2, zero2, rngs_b)[0], code)
+    # compare syndromes only: the logical bits are genuinely random
+    # teleportation outcomes in every run
+    for got, want in zip(out_a[:2], out_d[:2]):
+        assert np.array_equal(got, want)
+    out_b = extract(_run_round(code, zero, zero, [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], rngs_c)[0], code)
+    assert not out_b[0].any() and not out_b[1].any()
 
 
 def test_epr_half_b_logical_error_corrupts_output_silently():
@@ -139,31 +133,23 @@ def test_epr_half_b_logical_error_corrupts_output_silently():
     accounting must catch."""
     code = codes.rep3()
     n = code.n
-    epr = PauliOperator(
-        2 * n,
-        np.concatenate([np.zeros(n, dtype=np.uint8), code.logical_x[0]]),
-        np.zeros(2 * n, dtype=np.uint8),
-    )
-    for t in range(10):
-        rng = stream(45, t)
-        outcomes, state = _run_round(code, PauliOperator.identity(n), epr, rng)
-        s_x, s_z, lxx, lzz = extract(outcomes, code)
-        assert not s_x.any() and not s_z.any()
-        apply_output_corrections(state, code, PauliOperator.identity(n), lxx, lzz)
-        assert verify_output(state, code)  # stabilizers are clean
-        assert not verify_output(state, code, logical_z_bits=np.zeros(1, dtype=np.uint8))
+    zero = np.zeros(n, dtype=np.uint8)
+    epr_x = np.concatenate([zero, code.logical_x[0]])
+    outcomes, state = _run_round(code, zero, zero, epr_x, np.zeros(2 * n, dtype=np.uint8), streams(45, (), range(10)))
+    s_x, s_z, lxx, lzz = extract(outcomes, code)
+    assert not s_x.any() and not s_z.any()
+    no_correction = np.zeros((10, n), dtype=np.uint8)
+    apply_output_corrections(state, code, no_correction, no_correction, lxx, lzz)
+    assert verify_output(state, code).all()  # stabilizers are clean
+    assert not verify_output(state, code, logical_z_bits=np.zeros((10, 1), dtype=np.uint8)).any()
 
 
 def test_measurement_flips_raise_failure_rate():
     code = codes.rep3()
     dec = LookupDecoder(code)
     noisy = KnillNoise(meas_flip=0.4)
-    identity = PauliOperator.identity(code.n)
-    failures = sum(
-        knill_ec_round(code, dec, identity, noisy, stream(46, t)).logical_failure
-        for t in range(200)
-    )
-    assert failures > 0
+    rep = knill_ec_round(code, dec, PauliOperator.identity(code.n), noisy, streams(46, (), range(200)))
+    assert rep.logical_failure.any()
 
 
 @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
@@ -185,7 +171,7 @@ def test_round_measures_each_qubit_exactly_once(monkeypatch):
         return original(self, p, rng, at)
 
     monkeypatch.setattr(StabilizerState, "measure_pauli", counting)
-    knill_ec_round(code, dec, PauliOperator.identity(code.n), NO_NOISE, stream(47))
+    knill_ec_round(code, dec, PauliOperator.identity(code.n), NO_NOISE, [stream(47)])
     expected = 3 * code.r_x + code.k + 2 * code.n
     assert counter["n"] == expected
 
@@ -194,9 +180,9 @@ def test_undecodable_syndrome_counts_as_failure():
     code = codes.shor9()
     dec = LookupDecoder(code, weight_cap=0)
     err = PauliOperator.single(code.n, 0, "X")
-    rep = knill_ec_round(code, dec, err, NO_NOISE, stream(48))
-    assert rep.logical_failure
-    assert not rep.decodable
+    rep = knill_ec_round(code, dec, err, NO_NOISE, [stream(48)])
+    assert rep.logical_failure[0]
+    assert not rep.decodable[0]
     assert rep.residual_logical_x.all() and rep.residual_logical_z.all()
 
 
@@ -221,17 +207,15 @@ def _plus_data_block(original):
     logical |+...+>: measure every logical X, then fix the -1 outcomes with
     a combination of logical Zs."""
 
-    def prepare(state, code, offset, rng):
-        original(state, code, offset, rng)
+    def prepare(state, code, offset, rngs):
+        original(state, code, offset, rngs)
         if offset:
             return
         n = code.n
-        outcomes = np.array(
-            [state.measure_pauli(PauliOperator(n, row), [rng])[0] for row in code.logical_x], dtype=np.uint8
-        )
-        fix = gf2.solve(gf2.matmul(code.logical_x, code.logical_z.T), outcomes)
-        for i in np.flatnonzero(fix):
-            state.apply_pauli(np.zeros(n), code.logical_z[i])
+        outcomes = np.stack([state.measure_pauli(PauliOperator(n, row), rngs) for row in code.logical_x], axis=1)
+        pairing = gf2.matmul(code.logical_x, code.logical_z.T)
+        fix = gf2.matmul(np.array([gf2.solve(pairing, row) for row in outcomes]), code.logical_z)
+        state.apply_pauli(np.zeros_like(fix), fix)
 
     return prepare
 
@@ -264,29 +248,25 @@ def test_frame_engine_matches_tableau_on_pauli_basis(code, make_decoder, monkeyp
     n = code.n
     decoder = make_decoder(code)
     prepare_zero = ftec.prepare_logical_zero
+    faults = [np.array(a) for a in zip(*_single_faults(n))]  # one trial per fault
+    data_x, data_z, epr_x, epr_z, flips = faults
     for attr, logical in (("Z", code.logical_z), ("X", code.logical_x)):
         if attr == "X":  # logical |+> input
             monkeypatch.setattr(ftec, "prepare_logical_zero", _plus_data_block(prepare_zero))
-        for idx, (data_x, data_z, epr_x, epr_z, flips) in enumerate(_single_faults(n)):
-            outcomes, state = _run_round(
-                code, PauliOperator(n, data_x, data_z), PauliOperator(2 * n, epr_x, epr_z),
-                stream(62, n, idx),
-            )
-            s_x, s_z, lxx, lzz = extract(outcomes ^ flips, code)
-            f_s_x, f_s_z, acts_as_x, acts_as_z, (corr_x, corr_z, ok, _, _) = _frame_account(
-                code, decoder, *(a[None] for a in (data_x, data_z, epr_x, epr_z, flips))
-            )
-            assert np.array_equal(s_x, f_s_x[0]) and np.array_equal(s_z, f_s_z[0]), idx
-            assert ok[0]  # every decoder here takes every single-fault syndrome
-            apply_output_corrections(state, code, PauliOperator(n, corr_x[0], corr_z[0]), lxx, lzz)
-            acts = acts_as_x[0] if attr == "Z" else acts_as_z[0]
-            for i in range(code.k):
-                want = -1 if acts[i] else 1
-                bits = (logical[i], np.zeros(n)) if attr == "X" else (np.zeros(n), logical[i])
-                assert state.expectation(PauliOperator(n, *bits), 2 * n) == want, (attr, idx, i)
-            if attr == "Z":
-                clean = verify_output(state, code)
-                assert verify_output(state, code, logical_z_bits=acts_as_x[0]) == clean, idx
+        outcomes, state = _run_round(code, data_x, data_z, epr_x, epr_z, streams(62, (n,), range(len(flips))))
+        s_x, s_z, lxx, lzz = extract(outcomes ^ flips, code)
+        f_s_x, f_s_z, acts_as_x, acts_as_z, (corr_x, corr_z, ok, _, _) = _frame_account(code, decoder, *faults)
+        assert np.array_equal(s_x, f_s_x) and np.array_equal(s_z, f_s_z)
+        assert ok.all()  # every decoder here takes every single-fault syndrome
+        apply_output_corrections(state, code, corr_x, corr_z, lxx, lzz)
+        acts = acts_as_x if attr == "Z" else acts_as_z
+        for i in range(code.k):
+            want = 1 - 2 * acts[:, i].astype(np.int64)
+            bits = (logical[i], np.zeros(n)) if attr == "X" else (np.zeros(n), logical[i])
+            assert np.array_equal(state.expectation(PauliOperator(n, *bits), 2 * n), want), (attr, i)
+        if attr == "Z":
+            clean = verify_output(state, code)
+            assert np.array_equal(verify_output(state, code, logical_z_bits=acts_as_x), clean)
 
 
 @pytest.mark.parametrize(
@@ -308,11 +288,10 @@ def test_frame_engine_matches_knill_ec_round_trial_for_trial(code, make_decoder,
     decoder = make_decoder(code)
     trials = 150
     x_bad, z_bad, _ = knill_residuals(code, decoder, noise, 63, (5,), trials)
-    identity = PauliOperator.identity(code.n)
-    for t in range(trials):
-        rep = knill_ec_round(code, decoder, identity, noise, stream(63, 5, t))
-        assert (x_bad[t], z_bad[t]) == (rep.residual_logical_x.any(), rep.residual_logical_z.any()), t
-        assert rep.logical_failure == (x_bad[t] or z_bad[t])
+    rep = knill_ec_round(code, decoder, PauliOperator.identity(code.n), noise, streams(63, (5,), range(trials)))
+    assert np.array_equal(x_bad, rep.residual_logical_x.any(axis=1))
+    assert np.array_equal(z_bad, rep.residual_logical_z.any(axis=1))
+    assert np.array_equal(rep.logical_failure, x_bad | z_bad)
     assert 0 < (x_bad | z_bad).sum() < trials
 
 
@@ -350,12 +329,10 @@ def test_frame_engine_counts_undecodable_as_both_bad():
     decoder = LookupDecoder(code, weight_cap=0)  # only the empty syndrome decodes
     noise = KnillNoise(data_noise=NoiseModel.bit_flip(0.1))
     x_bad, z_bad, _ = knill_residuals(code, decoder, noise, 65, (), 50)
-    undecodable = [
-        not knill_ec_round(code, decoder, PauliOperator.identity(code.n), noise, stream(65, t)).decodable
-        for t in range(50)
-    ]
-    assert any(undecodable) and not all(undecodable)
-    assert all(x_bad[t] and z_bad[t] for t in range(50) if undecodable[t])
+    rep = knill_ec_round(code, decoder, PauliOperator.identity(code.n), noise, streams(65, (), range(50)))
+    undecodable = ~rep.decodable
+    assert undecodable.any() and not undecodable.all()
+    assert (x_bad & z_bad)[undecodable].all()
 
 
 def test_code_without_logical_qubit_raises():
@@ -365,7 +342,7 @@ def test_code_without_logical_qubit_raises():
     with pytest.raises(ValueError, match="no logical qubit"):
         knill_residuals(code, decoder, NO_NOISE, 0, (), 5)
     with pytest.raises(ValueError, match="no logical qubit"):
-        knill_ec_round(code, decoder, PauliOperator.identity(code.n), NO_NOISE, stream(0))
+        knill_ec_round(code, decoder, PauliOperator.identity(code.n), NO_NOISE, [stream(0)])
 
 
 @pytest.mark.parametrize(
@@ -409,9 +386,9 @@ def test_frame_engine_draws_only_what_models_read(monkeypatch, noise, uniforms_p
         noise.data_noise.uniforms(n) + noise.epr_error.uniforms(2 * n) + (2 * n if noise.meas_flip else 0)
     )
     monkeypatch.undo()
-    for t in range(40):
-        rep = knill_ec_round(code, decoder, PauliOperator.identity(code.n), noise, stream(66, t))
-        assert (x_bad[t], z_bad[t]) == (rep.residual_logical_x.any(), rep.residual_logical_z.any()), t
+    rep = knill_ec_round(code, decoder, PauliOperator.identity(code.n), noise, streams(66, (), range(40)))
+    assert np.array_equal(x_bad, rep.residual_logical_x.any(axis=1))
+    assert np.array_equal(z_bad, rep.residual_logical_z.any(axis=1))
 
 
 def _per_trial_sample_error(model, n, rng):

@@ -16,7 +16,7 @@ from qnetcode.netchain import (
 from qnetcode.ftec import KnillNoise, knill_residuals
 from qnetcode.noise import LABEL_INDEX, BellDiagonalState, NoiseModel, effective_error_rate, werner
 from qnetcode.protocols import purify_pair_dist
-from qnetcode.rng import stream
+from qnetcode.rng import stream, streams
 
 
 def bernoulli_x(p):
@@ -198,15 +198,11 @@ def test_sample_chain_matches_distribution_small():
     link = werner(0.85)
     cfg = ChainConfig(num_links=2, link_state=link, purify_rounds=1, seed=0)
     exact = run_chain(cfg)
-    rng = stream(50)
     trials = 4000
-    survived = 0
-    labels = np.zeros(4, dtype=np.int64)
-    for _ in range(trials):
-        ok, label = sample_chain_trial(cfg, rng)
-        if ok:
-            survived += 1
-            labels[label] += 1
+    success, end_labels = sample_chain_trial(cfg, streams(50, (), range(trials)))
+    survived = int(success.sum())
+    labels = np.bincount(end_labels[success], minlength=4)
+    assert (end_labels[~success] == -1).all()
     sp = exact.survival
     sigma = math.sqrt(sp * (1 - sp) / trials)
     assert abs(survived / trials - sp) < 3.5 * sigma
@@ -223,4 +219,4 @@ def test_sample_chain_rejects_encoded_modes():
         code=code, decoder=LookupDecoder(code),
     )
     with pytest.raises(ValueError):
-        sample_chain_trial(cfg, stream(0))
+        sample_chain_trial(cfg, [stream(0)])

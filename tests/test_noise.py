@@ -13,6 +13,7 @@ from qnetcode.noise import (
     sample_error,
     werner,
 )
+from qnetcode.pauli import PauliOperator
 from qnetcode.rng import stream
 
 
@@ -48,7 +49,7 @@ def test_variant_and_probability_validation():
 
 def test_sample_error_extremes():
     rng = stream(0)
-    assert sample_error(NoiseModel.none(), 5, rng).is_identity()
+    assert sample_error(NoiseModel.none(), 5, rng) == PauliOperator.identity(5)
     p = sample_error(NoiseModel.bit_flip(1.0), 5, rng)
     assert p.x_bits.all() and not p.z_bits.any()
     p = sample_error(NoiseModel.phase_flip(1.0), 5, rng)
@@ -108,13 +109,16 @@ def test_werner_state():
     assert len(LABELS) == len(LABEL_XZ) == 4
 
 
-def test_sample_label_distribution():
-    w = werner(0.7)
-    rng = stream(7)
-    draws = np.bincount([w.sample_label(rng) for _ in range(20000)], minlength=4)
-    for target, c in zip(w.probs, draws):
-        sigma = math.sqrt(target * (1 - target) * 20000)
-        assert abs(c - target * 20000) < 3 * sigma + 1
+def test_labels_equal_generator_choice_draw_for_draw():
+    """labels(rng.random(m)) gives what m calls of rng.choice(4, p=...)
+    give on the same stream, draw for draw."""
+    m = 20000
+    for state in (werner(0.9), BellDiagonalState(np.array([0.7, 0.1, 0.05, 0.15]))):
+        p = state.probs / state.probs.sum()
+        rng = stream(7)
+        want = [rng.choice(4, p=p) for _ in range(m)]
+        assert np.array_equal(state.labels(stream(7).random(m)), want)
+        assert np.bincount(want, minlength=4).all()
 
 
 def test_rng_streams_are_independent_and_stable():

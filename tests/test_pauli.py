@@ -43,8 +43,8 @@ def test_from_string_rejects_bad_input():
 def test_single_and_identity():
     p = PauliOperator.single(4, 2, "Y")
     assert p.to_string() == "IIYI"
-    assert PauliOperator.identity(3).is_identity()
-    assert not p.is_identity()
+    assert PauliOperator.identity(3) == PauliOperator(3, np.zeros(3), np.zeros(3))
+    assert p != PauliOperator.identity(4)
     assert np.count_nonzero(p.x_bits | p.z_bits) == 1
     for qubit in (-1, 4):
         with pytest.raises(IndexError):
@@ -68,7 +68,7 @@ def test_multiply_is_xor_and_self_inverse(pq):
     prod = p * q
     assert np.array_equal(prod.x_bits, p.x_bits ^ q.x_bits)
     assert (prod * q) == p
-    assert (p * p).is_identity()
+    assert p * p == PauliOperator.identity(p.num_qubits)
 
 
 @given(paulis())

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qnetcode.noise import BellDiagonalState, LABEL_XZ, NoiseModel, werner
+from qnetcode.noise import BellDiagonalState, NoiseModel, werner
 from qnetcode.protocols import (
     purify_pair_dist,
     purify_pair_sampled,
@@ -12,7 +12,7 @@ from qnetcode.protocols import (
     swap_chain,
     teleport,
 )
-from qnetcode.rng import stream
+from qnetcode.rng import stream, streams
 
 from dense_oracle import ONE_QUBIT
 
@@ -179,7 +179,7 @@ def test_purify_basis_validation():
     with pytest.raises(ValueError):
         purify_pair_dist(werner(0.9), werner(0.9), "diagonal")
     with pytest.raises(ValueError):
-        purify_pair_sampled(werner(0.9), werner(0.9), "diagonal", stream(0))
+        purify_pair_sampled(werner(0.9), werner(0.9), "diagonal", [stream(0)])
 
 
 @pytest.mark.parametrize("basis", ["bitflip", "phaseflip"])
@@ -187,16 +187,11 @@ def test_purify_sampled_matches_dist(basis):
     a = werner(0.85)
     b = BellDiagonalState(np.array([0.75, 0.1, 0.05, 0.1]))
     sp, out = purify_pair_dist(a, b, basis)
-    rng = stream(17)
     trials = 6000
-    kept = np.zeros(4)
-    succ = 0
-    label_of = {xz: i for i, xz in enumerate(LABEL_XZ)}
-    for _ in range(trials):
-        res = purify_pair_sampled(a, b, basis, rng)
-        if res.success:
-            succ += 1
-            kept[label_of[(int(res.residual_frame.x_bits[0]), int(res.residual_frame.z_bits[0]))]] += 1
+    _, success, labels = purify_pair_sampled(a, b, basis, streams(17, (), range(trials)))
+    succ = int(success.sum())
+    kept = np.bincount(labels[success], minlength=4)
+    assert (labels[~success] == -1).all()
     sigma_s = math.sqrt(sp * (1 - sp) / trials)
     assert abs(succ / trials - sp) < 3.5 * sigma_s
     for i in range(4):

@@ -1,8 +1,10 @@
 """Seeded outputs of the tableau circuits, pinned byte for byte.
 
 Each test hashes what a fixed-seed run produces: the JSON rows of the
-`protocol` subcommand, or the outcome records of a fixed-seed loop over
-purify_pair_sampled, sample_chain_trial and knill_ec_round. A digest
+`protocol` subcommand, or the per-trial outcome records of one batched
+call of purify_pair_sampled, sample_chain_trial or knill_ec_round over
+the trials' own streams. A record keeps the layout of the one-trial
+runs these oracles once made, so the digests carry over. A digest
 moves when any draw or any measured outcome of the shared circuit steps
 (Pauli placement on a block of qubits, the purification round, the
 swap-and-readout, the encoded Bell measurement) moves, so a refactor of
@@ -18,10 +20,10 @@ from qnetcode import cli, codes
 from qnetcode.decoders import LookupDecoder, MatchingDecoder
 from qnetcode.ftec import KnillNoise, knill_ec_round
 from qnetcode.netchain import ChainConfig, sample_chain_trial
-from qnetcode.noise import BellDiagonalState, NoiseModel, werner
+from qnetcode.noise import LABELS, BellDiagonalState, NoiseModel, werner
 from qnetcode.pauli import PauliOperator
 from qnetcode.protocols import purify_pair_sampled
-from qnetcode.rng import stream
+from qnetcode.rng import streams
 
 
 def _digest(obj) -> str:
@@ -44,14 +46,14 @@ def test_protocol_rows_are_pinned(capsys, argv, digest):
     assert _digest(rows) == digest
 
 
-def _purify_record(basis: str) -> list:
+def _purify_record(basis: str, trials=range(300)) -> list:
     a = werner(0.8)
     b = BellDiagonalState([0.7, 0.1, 0.05, 0.15])
-    record = []
-    for t in range(300):
-        out = purify_pair_sampled(a, b, basis, stream(5, t))
-        record.append([out.classical_bits, out.success, str(out.residual_frame)])
-    return record
+    outcomes, success, kept = purify_pair_sampled(a, b, basis, streams(5, (), trials))
+    return [
+        [[bits], ok, LABELS[label] if ok else "None"]
+        for bits, ok, label in zip(outcomes.tolist(), success.tolist(), kept.tolist())
+    ]
 
 
 @pytest.mark.parametrize("basis,digest", [("bitflip", "07aad4357a51bb93"), ("phaseflip", "67fcc2206cfed0cf")])
@@ -59,27 +61,34 @@ def test_purify_pair_sampled_outcomes_are_pinned(basis, digest):
     assert _digest(_purify_record(basis)) == digest
 
 
+def _chain_record(links: int, rounds: int, trials=range(200)) -> list:
+    cfg = ChainConfig(num_links=links, link_state=werner(0.85), purify_rounds=rounds)
+    success, labels = sample_chain_trial(cfg, streams(6, (links, rounds), trials))
+    return [[ok, label if ok else None] for ok, label in zip(success.tolist(), labels.tolist())]
+
+
 @pytest.mark.parametrize(
     "links,rounds,digest",
     [(1, 1, "e4cbad446e9495ea"), (2, 1, "c746b30e214dbd3f"), (3, 2, "cd3c7f0eb8b365ce")],
 )
 def test_sample_chain_trial_outcomes_are_pinned(links, rounds, digest):
-    cfg = ChainConfig(num_links=links, link_state=werner(0.85), purify_rounds=rounds)
-    record = [list(sample_chain_trial(cfg, stream(6, links, rounds, t))) for t in range(200)]
-    assert _digest(record) == digest
+    assert _digest(_chain_record(links, rounds)) == digest
 
 
-def _knill_record(code, decoder, noise) -> list:
-    identity = PauliOperator.identity(code.n)
-    record = []
-    for t in range(100):
-        rep = knill_ec_round(code, decoder, identity, noise, stream(7, t))
-        record.append([
-            *(a.tolist() for a in (rep.s_x_checks, rep.s_z_checks, rep.logical_xx, rep.logical_zz)),
-            rep.decodable, rep.logical_failure,
-            rep.residual_logical_x.tolist(), rep.residual_logical_z.tolist(),
-        ])
-    return record
+def _knill_record(code_id: str, trials=range(100)) -> list:
+    code = codes.from_id(code_id)
+    decoder = LookupDecoder(code) if code_id == "shor9" else MatchingDecoder(code)
+    noise = KnillNoise(
+        epr_error=NoiseModel.independent_xz(0.03, 0.02),
+        meas_flip=0.03,
+        data_noise=NoiseModel.depolarizing(0.03),
+    )
+    rep = knill_ec_round(code, decoder, PauliOperator.identity(code.n), noise, streams(7, (), trials))
+    fields = (
+        rep.s_x_checks, rep.s_z_checks, rep.logical_xx, rep.logical_zz,
+        rep.decodable, rep.logical_failure, rep.residual_logical_x, rep.residual_logical_z,
+    )
+    return [list(row) for row in zip(*(a.tolist() for a in fields))]
 
 
 @pytest.mark.parametrize(
@@ -89,11 +98,20 @@ def _knill_record(code, decoder, noise) -> list:
 def test_knill_ec_round_reports_are_pinned(code_id, digest):
     """The tableau oracle's seeded reports, its random teleportation frame
     bits (logical_xx, logical_zz) included."""
-    code = codes.from_id(code_id)
-    decoder = LookupDecoder(code) if code_id == "shor9" else MatchingDecoder(code)
-    noise = KnillNoise(
-        epr_error=NoiseModel.independent_xz(0.03, 0.02),
-        meas_flip=0.03,
-        data_noise=NoiseModel.depolarizing(0.03),
-    )
-    assert _digest(_knill_record(code, decoder, noise)) == digest
+    assert _digest(_knill_record(code_id)) == digest
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        lambda trials: _purify_record("bitflip", trials),
+        lambda trials: _purify_record("phaseflip", trials),
+        lambda trials: _chain_record(3, 2, trials),
+        lambda trials: _knill_record("surface:3", trials),
+    ],
+    ids=["purify-bitflip", "purify-phaseflip", "chain", "knill"],
+)
+def test_oracle_records_do_not_depend_on_the_batch(record):
+    """A trial's record is the same in one batch of 60 streams as in two
+    batches of the same streams, split at trial 23."""
+    assert record(range(60)) == record(range(23)) + record(range(23, 60))

@@ -29,10 +29,10 @@ ALLOWED = {
     "ftec.knill_ec_round": TRACER,
     "ftec.apply_output_corrections": TRACER,
     "ftec.verify_output": ORACLE,
+    "gf2.matvec": TRACER,
     "netchain.sample_chain_trial": ACCEPTANCE,
     "protocols.purify_pair_sampled": ACCEPTANCE,
     "noise.sample_error": TRACER,
-    "pauli.PauliOperator.is_identity": ACCEPTANCE,
     "noise.BellDiagonalState.perfect": CONSTRUCTOR,
     "noise.NoiseModel.phase_flip": CONSTRUCTOR,
     "pauli.PauliOperator.identity": CONSTRUCTOR,
