@@ -11,19 +11,19 @@ Block layout inside the simulator: data block [0, n), EPR half A
 two CNOT steps, one measurement step.
 
 Both engines read one data model. draw_faults makes one draw of
-uniforms per round's stream and thresholds a chunk's (T, m) array at
-once. The Bell outcomes and the readout flips share one layout, a (2, n)
-array [u; v] (u: X-basis outcomes of the data block, v: Z-basis outcomes
-of EPR half A), so a flipped readout is outcomes ^ flips. One failure
-account (_frame_account) turns the faults into syndromes and residual
-classes.
+uniforms from every round's stream and thresholds the chunk's (T, m)
+array at once. The Bell outcomes and the readout flips share one
+layout, a (2, n) array [u; v] (u: X-basis outcomes of the data block,
+v: Z-basis outcomes of EPR half A), so a flipped readout is
+outcomes ^ flips. One failure account (_frame_account) turns the faults
+into syndromes and residual classes.
 
 - knill_residuals samples rounds as Pauli frames. Pauli errors propagate
   linearly through the round's Clifford circuit, so the outcome flips,
   the syndromes and the residual on the output block are GF(2) products
   of the drawn fault bits; no tableau is needed. Each chunk of trials
-  takes its per-trial streams from one rng.streams call and is decoded
-  with one decode_batch call.
+  draws from its trials' streams through one rng.streams object and is
+  decoded with one decode_batch call.
   This is the Monte Carlo engine of the knill and decode commands and the
   encoded chain modes (decode is a round with a perfect EPR pair and
   exact readout).
@@ -45,9 +45,9 @@ import numpy as np
 
 from qnetcode import gf2
 from qnetcode.codes import CssCode, parities
-from qnetcode.noise import NoiseModel, draw_uniforms, pauli_bits
+from qnetcode.noise import NoiseModel, pauli_bits
 from qnetcode.pauli import PauliOperator
-from qnetcode.rng import streams
+from qnetcode.rng import TrialStreams, streams
 from qnetcode.stabsim import StabilizerState
 
 ROUND_COST_T = 4
@@ -84,19 +84,20 @@ class KnillNoise:
             raise ValueError(f"meas_flip must be a probability in [0, 1], got {self.meas_flip}")
 
 
-def draw_faults(noise: KnillNoise, n: int, rngs):
-    """Faults of one round per generator in rngs, over T = len(rngs):
+def draw_faults(noise: KnillNoise, n: int, rngs: TrialStreams):
+    """Faults of one round per trial of rngs, over T = len(rngs):
     data_x, data_z (T, n); epr_x, epr_z (T, 2n) on EPR halves A and B;
     flips (T, 2, n) in the readout layout [u; v].
 
-    Each generator makes one draw of uniforms, cut into data noise on n
-    qubits, EPR noise on 2n, and readout flips as a bit_flip(meas_flip)
-    channel on 2n bits (none when meas_flip is 0, reading no uniforms).
+    Each trial's stream makes one draw of uniforms, cut into data noise
+    on n qubits, EPR noise on 2n, and readout flips as a
+    bit_flip(meas_flip) channel on 2n bits (none when meas_flip is 0,
+    reading no uniforms).
     """
     flip = NoiseModel.bit_flip(noise.meas_flip) if noise.meas_flip else NoiseModel.none()
     channels = ((noise.data_noise, n), (noise.epr_error, 2 * n), (flip, 2 * n))
     sizes = [model.uniforms(qubits) for model, qubits in channels]
-    u = draw_uniforms(rngs, sum(sizes))
+    u = rngs.random(sum(sizes))
     (data_x, data_z), (epr_x, epr_z), (flips, _) = (
         pauli_bits(model, part, qubits)
         for (model, qubits), part in zip(channels, np.split(u, np.cumsum(sizes)[:-1], axis=1))
@@ -104,7 +105,7 @@ def draw_faults(noise: KnillNoise, n: int, rngs):
     return data_x, data_z, epr_x, epr_z, flips.reshape(-1, 2, n)
 
 
-def prepare_logical_zero(state: StabilizerState, code: CssCode, offset: int, rngs):
+def prepare_logical_zero(state: StabilizerState, code: CssCode, offset: int, rngs: TrialStreams):
     """Project the all-zeros block at ``offset`` into logical |0> of the code.
 
     |0...0> already satisfies the Z checks and logical Z; measuring each
@@ -122,7 +123,7 @@ def prepare_logical_zero(state: StabilizerState, code: CssCode, offset: int, rng
     state.apply_pauli(np.zeros((state.trials, n)), np.array(fixes)[inverse.ravel()], offset)
 
 
-def prepare_logical_epr(state: StabilizerState, code: CssCode, offset: int, rngs):
+def prepare_logical_epr(state: StabilizerState, code: CssCode, offset: int, rngs: TrialStreams):
     """Entangle two logical-|0> blocks, A at ``offset`` and B right after
     it, into a logical EPR pair.
 
@@ -137,9 +138,9 @@ def prepare_logical_epr(state: StabilizerState, code: CssCode, offset: int, rngs
         state.apply_pauli(np.zeros((state.trials, n)), flip[:, None] & lz, offset)
 
 
-def _run_round(code: CssCode, data_x, data_z, epr_x, epr_z, rngs):
-    """Full tableau execution of one encoded Bell measurement per generator
-    in ``rngs``, with the data error (data_x, data_z) of n qubits and the
+def _run_round(code: CssCode, data_x, data_z, epr_x, epr_z, rngs: TrialStreams):
+    """Full tableau execution of one encoded Bell measurement per trial of
+    ``rngs``, with the data error (data_x, data_z) of n qubits and the
     EPR error (epr_x, epr_z) of 2n, each the same on every trial or one
     row per trial.
 
@@ -271,10 +272,10 @@ def knill_ec_round(
     decoder,
     data_error: PauliOperator,
     noise: KnillNoise,
-    rngs,
+    rngs: TrialStreams,
 ) -> KnillReport:
-    """Single-shot EC rounds on the stabilizer tableau, one per generator
-    in ``rngs``: encoded Bell measurement, extraction, one decode, failure
+    """Single-shot EC rounds on the stabilizer tableau, one per trial of
+    ``rngs``: encoded Bell measurement, extraction, one decode, failure
     accounting. Every field of the report has one row per trial.
 
     Each trial's faults are drawn first (draw_faults), with data_error

@@ -26,7 +26,7 @@ from qnetcode.codes import CssCode
 from qnetcode.ftec import KnillNoise, knill_residuals
 from qnetcode.noise import BellDiagonalState, LABEL_INDEX, LABEL_OF, LABEL_XZ, NoiseModel, effective_error_rate
 from qnetcode.protocols import noisy_pairs, purify_pair_dist, purify_round, swap_readout
-from qnetcode.rng import MAX_TRIALS
+from qnetcode.rng import MAX_TRIALS, TrialStreams
 
 MODES = ("physical", "encoded_teleport", "encoded_direct")
 
@@ -160,8 +160,8 @@ def compare_latency(config: ChainConfig) -> tuple[float, float]:
 # --- tableau cross-check -----------------------------------------------------
 
 
-def sample_chain_trial(config: ChainConfig, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """Tableau trials of the physical mode, one per generator in ``rngs``.
+def sample_chain_trial(config: ChainConfig, rngs: TrialStreams) -> tuple[np.ndarray, np.ndarray]:
+    """Tableau trials of the physical mode, one per trial of ``rngs``.
 
     Returns (success (T,), end label index (T,)). A trial fails when any
     of its purification comparisons disagrees; its label is then -1.

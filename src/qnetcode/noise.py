@@ -82,11 +82,6 @@ class NoiseModel:
         return {"none": 0, "independent_xz": 2 * n}.get(self.variant, n)
 
 
-def draw_uniforms(rngs, m: int) -> np.ndarray:
-    """(T, m) uniforms over T = len(rngs): row t is one draw of m from rngs[t]."""
-    return np.stack([rng.random(m) for rng in rngs])
-
-
 def pauli_bits(model: NoiseModel, u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Pauli bits (x, z), each (..., n) uint8, from uniforms u of shape
     (..., model.uniforms(n)). Depolarizing reads one uniform per qubit:

@@ -2,11 +2,12 @@
 and recurrence-style entanglement purification.
 
 teleport, superdense and swap_chain run T trials at once on one tableau
-whose signs carry the trial axis (see stabsim): they take one generator
-per trial and return per-trial arrays. Trial t draws its noise with
-rngs[t].random(m) before any measurement draws its outcomes, as a
-one-trial run of the same circuit would. Outcome pairs are (xx, zz) bits
-and a Pauli frame is its (x, z) bits.
+whose signs carry the trial axis (see stabsim): they take the trials'
+streams as one rng.TrialStreams object and return per-trial arrays.
+Every trial draws its noise as one row of rngs.random(m) before any
+measurement draws its outcomes, as a one-trial run of the same circuit
+on the trial's own stream would. Outcome pairs are (xx, zz) bits and a
+Pauli frame is its (x, z) bits.
 
 purify_pair_sampled and netchain's tableau cross-check batch their
 trials the same way, from noisy_pairs (labelled Bell pairs) through a
@@ -22,8 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from qnetcode.noise import BellDiagonalState, LABEL_INDEX, LABEL_OF, LABEL_XZ, NoiseModel, draw_uniforms, pauli_bits
+from qnetcode.noise import BellDiagonalState, LABEL_INDEX, LABEL_OF, LABEL_XZ, NoiseModel, pauli_bits
 from qnetcode.pauli import PauliOperator
+from qnetcode.rng import TrialStreams
 from qnetcode.stabsim import StabilizerState, prepare_bell
 
 Gate = tuple
@@ -48,10 +50,10 @@ def _unapply_prep(state: StabilizerState, prep: Sequence[Gate], qubit: int):
 def teleport(
     input_prep: Sequence[Gate],
     epr_noise: NoiseModel,
-    rngs: Sequence[np.random.Generator],
+    rngs: TrialStreams,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Teleport the state prepared by ``input_prep`` through a (noisy) EPR
-    pair, once per generator in ``rngs``.
+    pair, once per trial of ``rngs``.
 
     Qubit 0 is the payload, qubit 1 Alice's EPR half, qubit 2 Bob's.
     Bob applies X^zz then Z^xx. Verification un-prepares Bob's qubit and
@@ -60,7 +62,7 @@ def teleport(
     """
     state = StabilizerState(3, len(rngs))
     prepare_bell(state, 1, 2)
-    epr_x, epr_z = pauli_bits(epr_noise, draw_uniforms(rngs, epr_noise.uniforms(2)), 2)
+    epr_x, epr_z = pauli_bits(epr_noise, rngs.random(epr_noise.uniforms(2)), 2)
     state.apply_pauli(epr_x, epr_z, 1)
     _apply_prep(state, input_prep, 0)
     xx, zz = state.bell_measure(0, 1, rngs)
@@ -75,10 +77,10 @@ def teleport(
 def superdense(
     bits,
     channel_noise: NoiseModel,
-    rngs: Sequence[np.random.Generator],
+    rngs: TrialStreams,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Send two classical bits (a, b) over one qubit plus a shared EPR
-    pair, once per generator in ``rngs``; ``bits`` is one (a, b) pair for
+    pair, once per trial of ``rngs``; ``bits`` is one (a, b) pair for
     every trial or a (T, 2) array.
 
     Alice applies Z^a X^b to her half and sends it through the channel;
@@ -89,7 +91,7 @@ def superdense(
     state = StabilizerState(2, len(rngs))
     prepare_bell(state, 0, 1)
     state.apply_pauli(bits[..., 1:], bits[..., :1])
-    err_x, err_z = pauli_bits(channel_noise, draw_uniforms(rngs, channel_noise.uniforms(1)), 1)
+    err_x, err_z = pauli_bits(channel_noise, rngs.random(channel_noise.uniforms(1)), 1)
     state.apply_pauli(err_x, err_z)
     xx, zz = state.bell_measure(0, 1, rngs)
     return np.stack([xx, zz], axis=1)[:, None], np.concatenate([err_x, err_z], axis=1)
@@ -98,12 +100,12 @@ def superdense(
 def swap_chain(
     num_links: int,
     link_noise: NoiseModel,
-    rngs: Sequence[np.random.Generator],
+    rngs: TrialStreams,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fuse m noisy link pairs into one end-to-end pair via m-1 swaps,
-    once per generator in ``rngs``.
+    once per trial of ``rngs``.
 
-    Trial t draws each link's two-qubit error in link order. Returns the
+    Each trial draws each link's two-qubit error in link order. Returns the
     swap outcomes (T, m, 2), readout last, and the end pair's error frame
     (T, 2) from the final verification Bell measurement.
     """
@@ -115,23 +117,23 @@ def swap_chain(
     for a, b in pairs:
         prepare_bell(state, a, b)
     m = link_noise.uniforms(2)
-    u = draw_uniforms(rngs, num_links * m).reshape(trials, num_links, m)
+    u = rngs.random(num_links * m).reshape(trials, num_links, m)
     err_x, err_z = pauli_bits(link_noise, u, 2)
     state.apply_pauli(err_x.reshape(trials, n), err_z.reshape(trials, n))
     outcomes = swap_readout(state, pairs, rngs)
     return outcomes, outcomes[:, -1, ::-1]
 
 
-def noisy_pairs(states: Sequence[BellDiagonalState], rngs: Sequence[np.random.Generator]) -> StabilizerState:
+def noisy_pairs(states: Sequence[BellDiagonalState], rngs: TrialStreams) -> StabilizerState:
     """A tableau of len(states) Bell pairs, pair i on qubits (2i, 2i + 1),
     for T = len(rngs) trials.
 
-    Trial t draws the pairs' error labels from one row of uniforms, pair i
+    Each trial draws the pairs' error labels from one row of uniforms, pair i
     from states[i] with the row's i-th uniform, and puts each label's Pauli
     on its pair's first qubit.
     """
     state = StabilizerState(2 * len(states), len(rngs))
-    u = draw_uniforms(rngs, len(states))
+    u = rngs.random(len(states))
     for i, pair in enumerate(states):
         prepare_bell(state, 2 * i, 2 * i + 1)
         x, z = np.array(LABEL_XZ, dtype=np.uint8)[pair.labels(u[:, i])].T
@@ -139,7 +141,7 @@ def noisy_pairs(states: Sequence[BellDiagonalState], rngs: Sequence[np.random.Ge
     return state
 
 
-def swap_readout(state: StabilizerState, pairs: Sequence[tuple[int, int]], rngs: Sequence[np.random.Generator]):
+def swap_readout(state: StabilizerState, pairs: Sequence[tuple[int, int]], rngs: TrialStreams):
     """Swap a chain of Bell pairs, given as (left, right) qubits in chain
     order, into one end-to-end pair and read it out.
 
@@ -200,7 +202,7 @@ def purify_pair_dist(
 
 
 def purify_round(state: StabilizerState, keep: tuple[int, int], meas: tuple[int, int], basis: str,
-                 rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+                 rngs: TrialStreams) -> tuple[np.ndarray, np.ndarray]:
     """One recurrence round on the tableau: bilateral CNOT from the kept
     pair onto the measured pair, then a Z readout of both measured qubits
     (phaseflip conjugates the round by H on all four qubits). Returns the
@@ -221,10 +223,10 @@ def purify_pair_sampled(
     a: BellDiagonalState,
     b: BellDiagonalState,
     basis: str,
-    rngs: Sequence[np.random.Generator],
+    rngs: TrialStreams,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Monte Carlo twin of purify_pair_dist on the tableau, once per
-    generator in ``rngs``.
+    trial of ``rngs``.
 
     Returns (outcomes (T, 2), success (T,), kept (T,)): the two measured
     bits, whether they agree, and the kept pair's error label, read by a

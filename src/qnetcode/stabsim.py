@@ -16,7 +16,9 @@ measurement outcomes, and both only flip signs. Conjugation moves x/z
 bits independently of the signs, and the x/z bits alone decide whether a
 measurement is random and which row is its pivot. So x and z are
 (2n, n) arrays, the signs r a (T, 2n) array, and T trials run exactly as
-T one-trial tableaus would.
+T one-trial tableaus would. For the same reason every trial makes the
+same random draws in the same order, so a batch draws its outcomes from
+one rng.TrialStreams object, all trials at one stream position.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from qnetcode.pauli import PauliOperator
+from qnetcode.rng import TrialStreams
 
 _SINGLE = {letter: PauliOperator.from_string(letter) for letter in "XYZ"}
 
@@ -43,8 +46,9 @@ class StabilizerState:
 
     A Pauli argument acts on a block: a Pauli of width w with offset
     ``at`` acts on the qubits [at, at + w); a block past either end is a
-    ValueError. A measurement takes one generator per trial and returns one
-    outcome bit per trial, as a (T,) array.
+    ValueError. A measurement takes the trials' streams as one
+    rng.TrialStreams object and returns one outcome bit per trial, as a
+    (T,) array.
     """
 
     def __init__(self, num_qubits: int, trials: int = 1):
@@ -152,16 +156,17 @@ class StabilizerState:
 
     # --- measurement ------------------------------------------------------
 
-    def measure_pauli(self, p: PauliOperator, rngs, at: int = 0) -> np.ndarray:
+    def measure_pauli(self, p: PauliOperator, rngs: TrialStreams, at: int = 0) -> np.ndarray:
         """Measure the Hermitian Pauli +p at ``at`` on every trial; returns
-        the (T,) outcome bits. ``rngs`` holds one generator per trial.
+        the (T,) outcome bits. ``rngs`` draws for the same T trials.
 
         Outcome 0 projects onto the +1 eigenspace. Deterministic when
         +/-p is in the stabilizer group, else uniformly random with a
-        tableau update: trial t draws its outcome with rngs[t].integers(2).
+        tableau update: every trial draws its outcome with rngs.bits(),
+        which is integers(2) on the trial's own stream.
         """
         if len(rngs) != self.trials:
-            raise ValueError(f"need one generator per trial: {len(rngs)} for {self.trials} trials")
+            raise ValueError(f"the streams draw for {len(rngs)} trials, the state has {self.trials}")
         n = self.num_qubits
         comm = self._anticommutes(p.x_bits, p.z_bits, at)
         anti_stab = np.nonzero(comm[n:])[0]
@@ -171,7 +176,7 @@ class StabilizerState:
             others = others[others != piv]
             if others.size:
                 self._rowsum_many(others, piv)
-            outcome = np.fromiter((rng.integers(2) for rng in rngs), dtype=np.uint8, count=self.trials)
+            outcome = rngs.bits()
             self.x[piv - n] = self.x[piv]
             self.z[piv - n] = self.z[piv]
             self.r[:, piv - n] = self.r[:, piv]
@@ -183,11 +188,11 @@ class StabilizerState:
         # deterministic: the stabilizer product equal to +/-p carries the sign
         return self._stabilizer_product(n + np.nonzero(comm[:n])[0])[2]
 
-    def measure_z(self, q: int, rngs) -> np.ndarray:
+    def measure_z(self, q: int, rngs: TrialStreams) -> np.ndarray:
         self._check_qubit(q)
         return self.measure_pauli(_SINGLE["Z"], rngs, q)
 
-    def bell_measure(self, q1: int, q2: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+    def bell_measure(self, q1: int, q2: int, rngs: TrialStreams) -> tuple[np.ndarray, np.ndarray]:
         """Joint XX/ZZ measurement of (q1, q2) via CNOT, H, two Z reads.
 
         Returns the (T,) arrays (xx_bits, zz_bits); both qubits end in

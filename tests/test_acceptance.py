@@ -25,6 +25,8 @@ from qnetcode.protocols import purify_pair_dist, purify_pair_sampled, superdense
 from qnetcode.rng import stream, streams
 from qnetcode.stabsim import StabilizerState
 
+from trial_streams import trial_streams
+
 
 def test_criterion_01_rate_reproduction_exact():
     surface = ratecalc.RateConfig(68200, 289, 1)
@@ -48,12 +50,12 @@ def test_criterion_02_effective_error_rate_exact():
 
 def test_criterion_03_protocol_identities_10k_each():
     trials = 10_000
-    _, frame, verified = teleport([("H", 0)], NoiseModel.none(), [stream(300, t) for t in range(trials)])
+    _, frame, verified = teleport([("H", 0)], NoiseModel.none(), streams(300, (), range(trials)))
     assert verified.all() and not frame.any()
     bits = np.array([(t % 2, (t // 2) % 2) for t in range(trials)], dtype=np.uint8)
-    outcomes, _ = superdense(bits, NoiseModel.none(), [stream(301, t) for t in range(trials)])
+    outcomes, _ = superdense(bits, NoiseModel.none(), streams(301, (), range(trials)))
     assert np.array_equal(outcomes[:, 0], bits)
-    _, frame = swap_chain(3, NoiseModel.none(), [stream(302, t) for t in range(trials)])
+    _, frame = swap_chain(3, NoiseModel.none(), streams(302, (), range(trials)))
     assert not frame.any()
     print(f"PASS criterion 3: teleport/superdense/3-link swap verified in {trials} noiseless trials each")
 
@@ -172,7 +174,8 @@ def test_criterion_07_single_shot_u_flip_membership():
 
     StabilizerState.measure_pauli = counting
     try:
-        knill_ec_round(code, LookupDecoder(code), PauliOperator.identity(n), KnillNoise(), [stream(700)])
+        rngs = trial_streams([stream(700)])
+        knill_ec_round(code, LookupDecoder(code), PauliOperator.identity(n), KnillNoise(), rngs)
     finally:
         StabilizerState.measure_pauli = original
     assert counter["n"] == 3 * code.r_x + code.k + 2 * n

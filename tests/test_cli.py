@@ -120,6 +120,27 @@ def test_protocol_rows_do_not_depend_on_the_chunk_size(capsys, monkeypatch, argv
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["--name", "swap", "--links", "8", "--noise", "depolarizing:0.05"],
+        ["--name", "teleport", "--noise", "depolarizing:0.2"],
+    ],
+    ids=["swap8", "teleport"],
+)
+def test_protocol_rows_equal_in_chunks_of_37_and_4096(capsys, monkeypatch, argv):
+    """Each chunk's streams start every trial at position 0: 200 trials in
+    six chunks of 37, the last one part-filled, print the rows of one
+    chunk of the default 4096."""
+    assert ftec.FRAME_CHUNK == 4096
+    args = ["protocol", *argv, "--trials", "200", "--seed", "9", "--format", "json"]
+    _, whole, _ = run_cli(capsys, *args)
+    monkeypatch.setattr(ftec, "FRAME_CHUNK", 37)
+    _, chunked, _ = run_cli(capsys, *args)
+    assert chunked == whole
+    assert 0 < sum(row["success"] for row in json.loads(whole)) < 200
+
+
+@pytest.mark.parametrize(
     "code_id,decoder,p,trials,seed",
     [
         ("surface:3", "mwpm", 0.05, 300, 11),

@@ -24,6 +24,8 @@ from qnetcode.pauli import PauliOperator
 from qnetcode.rng import stream, streams
 from qnetcode.stabsim import StabilizerState
 
+from trial_streams import trial_streams
+
 NO_NOISE = KnillNoise()
 
 
@@ -35,9 +37,9 @@ def decoder_for(code):
 
 def test_prepare_logical_zero_state():
     code = codes.shor9()
-    rng = stream(40)
+    rng = trial_streams([stream(40)])
     state = StabilizerState(3 * code.n)
-    prepare_logical_zero(state, code, 0, [rng])
+    prepare_logical_zero(state, code, 0, rng)
     zero = np.zeros(code.n)
     for row in code.h_x:
         assert state.expectation(PauliOperator(code.n, row)) == 1
@@ -49,9 +51,9 @@ def test_prepare_logical_zero_state():
 def test_prepare_logical_epr_correlations():
     code = codes.rep3()
     n = code.n
-    rng = stream(41)
+    rng = trial_streams([stream(41)])
     state = StabilizerState(3 * n)
-    prepare_logical_epr(state, code, n, [rng])
+    prepare_logical_epr(state, code, n, rng)
     x = np.zeros(3 * n, dtype=np.uint8)
     x[n : 2 * n] = code.logical_x[0]
     x[2 * n :] = code.logical_x[0]
@@ -80,7 +82,7 @@ def test_single_qubit_data_errors_corrected(code):
     for q in range(code.n):
         for letter in "XYZ":
             err = PauliOperator.single(code.n, q, letter)
-            rep = knill_ec_round(code, dec, err, NO_NOISE, [stream(43, q, ord(letter))])
+            rep = knill_ec_round(code, dec, err, NO_NOISE, trial_streams([stream(43, q, ord(letter))]))
             assert not rep.logical_failure[0], (q, letter)
             want_sx, want_sz = codes.syndrome(code, err)
             assert np.array_equal(rep.s_x_checks[0], want_sx)
@@ -116,7 +118,7 @@ def test_epr_half_a_errors_look_like_data_errors():
     code = codes.rep3()
     n = code.n
     zero, zero2 = np.zeros(n, dtype=np.uint8), np.zeros(2 * n, dtype=np.uint8)
-    rngs_a, rngs_b, rngs_c = ([stream(44, t, i) for t in range(10)] for i in range(3))
+    rngs_a, rngs_b, rngs_c = (trial_streams([stream(44, t, i) for t in range(10)]) for i in range(3))
     out_a = extract(_run_round(code, zero, zero, [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], rngs_a)[0], code)
     out_d = extract(_run_round(code, [1, 0, 0], [0, 1, 0], zero2, zero2, rngs_b)[0], code)
     # compare syndromes only: the logical bits are genuinely random
@@ -171,7 +173,7 @@ def test_round_measures_each_qubit_exactly_once(monkeypatch):
         return original(self, p, rng, at)
 
     monkeypatch.setattr(StabilizerState, "measure_pauli", counting)
-    knill_ec_round(code, dec, PauliOperator.identity(code.n), NO_NOISE, [stream(47)])
+    knill_ec_round(code, dec, PauliOperator.identity(code.n), NO_NOISE, trial_streams([stream(47)]))
     expected = 3 * code.r_x + code.k + 2 * code.n
     assert counter["n"] == expected
 
@@ -180,7 +182,7 @@ def test_undecodable_syndrome_counts_as_failure():
     code = codes.shor9()
     dec = LookupDecoder(code, weight_cap=0)
     err = PauliOperator.single(code.n, 0, "X")
-    rep = knill_ec_round(code, dec, err, NO_NOISE, [stream(48)])
+    rep = knill_ec_round(code, dec, err, NO_NOISE, trial_streams([stream(48)]))
     assert rep.logical_failure[0]
     assert not rep.decodable[0]
     assert rep.residual_logical_x.all() and rep.residual_logical_z.all()
@@ -305,9 +307,26 @@ def test_frame_engine_chunks_do_not_change_results(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
 
 
+def test_frame_engine_equals_in_chunks_of_37_and_4096(monkeypatch):
+    """Each chunk's streams start every trial at position 0: 200 rounds in
+    six chunks of 37, the last one part-filled, give what one chunk of the
+    default 4096 gives."""
+    code = codes.shor9()
+    decoder = LookupDecoder(code)
+    noise = KnillNoise(
+        epr_error=NoiseModel.depolarizing(0.02), meas_flip=0.02, data_noise=NoiseModel.depolarizing(0.05)
+    )
+    assert ftec.FRAME_CHUNK == 4096
+    whole = knill_residuals(code, decoder, noise, 69, (), 200)
+    monkeypatch.setattr(ftec, "FRAME_CHUNK", 37)
+    chunked = knill_residuals(code, decoder, noise, 69, (), 200)
+    assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
+    assert 0 < (whole[0] | whole[1]).sum() < 200
+
+
 def test_frame_engine_chunks_equal_one_batch_of_per_trial_streams(monkeypatch):
     """knill_residuals in chunks of 7 gives what one batch of the trials'
-    own stream(seed, *key, t) generators gives, for a key whose first word
+    own streams stream(seed, *key, t) gives, for a key whose first word
     takes two 32-bit entropy words."""
     code = codes.rotated_surface(3)
     decoder = MatchingDecoder(code)
@@ -317,7 +336,7 @@ def test_frame_engine_chunks_equal_one_batch_of_per_trial_streams(monkeypatch):
     key, trials = (2**33, 5), 30
     monkeypatch.setattr(ftec, "FRAME_CHUNK", 7)
     x_bad, z_bad, iterations = knill_residuals(code, decoder, noise, 68, key, trials)
-    faults = draw_faults(noise, code.n, [stream(68, *key, t) for t in range(trials)])
+    faults = draw_faults(noise, code.n, streams(68, key, range(trials)))
     _, _, acts_as_x, acts_as_z, (_, _, _, _, its) = _frame_account(code, decoder, *faults)
     assert np.array_equal(x_bad, acts_as_x.any(axis=1)) and np.array_equal(z_bad, acts_as_z.any(axis=1))
     assert np.array_equal(iterations, its)
@@ -342,7 +361,7 @@ def test_code_without_logical_qubit_raises():
     with pytest.raises(ValueError, match="no logical qubit"):
         knill_residuals(code, decoder, NO_NOISE, 0, (), 5)
     with pytest.raises(ValueError, match="no logical qubit"):
-        knill_ec_round(code, decoder, PauliOperator.identity(code.n), NO_NOISE, [stream(0)])
+        knill_ec_round(code, decoder, PauliOperator.identity(code.n), NO_NOISE, trial_streams([stream(0)]))
 
 
 @pytest.mark.parametrize(
@@ -363,24 +382,17 @@ def test_frame_engine_draws_only_what_models_read(monkeypatch, noise, uniforms_p
     results equal the tableau round's."""
     code = codes.shor9()
     decoder = LookupDecoder(code)
-    handed_out = []
-
-    class CountingRng:
-        """Counts the uniforms a trial's stream hands out."""
-
-        def __init__(self, rng):
-            self.rng = rng
-            self.trial = len(handed_out)
-            handed_out.append(0)
-
-        def random(self, size):
-            handed_out[self.trial] += np.prod(size, dtype=int)
-            return self.rng.random(size)
-
+    made = []
     streams_of = ftec.streams
-    monkeypatch.setattr(ftec, "streams", lambda *args: [CountingRng(rng) for rng in streams_of(*args)])
+
+    def recording(*args):
+        made.append(streams_of(*args))
+        return made[-1]
+
+    monkeypatch.setattr(ftec, "streams", recording)
     x_bad, z_bad, _ = knill_residuals(code, decoder, noise, 66, (), 40)
-    assert handed_out == [uniforms_per_trial] * 40
+    # one object for the chunk's 40 trials; position counts each stream's draws
+    assert [(len(rngs), rngs.position) for rngs in made] == [(40, uniforms_per_trial)]
     n = code.n
     assert uniforms_per_trial == (
         noise.data_noise.uniforms(n) + noise.epr_error.uniforms(2 * n) + (2 * n if noise.meas_flip else 0)
@@ -441,11 +453,11 @@ def test_draw_faults_matches_per_trial_sampler(p, meas_flip):
     n, trials = 4, 25
     for data_noise, epr_error in itertools.product(_models(p), repeat=2):
         noise = KnillNoise(epr_error=epr_error, meas_flip=meas_flip, data_noise=data_noise)
-        rngs = [stream(67, t) for t in range(trials)]
+        rngs = streams(67, (), range(trials))
         refs = [stream(67, t) for t in range(trials)]
         got = draw_faults(noise, n, rngs)
         want = [np.array(a) for a in zip(*(_per_trial_faults(noise, n, rng) for rng in refs))]
         for g, w in zip(got, want):
             assert g.dtype == np.uint8 and np.array_equal(g, w), noise
-        for rng, ref in zip(rngs, refs):
-            assert np.array_equal(rng.random(3), ref.random(3)), noise
+        for after, ref in zip(rngs.random(3), refs):
+            assert np.array_equal(after, ref.random(3)), noise

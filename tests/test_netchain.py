@@ -18,6 +18,8 @@ from qnetcode.noise import LABEL_INDEX, BellDiagonalState, NoiseModel, effective
 from qnetcode.protocols import purify_pair_dist
 from qnetcode.rng import stream, streams
 
+from trial_streams import trial_streams
+
 
 def bernoulli_x(p):
     return BellDiagonalState(np.array([1 - p, p, 0.0, 0.0]))
@@ -219,4 +221,4 @@ def test_sample_chain_rejects_encoded_modes():
         code=code, decoder=LookupDecoder(code),
     )
     with pytest.raises(ValueError):
-        sample_chain_trial(cfg, [stream(0)])
+        sample_chain_trial(cfg, trial_streams([stream(0)]))

@@ -15,6 +15,7 @@ from qnetcode.protocols import (
 from qnetcode.rng import stream, streams
 
 from dense_oracle import ONE_QUBIT
+from trial_streams import trial_streams
 
 # --- density-matrix purification oracle --------------------------------------
 
@@ -79,13 +80,9 @@ def dense_purify(a: BellDiagonalState, b: BellDiagonalState, basis: str):
 PREPS = [[], [("H", 0)], [("X", 0)], [("H", 0), ("Z", 0)], [("X", 0), ("H", 0)]]
 
 
-def _streams(*key, trials):
-    return [stream(*key, t) for t in range(trials)]
-
-
 @pytest.mark.parametrize("prep", PREPS, ids=lambda p: "-".join(g[0] for g in p) or "zero")
 def test_noiseless_teleport_verifies(prep):
-    outcomes, frame, verified = teleport(prep, NoiseModel.none(), _streams(11, trials=50))
+    outcomes, frame, verified = teleport(prep, NoiseModel.none(), streams(11, (), range(50)))
     assert verified.all()
     assert not frame.any()
     assert outcomes.shape == (50, 1, 2)
@@ -95,20 +92,20 @@ def test_teleport_residual_frame_is_consistent_per_trial():
     """For payload |0>, verification succeeds exactly when the residual
     frame has no X component; for |+>, exactly when it has no Z."""
     noise = NoiseModel.independent_xz(0.4, 0.4)
-    _, frame, verified = teleport([], noise, _streams(12, 0, trials=300))
+    _, frame, verified = teleport([], noise, streams(12, (0,), range(300)))
     assert np.array_equal(verified, frame[:, 0] == 0)
-    _, frame, verified = teleport([("H", 0)], noise, _streams(12, 1, trials=300))
+    _, frame, verified = teleport([("H", 0)], noise, streams(12, (1,), range(300)))
     assert np.array_equal(verified, frame[:, 1] == 0)
 
 
 def test_teleport_rejects_multi_qubit_prep():
     with pytest.raises(ValueError):
-        teleport([("CNOT", 0, 1)], NoiseModel.none(), [stream(0)])
+        teleport([("CNOT", 0, 1)], NoiseModel.none(), trial_streams([stream(0)]))
 
 
 def test_superdense_all_bit_pairs():
     sent = np.array(list(itertools.product((0, 1), repeat=2)) * 25, dtype=np.uint8)
-    outcomes, channel = superdense(sent, NoiseModel.none(), _streams(13, trials=len(sent)))
+    outcomes, channel = superdense(sent, NoiseModel.none(), streams(13, (), range(len(sent))))
     assert np.array_equal(outcomes[:, 0], sent)
     assert not channel.any()
 
@@ -117,31 +114,31 @@ def test_superdense_under_full_flip_noise():
     """An X error anticommutes with ZZ, so it flips exactly the b bit;
     a Z error flips the a bit. The channel Pauli is returned per trial."""
     sent = np.array(list(itertools.product((0, 1), repeat=2)), dtype=np.uint8)
-    outcomes, channel = superdense(sent, NoiseModel.bit_flip(1.0), _streams(14, 0, trials=4))
+    outcomes, channel = superdense(sent, NoiseModel.bit_flip(1.0), streams(14, (0,), range(4)))
     assert np.array_equal(outcomes[:, 0], sent ^ [0, 1])
     assert np.array_equal(channel, [[1, 0]] * 4)
-    outcomes, channel = superdense(sent, NoiseModel.phase_flip(1.0), _streams(14, 1, trials=4))
+    outcomes, channel = superdense(sent, NoiseModel.phase_flip(1.0), streams(14, (1,), range(4)))
     assert np.array_equal(outcomes[:, 0], sent ^ [1, 0])
     assert np.array_equal(channel, [[0, 1]] * 4)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_noiseless_swap_chain(m):
-    outcomes, frame = swap_chain(m, NoiseModel.none(), _streams(15, m, trials=30))
+    outcomes, frame = swap_chain(m, NoiseModel.none(), streams(15, (m,), range(30)))
     assert not frame.any()
     assert outcomes.shape == (30, m, 2)  # m-1 swaps + final verification
 
 
 def test_swap_chain_validation():
     with pytest.raises(ValueError):
-        swap_chain(0, NoiseModel.none(), [stream(0)])
+        swap_chain(0, NoiseModel.none(), trial_streams([stream(0)]))
 
 
 def test_noisy_swap_chain_residual_distribution():
     """End-to-end X rate of a 2-link chain of bit-flip pairs is p+q-2pq."""
     p = 0.2
     trials = 4000
-    _, frame = swap_chain(2, NoiseModel.bit_flip(p), _streams(16, trials=trials))
+    _, frame = swap_chain(2, NoiseModel.bit_flip(p), streams(16, (), range(trials)))
     flips = int(frame[:, 0].sum())
     # each link has two halves; X rate per link is 2p(1-p)
     q = 2 * p * (1 - p)
@@ -179,7 +176,7 @@ def test_purify_basis_validation():
     with pytest.raises(ValueError):
         purify_pair_dist(werner(0.9), werner(0.9), "diagonal")
     with pytest.raises(ValueError):
-        purify_pair_sampled(werner(0.9), werner(0.9), "diagonal", [stream(0)])
+        purify_pair_sampled(werner(0.9), werner(0.9), "diagonal", trial_streams([stream(0)]))
 
 
 @pytest.mark.parametrize("basis", ["bitflip", "phaseflip"])

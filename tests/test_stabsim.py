@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from qnetcode.pauli import PauliOperator
-from qnetcode.rng import stream
+from qnetcode.rng import stream, streams
 from qnetcode.stabsim import StabilizerState, _phase_exponents, prepare_bell
 
 from dense_oracle import DenseState
+from trial_streams import trial_streams
 
 
 def random_clifford_circuit(n, depth, rng):
@@ -67,6 +68,7 @@ def test_measurements_match_dense_oracle(n):
     compare probabilities and post-measurement expectations."""
     for seed in range(10):
         rng = stream(200 + seed, n)
+        outcomes = streams(200 + seed, (n,), [0])
         stab = StabilizerState(n)
         dense = DenseState(n)
         for step in range(12):
@@ -78,7 +80,7 @@ def test_measurements_match_dense_oracle(n):
             expect = stab.expectation(PauliOperator.single(n, q, "Z"))[0]
             want_prob0 = {1: 1.0, -1: 0.0, 0: 0.5}[expect]
             assert prob0 == pytest.approx(want_prob0, abs=1e-9)
-            outcome = int(stab.measure_z(q, [rng])[0])
+            outcome = int(stab.measure_z(q, outcomes)[0])
             dense.project_z(q, outcome)
         for s in all_pauli_strings(n):
             got = stab.expectation(PauliOperator.from_string(s))[0]
@@ -86,24 +88,24 @@ def test_measurements_match_dense_oracle(n):
 
 
 def test_repeated_measurement_is_stable():
-    rng = stream(1)
+    rng = trial_streams([stream(1)])
     state = StabilizerState(3)
     state.h(0)
     state.cnot(0, 1)
-    first = state.measure_z(0, [rng])
+    first = state.measure_z(0, rng)
     for _ in range(5):
-        assert state.measure_z(0, [rng]) == first
-        assert state.measure_z(1, [rng]) == first
+        assert state.measure_z(0, rng) == first
+        assert state.measure_z(1, rng) == first
 
 
 def test_bell_pair_measurements():
-    rng = stream(2)
+    rng = trial_streams([stream(2)])
     state = StabilizerState(2)
     prepare_bell(state, 0, 1)
     assert state.expectation(PauliOperator.from_string("XX")) == 1
     assert state.expectation(PauliOperator.from_string("ZZ")) == 1
     assert state.expectation(PauliOperator.from_string("YY")) == -1
-    assert state.bell_measure(0, 1, [rng]) == (0, 0)
+    assert state.bell_measure(0, 1, rng) == (0, 0)
 
 
 @pytest.mark.parametrize(
@@ -112,66 +114,66 @@ def test_bell_pair_measurements():
 )
 def test_bell_measure_reads_error_labels(letter, expected):
     """An error sigma on one Bell half shows up as (xx, zz) = (z, x)."""
-    rng = stream(3)
+    rng = trial_streams([stream(3)])
     state = StabilizerState(2)
     prepare_bell(state, 0, 1)
     p = PauliOperator.from_string(letter + "I")
     state.apply_pauli(p.x_bits, p.z_bits)
-    assert state.bell_measure(0, 1, [rng]) == expected
+    assert state.bell_measure(0, 1, rng) == expected
 
 
 def test_deterministic_measurements():
-    rng = stream(4)
+    rng = trial_streams([stream(4)])
     state = StabilizerState(2)
-    assert state.measure_z(0, [rng]) == 0
+    assert state.measure_z(0, rng) == 0
     state.apply_pauli([1], [0], 0)
-    assert state.measure_z(0, [rng]) == 1
+    assert state.measure_z(0, rng) == 1
     state.h(1)
     x1 = PauliOperator.single(2, 1, "X")
-    assert state.measure_pauli(x1, [rng]) == 0
+    assert state.measure_pauli(x1, rng) == 0
     state.apply_pauli([0], [1], 1)
-    assert state.measure_pauli(x1, [rng]) == 1
+    assert state.measure_pauli(x1, rng) == 1
 
 
 def test_random_measurement_statistics():
-    rng = stream(5)
+    rng = trial_streams([stream(5)])
     outcomes = []
     for _ in range(400):
         state = StabilizerState(1)
         state.h(0)
-        outcomes.append(state.measure_z(0, [rng])[0])
+        outcomes.append(state.measure_z(0, rng)[0])
     mean = np.mean(outcomes)
     assert abs(mean - 0.5) < 3 * 0.5 / np.sqrt(400)
 
 
 def test_joint_pauli_measurement():
-    rng = stream(6)
+    rng = trial_streams([stream(6)])
     state = StabilizerState(2)
     xx = PauliOperator.from_string("XX")
-    outcome = state.measure_pauli(xx, [rng])
+    outcome = state.measure_pauli(xx, rng)
     assert state.expectation(xx) == (1 if outcome == 0 else -1)
     # |00> is a ZZ=+1 eigenstate; XX measurement must preserve that
     assert state.expectation(PauliOperator.from_string("ZZ")) == 1
-    assert state.measure_pauli(xx, [rng]) == outcome
+    assert state.measure_pauli(xx, rng) == outcome
 
 
 def test_argument_validation():
     state = StabilizerState(2)
-    rng = stream(7)
+    rng = trial_streams([stream(7)])
     with pytest.raises(IndexError):
         state.h(2)
     with pytest.raises(ValueError):
         state.cnot(1, 1)
     with pytest.raises(ValueError):
-        state.bell_measure(0, 0, [rng])
+        state.bell_measure(0, 0, rng)
     with pytest.raises(ValueError):
         state.apply_pauli(np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError):
         state.apply_pauli(np.zeros(2), np.zeros(1))
     with pytest.raises(ValueError):
         state.apply_gate(("T", 0))
-    with pytest.raises(ValueError, match="one generator per trial"):
-        state.measure_z(0, [rng, rng])
+    with pytest.raises(ValueError, match="draw for 2 trials, the state has 1"):
+        state.measure_z(0, streams(7, (), range(2)))
     with pytest.raises(ValueError):
         StabilizerState(0)
     with pytest.raises(ValueError):
@@ -210,7 +212,9 @@ def test_pauli_on_a_block_equals_the_padded_pauli():
         b.apply_pauli(padded_x, padded_z)
         assert _same_tableau(a, b)
         a, b = copy.deepcopy(state), copy.deepcopy(state)
-        assert a.measure_pauli(local, [stream(10, seed)], at) == b.measure_pauli(padded, [stream(10, seed)])
+        assert a.measure_pauli(local, trial_streams([stream(10, seed)]), at) == b.measure_pauli(
+            padded, trial_streams([stream(10, seed)])
+        )
         assert _same_tableau(a, b) and tableau_ok(a)
 
 
@@ -221,7 +225,7 @@ def test_pauli_past_the_last_qubit_raises():
         with pytest.raises(ValueError, match="does not fit"):
             state.apply_pauli(p.x_bits, p.z_bits, at)
         with pytest.raises(ValueError, match="does not fit"):
-            state.measure_pauli(p, [stream(11)], at)
+            state.measure_pauli(p, trial_streams([stream(11)]), at)
         with pytest.raises(ValueError, match="does not fit"):
             state.expectation(p, at)
 
@@ -270,9 +274,10 @@ def _trial_circuit(n, steps, rng):
 
 
 def _run_trials(n, ops, rngs):
-    """Run ops on one tableau over len(rngs) trials. Trial t draws its
-    Pauli bits from rngs[t]. Returns the state and one record per
-    non-gate step: Pauli bits (T, 2, w), outcomes (T,) or expectations (T,)."""
+    """Run ops on one tableau over the len(rngs) trials of the TrialStreams
+    rngs; each trial draws its Pauli bits as one row of uniforms below
+    1/2. Returns the state and one record per non-gate step: Pauli bits
+    (T, 2, w), outcomes (T,) or expectations (T,)."""
     state = StabilizerState(n, len(rngs))
     record = []
     for op in ops:
@@ -280,7 +285,7 @@ def _run_trials(n, ops, rngs):
             state.apply_gate(op)
         elif op[0] == "pauli":
             _, at, w = op
-            bits = np.stack([rng.integers(0, 2, (2, w), dtype=np.uint8) for rng in rngs])
+            bits = (rngs.random(2 * w) < 0.5).astype(np.uint8).reshape(-1, 2, w)
             state.apply_pauli(bits[:, 0], bits[:, 1], at)
             record.append(bits)
         elif op[0] == "measure":
@@ -328,15 +333,15 @@ def _dense_replay(n, ops, record, t):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
 def test_trials_equal_one_trial_runs_on_their_own_generators(n):
     """16 trials on one tableau give each trial the outcomes, expectations
-    and signs of a one-trial run on that trial's own generator; for
+    and signs of a one-trial run on that trial's own stream; for
     n <= 4 every trial also agrees with the dense statevector."""
     trials = 16
     for seed in range(6):
         ops = _trial_circuit(n, 40, stream(13, n, seed))
-        state, record = _run_trials(n, ops, [stream(14, n, seed, t) for t in range(trials)])
+        state, record = _run_trials(n, ops, streams(14, (n, seed), range(trials)))
         assert tableau_ok(state)
         for t in range(trials):
-            one, one_record = _run_trials(n, ops, [stream(14, n, seed, t)])
+            one, one_record = _run_trials(n, ops, streams(14, (n, seed), [t]))
             assert all(np.array_equal(got[t], want[0]) for got, want in zip(record, one_record)), (seed, t)
             assert np.array_equal(state.x, one.x) and np.array_equal(state.z, one.z)
             assert np.array_equal(state.r[t], one.r[0]), (seed, t)
