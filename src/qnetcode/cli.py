@@ -278,9 +278,9 @@ _CHAIN_CONFIG_KEYS = {
     "mode": "mode", "links": "links", "fidelity": "fidelity", "rounds": "rounds",
     "delay": "delay", "code_id": "code", "p_c": "pc", "p_g": "pg",
 }
-# settings a chain mode never reads; decoder and trials are flags only
+# settings a chain mode never reads; decoder, trials and seed are flags only
 _CHAIN_UNREAD = {
-    "physical": ("code_id", "decoder", "p_c", "p_g", "trials"),
+    "physical": ("code_id", "decoder", "p_c", "p_g", "trials", "seed"),
     "encoded_teleport": ("p_c",),
     "encoded_direct": ("fidelity",),
 }
@@ -303,7 +303,7 @@ def cmd_chain(args) -> list[dict]:
             raise UsageError(f"--config {unknown[0]}: unknown key (known: {', '.join(_CHAIN_CONFIG_KEYS)})")
 
     # where each setting was given: its flag or its --config key
-    given = {name: f"--{name}" for name in ("decoder", "trials") if getattr(args, name) is not None}
+    given = {name: f"--{name}" for name in ("decoder", "trials", "seed") if getattr(args, name) is not None}
 
     def pick(key, default, convert):
         """The flag if given, else the file's value through the flag's converter."""
@@ -347,7 +347,7 @@ def cmd_chain(args) -> list[dict]:
         purify_rounds=rounds,
         hop_delay_D=delay,
         mode=mode,
-        seed=args.seed,
+        seed=args.seed or 0,
         **kwargs,
     )
     report = run_chain(cfg)
@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rate", help="EPR generation rate table")
     p.add_argument("--qubits", type=_positive_int, required=True)
     p.add_argument("--code", action="append", required=True, help="repeatable; custom:<n>:<k> allowed")
-    p.add_argument("--cycle", type=_positive_int, default=4)
+    p.add_argument("--cycle", type=_positive_int, default=ftec.ROUND_COST_T)
     p.add_argument("--pc", type=_probability, default=0.0)
     p.add_argument("--pg", type=_probability, default=0.0)
 
@@ -406,6 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chain", help="repeater chain scenario")
     common(p, trials_default=None, trials_help="Knill rounds per hop in the encoded modes (default 400)")
+    p.set_defaults(seed=None)  # encoded modes only (default 0)
     p.add_argument("--config", default=None, help="JSON scenario file; flags win on conflict")
     p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--links", type=_positive_int, default=None)

@@ -50,7 +50,7 @@ from qnetcode.pauli import PauliOperator
 from qnetcode.rng import TrialStreams, streams
 from qnetcode.stabsim import StabilizerState
 
-ROUND_COST_T = 4
+ROUND_COST_T = 4  # time units T of one Knill round: a node's default rate cycle
 # trials per batch of knill_residuals: bounds the memory of large runs
 FRAME_CHUNK = 4096
 

@@ -121,9 +121,8 @@ def effective_error_rate(p_c: float, p_g: float) -> float:
 # Bell-diagonal label order: I, X, Y, Z. Label l means the pair state
 # (sigma_l x I)|Phi+>; fidelity is the I probability.
 LABELS = ("I", "X", "Y", "Z")
-LABEL_XZ = ((0, 0), (1, 0), (1, 1), (0, 1))
-LABEL_INDEX = {xz: i for i, xz in enumerate(LABEL_XZ)}  # (x, z) bits -> label index
-LABEL_OF = np.array([LABEL_INDEX[(x, z)] for x in (0, 1) for z in (0, 1)])  # label index at 2x + z
+LABEL_XZ = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=np.uint8)  # (x, z) bits of each label
+LABEL_OF = np.argsort(2 * LABEL_XZ[:, 0] + LABEL_XZ[:, 1])  # label index at 2x + z
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from qnetcode.noise import BellDiagonalState, LABEL_INDEX, LABEL_OF, LABEL_XZ, NoiseModel, pauli_bits
+from qnetcode.noise import BellDiagonalState, LABEL_OF, LABEL_XZ, NoiseModel, pauli_bits
 from qnetcode.pauli import PauliOperator
 from qnetcode.rng import TrialStreams
 from qnetcode.stabsim import StabilizerState, prepare_bell
@@ -136,7 +136,7 @@ def noisy_pairs(states: Sequence[BellDiagonalState], rngs: TrialStreams) -> Stab
     u = rngs.random(len(states))
     for i, pair in enumerate(states):
         prepare_bell(state, 2 * i, 2 * i + 1)
-        x, z = np.array(LABEL_XZ, dtype=np.uint8)[pair.labels(u[:, i])].T
+        x, z = LABEL_XZ[pair.labels(u[:, i])].T
         state.apply_pauli(x[:, None], z[:, None], 2 * i)
     return state
 
@@ -175,30 +175,24 @@ def purify_pair_dist(
     """One exact recurrence round: bilateral CNOT from pair a onto pair b,
     measure pair b, keep pair a iff the two outcome bits agree.
 
-    Enumerates all 16 joint error labels. In bitflip mode agreement means
-    equal X components and the kept pair's Z components combine; the
+    Weighs all 16 joint error labels at once. In bitflip mode agreement
+    means equal X components and the kept pair's Z components combine; the
     phaseflip mode is the H-conjugate.
     """
     if basis not in _BASES:
         raise ValueError(f"basis must be one of {_BASES}")
-    out = np.zeros(4, dtype=np.float64)
-    success = 0.0
-    for ia, (xa, za) in enumerate(LABEL_XZ):
-        pa = a.probs[ia]
-        for ib, (xb, zb) in enumerate(LABEL_XZ):
-            p = pa * b.probs[ib]
-            if basis == "bitflip":
-                keep = (xa ^ xb) == 0
-                kept = (xa, za ^ zb)
-            else:
-                keep = (za ^ zb) == 0
-                kept = (xa ^ xb, za)
-            if keep:
-                success += p
-                out[LABEL_INDEX[kept]] += p
+    x, z = LABEL_XZ.T  # term (i, j) pairs a's label i with b's label j
+    if basis == "bitflip":
+        keep = x[:, None] == x
+        label = LABEL_OF[2 * x[:, None] + (z[:, None] ^ z)]
+    else:
+        keep = z[:, None] == z
+        label = LABEL_OF[2 * (x[:, None] ^ x) + z[:, None]]
+    p = np.outer(a.probs, b.probs)[keep]
+    success = p.cumsum()[-1]  # left to right, like bincount's per-label sums
     if success <= 0.0:
-        return 0.0, BellDiagonalState(np.array([1.0, 0.0, 0.0, 0.0]))
-    return float(success), BellDiagonalState(out / success)
+        return 0.0, BellDiagonalState.perfect()
+    return float(success), BellDiagonalState(np.bincount(label[keep], p, minlength=4) / success)
 
 
 def purify_round(state: StabilizerState, keep: tuple[int, int], meas: tuple[int, int], basis: str,

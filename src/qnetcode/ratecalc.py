@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from qnetcode.ftec import ROUND_COST_T
 from qnetcode.noise import effective_error_rate
 
 
@@ -15,7 +16,7 @@ class RateConfig:
     qubit_budget_Q: int
     code_n: int
     code_k: int
-    cycle_T_units: int = 4
+    cycle_T_units: int = ROUND_COST_T
     p_c: float = 0.0
     p_g: float = 0.0
 

@@ -285,8 +285,8 @@ def test_criterion_11_determinism_byte_identical_rows(tmp_path):
         "knill": ["knill", "--code", "shor9", "--pc", "0.01", "--pg", "0.001",
                   "--epr-noise", "depolarizing:0.02", "--trials", "200", "--seed", "11"],
         "rate": ["rate", "--qubits", "68200", "--code", "surface:17", "--code", "custom:3786:946"],
-        "chain": ["chain", "--mode", "physical", "--links", "4", "--fidelity", "0.9",
-                  "--rounds", "2", "--seed", "11"],
+        "chain": ["chain", "--mode", "encoded_teleport", "--links", "4", "--code", "rep3",
+                  "--fidelity", "0.9", "--rounds", "2", "--seed", "11"],
     }
     for name, argv in runs.items():
         first = _cli_rows(tmp_path, f"{name}_a.csv", list(argv))

@@ -326,6 +326,7 @@ KNILL = ["knill", "--code", "rep3", "--trials", "5"]
         (["protocol", "--name", "swap", "--trials", str(10**30)], "--trials: must be an integer <= 4294967296"),
         (["chain", "--mode", "encoded_teleport", "--code", "rep3", "--trials", "4294967297"],
          "--trials: must be an integer <= 4294967296"),
+        (["chain", "--mode", "physical", "--seed", "1"], "--seed: not read in chain mode physical"),
     ],
 )
 def test_bad_input_is_usage_error(capsys, argv, message):
@@ -451,6 +452,12 @@ def test_chain_trials_sets_rounds_per_hop(monkeypatch, capsys):
     assert run_cli(capsys, *base)[0] == 0
     assert run_cli(capsys, *(base + ["--trials", "50"]))[0] == 0
     assert seen == [400, 50]
+
+
+@pytest.mark.parametrize("mode", ["encoded_teleport", "encoded_direct"])
+def test_chain_seed_defaults_to_zero_in_encoded_modes(capsys, mode):
+    argv = ["chain", "--mode", mode, "--links", "2", "--code", "rep3", "--trials", "50", "--format", "json"]
+    assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--seed", "0")
 
 
 def test_knill_surface5_seeded_row_is_pinned(capsys):

@@ -14,7 +14,7 @@ from qnetcode.netchain import (
     sample_chain_trial,
 )
 from qnetcode.ftec import KnillNoise, knill_residuals
-from qnetcode.noise import LABEL_INDEX, BellDiagonalState, NoiseModel, effective_error_rate, werner
+from qnetcode.noise import LABEL_OF, BellDiagonalState, NoiseModel, effective_error_rate, werner
 from qnetcode.protocols import purify_pair_dist
 from qnetcode.rng import stream, streams
 
@@ -45,6 +45,71 @@ def test_compose_swap_fidelity_nonincreasing_for_werner():
         for f2 in (0.3, 0.6, 0.9, 1.0):
             out = compose_swap(werner(f1), werner(f2))
             assert out.fidelity <= min(f1, f2) + 1e-12
+
+
+# --- the 16-term loops, as exact references of the table arithmetic ----------
+
+XZ = ((0, 0), (1, 0), (1, 1), (0, 1))  # (x, z) bits of I, X, Y, Z
+XZ_INDEX = {xz: i for i, xz in enumerate(XZ)}
+
+
+def swap_loop(a, b):
+    out = np.zeros(4, dtype=np.float64)
+    for i, (xi, zi) in enumerate(XZ):
+        for j, (xj, zj) in enumerate(XZ):
+            out[XZ_INDEX[(xi ^ xj, zi ^ zj)]] += a.probs[i] * b.probs[j]
+    return out
+
+
+def purify_loop(a, b, basis):
+    out = np.zeros(4, dtype=np.float64)
+    success = 0.0
+    for ia, (xa, za) in enumerate(XZ):
+        pa = a.probs[ia]
+        for ib, (xb, zb) in enumerate(XZ):
+            p = pa * b.probs[ib]
+            if basis == "bitflip":
+                keep = (xa ^ xb) == 0
+                kept = (xa, za ^ zb)
+            else:
+                keep = (za ^ zb) == 0
+                kept = (xa ^ xb, za)
+            if keep:
+                success += p
+                out[XZ_INDEX[kept]] += p
+    if success <= 0.0:
+        return 0.0, np.array([1.0, 0.0, 0.0, 0.0])
+    return float(success), out / success
+
+
+def _label_states():
+    """Werner states, the four pure labels, and seeded Dirichlet draws,
+    every second one with one to three entries set to zero."""
+    states = [werner(f) for f in (0.25, 0.5, 0.9, 0.99, 1.0)]
+    states += [BellDiagonalState(row) for row in np.eye(4)]
+    rng = np.random.default_rng(19)
+    for i in range(40):
+        p = rng.dirichlet(np.ones(4))
+        if i % 2:
+            p[rng.permutation(4)[: 1 + i % 3]] = 0.0
+            p /= p.sum()
+        states.append(BellDiagonalState(p))
+    return states
+
+
+def test_table_arithmetic_equals_the_loops_bit_for_bit():
+    states = _label_states()
+    for a in states:
+        for b in states:
+            assert np.array_equal(compose_swap(a, b).probs, swap_loop(a, b))
+            for basis in ("bitflip", "phaseflip"):
+                sp, out = purify_pair_dist(a, b, basis)
+                sp_loop, out_loop = purify_loop(a, b, basis)
+                assert sp == sp_loop
+                assert np.array_equal(out.probs, out_loop)
+    # pure X against pure I: no bitflip comparison agrees, and both give I
+    x, i = states[6], states[5]
+    assert purify_pair_dist(x, i, "bitflip")[0] == 0.0
 
 
 def test_default_purify_schedule():
@@ -173,7 +238,7 @@ def test_encoded_direct_hop_is_a_knill_round_at_p_eff():
     hops = []
     for hop in range(2):
         x_bad, z_bad, _ = knill_residuals(code, decoder, noise, seed, (900 + hop,), trials)
-        labels = [LABEL_INDEX[xz] for xz in zip(x_bad.astype(int).tolist(), z_bad.astype(int).tolist())]
+        labels = [LABEL_OF[2 * x + z] for x, z in zip(x_bad.astype(int).tolist(), z_bad.astype(int).tolist())]
         hops.append(BellDiagonalState(np.bincount(labels, minlength=4) / trials))
     rep = run_chain(cfg)
     assert [s["logical_fidelity"] for s in rep.per_stage_log] == [h.fidelity for h in hops]

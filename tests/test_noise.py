@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qnetcode.noise import (
+    LABEL_OF,
     LABEL_XZ,
     LABELS,
     BellDiagonalState,
@@ -107,6 +108,11 @@ def test_werner_state():
     assert np.allclose(w.probs[1:], (1 - 0.9) / 3)
     assert BellDiagonalState.perfect().fidelity == 1.0
     assert len(LABELS) == len(LABEL_XZ) == 4
+
+
+def test_label_of_inverts_label_xz():
+    assert LABEL_OF[2 * LABEL_XZ[:, 0] + LABEL_XZ[:, 1]].tolist() == [0, 1, 2, 3]
+    assert [LABELS[LABEL_OF[2 * x + z]] for x, z in ((0, 0), (1, 0), (1, 1), (0, 1))] == list(LABELS)
 
 
 def test_labels_equal_generator_choice_draw_for_draw():

@@ -1,13 +1,14 @@
-"""Every function, class and method in src/qnetcode has a caller there.
+"""Every function, class, method and module constant in src/qnetcode has
+a reader there.
 
 A name that only tests reach is code the package carries for nothing,
 unless something outside src/ looks it up by name. This test parses the
-package with ast, collects its module-level functions and classes and
-its non-dunder methods, and requires each one to be referenced in src/
-(as a name or an attribute) outside its own definition, or to be listed
-in ALLOWED with the reason it stays. An import does not count as a
-reference, and an ALLOWED entry that has gained a caller or lost its
-definition fails the test too.
+package with ast, collects its module-level functions, classes and
+assigned names and its methods, dunders excepted, and requires each one
+to be referenced in src/ (as a name or an attribute) outside its own
+definition, or to be listed in ALLOWED with the reason it stays. An
+import does not count as a reference, and an ALLOWED entry that has
+gained a caller or lost its definition fails the test too.
 """
 
 import ast
@@ -33,7 +34,6 @@ ALLOWED = {
     "netchain.sample_chain_trial": ACCEPTANCE,
     "protocols.purify_pair_sampled": ACCEPTANCE,
     "noise.sample_error": TRACER,
-    "noise.BellDiagonalState.perfect": CONSTRUCTOR,
     "noise.NoiseModel.phase_flip": CONSTRUCTOR,
     "pauli.PauliOperator.identity": CONSTRUCTOR,
     "pauli.PauliOperator.single": CONSTRUCTOR,
@@ -42,10 +42,16 @@ ALLOWED = {
 
 def _definitions():
     """(qualified name, bare name, module path, definition node) of every
-    module-level function or class and every non-dunder method."""
+    module-level function, class or non-dunder assigned name and every
+    non-dunder method."""
     kinds = (ast.FunctionDef, ast.ClassDef)
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for name in (n for t in targets for n in ast.walk(t)):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store) and not name.id.startswith("__"):
+                        yield f"{path.stem}.{name.id}", name.id, path, node
             if not isinstance(node, kinds):
                 continue
             yield f"{path.stem}.{node.name}", node.name, path, node
