@@ -24,7 +24,8 @@ from qnetcode.codes import random_regular_check_matrix  # noqa: F401  (re-export
 from qnetcode.decoders import DECODERS, BpDecoder
 from qnetcode.ftec import KnillNoise, knill_residuals
 from qnetcode.netchain import MODES, ChainConfig, compare_latency, run_chain
-from qnetcode.noise import LABEL_OF, LABELS, NoiseModel, effective_error_rate, werner
+from qnetcode.noise import NoiseModel, effective_error_rate, werner
+from qnetcode.pauli import LABEL_OF, LABELS
 from qnetcode.protocols import superdense, swap_chain, teleport
 from qnetcode.rng import MAX_TRIALS, streams
 from qnetcode.rng import stream  # noqa: F401  (perfbench/test_perfbench.py reads cli.stream)
@@ -118,7 +119,9 @@ def parse_rate_code(code_id: str) -> tuple[int, int]:
 
 
 def build_decoder(kind: str, code: codes.CssCode, p: float):
-    """Decoder ``kind`` (a DECODERS name) for ``code``; p seeds BP's prior, the others take none."""
+    """Decoder ``kind`` (a DECODERS name) for ``code``. BP's prior is p when
+    0 < p < 0.5 and 0.01 otherwise; the others take none. ``decode`` passes
+    its --p, while ``knill`` and the encoded chain modes always pass 0.01."""
     cls = DECODERS[kind]
     prior = (p if 0 < p < 0.5 else 0.01,) if cls is BpDecoder else ()
     try:
@@ -160,9 +163,10 @@ def write_rows(rows: list[dict], out, fmt: str):
 
 def cmd_rate(args) -> list[dict]:
     rows, configs = [], []
+    p_eff = effective_error_rate(args.pc, args.pg)
     for code_id in args.code:
         n, k = parse_rate_code(code_id)
-        cfg = ratecalc.RateConfig(args.qubits, n, k, args.cycle, args.pc, args.pg)
+        cfg = ratecalc.RateConfig(args.qubits, n, k, args.cycle)
         rep = ratecalc.epr_rate(cfg)
         configs.append(cfg)
         rows.append(
@@ -174,7 +178,7 @@ def cmd_rate(args) -> list[dict]:
                 "blocks": rep.blocks,
                 "rate_per_T": str(Fraction(rep.epr_units_per_T)),
                 "rate_decimal": float(rep.epr_units_per_T),
-                "p_eff": rep.p_eff,
+                "p_eff": p_eff,
             }
         )
     if len(configs) >= 2 and rows[0]["rate_decimal"] > 0:

@@ -36,7 +36,7 @@ import numpy as np
 
 from qnetcode import gf2
 from qnetcode.codes import CssCode, parities, syndrome as code_syndrome  # noqa: F401  (perfbench's tracer test reads it)
-from qnetcode.pauli import PauliOperator
+from qnetcode.pauli import LABEL_XZ, PauliOperator
 
 Syndrome = tuple[np.ndarray, np.ndarray]
 # (corr_x, corr_z, ok, converged, iterations) of a batch of T shots
@@ -137,11 +137,10 @@ class LookupDecoder:
         r, n = code.r_x + code.r_z, code.n
         self._place = 1 << np.arange(r - 1, -1, -1, dtype=np.int64)
         bits = 1 << np.arange(2 * n - 1, -1, -1, dtype=np.int64)
-        # rows [x_bits | z_bits] of X, Y and Z on each qubit
-        singles = np.zeros((n, 3, 2 * n), dtype=np.uint8)
+        # rows [x_bits | z_bits] of X, Y and Z (LABEL_XZ[1:]) on each qubit
+        singles = np.zeros((n, 3, 2, n), dtype=np.uint8)
         q = np.arange(n)
-        singles[q, 0, q] = singles[q, 1, q] = 1
-        singles[q, 1, n + q] = singles[q, 2, n + q] = 1
+        singles[q, :, :, q] = LABEL_XZ[1:]
         singles = singles.reshape(3 * n, 2 * n)
         s_x, s_z, _, _ = parities(code, singles[:, :n], singles[:, n:])
         index1 = (np.hstack([s_x, s_z]) @ self._place).reshape(n, 3)

@@ -17,10 +17,8 @@ def matmul(a, b) -> np.ndarray:
 
 
 def matvec(a, v) -> np.ndarray:
-    """Matrix-vector product over GF(2)."""
-    a = asmatrix(a)
-    v = np.asarray(v, dtype=np.int64) & 1
-    return (a.astype(np.int64) @ v % 2).astype(np.uint8)
+    """Matrix-vector product over GF(2): matmul on v as one column."""
+    return matmul(a, np.asarray(v)[:, None])[:, 0]
 
 
 def row_reduce(m) -> tuple[np.ndarray, list[int]]:

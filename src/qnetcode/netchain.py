@@ -25,7 +25,8 @@ import numpy as np
 
 from qnetcode.codes import CssCode
 from qnetcode.ftec import KnillNoise, knill_residuals
-from qnetcode.noise import BellDiagonalState, LABEL_OF, LABEL_XZ, NoiseModel, effective_error_rate
+from qnetcode.noise import BellDiagonalState, NoiseModel, effective_error_rate
+from qnetcode.pauli import LABEL_OF, LABEL_XZ
 from qnetcode.protocols import noisy_pairs, purify_pair_dist, purify_round, swap_readout
 from qnetcode.rng import MAX_TRIALS, TrialStreams
 

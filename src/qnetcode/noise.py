@@ -118,16 +118,9 @@ def effective_error_rate(p_c: float, p_g: float) -> float:
     return min(p_c + 5.0 * p_g, 1.0)
 
 
-# Bell-diagonal label order: I, X, Y, Z. Label l means the pair state
-# (sigma_l x I)|Phi+>; fidelity is the I probability.
-LABELS = ("I", "X", "Y", "Z")
-LABEL_XZ = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=np.uint8)  # (x, z) bits of each label
-LABEL_OF = np.argsort(2 * LABEL_XZ[:, 0] + LABEL_XZ[:, 1])  # label index at 2x + z
-
-
 @dataclass(frozen=True)
 class BellDiagonalState:
-    """Probability vector over {I, X, Y, Z} error labels of an EPR pair."""
+    """Probability vector over the error labels pauli.LABELS of an EPR pair."""
 
     probs: np.ndarray
 
@@ -150,7 +143,7 @@ class BellDiagonalState:
         return float(self.probs[0])
 
     def labels(self, u: np.ndarray) -> np.ndarray:
-        """Indices into LABELS, one per uniform in u: a searchsorted on the
+        """Indices into pauli.LABELS, one per uniform in u: a searchsorted on the
         normalised CDF, which is what Generator.choice(4, p=...) does with
         its one uniform."""
         cdf = (self.probs / self.probs.sum()).cumsum()

@@ -1,4 +1,5 @@
-"""n-qubit Pauli operators in binary symplectic form (phase-free)."""
+"""n-qubit Pauli operators in binary symplectic form (phase-free), and the
+one table of each Pauli letter's (x, z) bits."""
 
 from __future__ import annotations
 
@@ -6,8 +7,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
-_BITS = {v: k for k, v in _LETTERS.items()}
+# Letter (and Bell-diagonal label) order: I, X, Y, Z. Bell label l means the
+# pair state (sigma_l x I)|Phi+>; fidelity is the I probability.
+LABELS = ("I", "X", "Y", "Z")
+LABEL_XZ = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=np.uint8)  # (x, z) bits of each label
+LABEL_OF = np.argsort(2 * LABEL_XZ[:, 0] + LABEL_XZ[:, 1])  # label index at 2x + z
+
+
+def _bits_of(letter: str) -> np.ndarray:
+    """The (x, z) bits of one letter of LABELS."""
+    if letter not in LABELS:
+        raise ValueError(f"invalid Pauli letter {letter!r}")
+    return LABEL_XZ[LABELS.index(letter)]
 
 
 def _freeze(bits, n: int) -> np.ndarray:
@@ -18,7 +29,7 @@ def _freeze(bits, n: int) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PauliOperator:
     """Pauli on ``num_qubits`` qubits as paired X/Z bit vectors.
 
@@ -44,14 +55,10 @@ class PauliOperator:
     @classmethod
     def from_string(cls, s: str) -> "PauliOperator":
         """Parse a string over {I,X,Y,Z}; leftmost character is qubit 0."""
-        try:
-            pairs = [_BITS[c] for c in s]
-        except KeyError as e:
-            raise ValueError(f"invalid Pauli letter {e.args[0]!r}") from None
-        if not pairs:
+        bits = [_bits_of(c) for c in s]
+        if not bits:
             raise ValueError("empty Pauli string")
-        x, z = zip(*pairs)
-        return cls(len(s), np.array(x, dtype=np.uint8), np.array(z, dtype=np.uint8))
+        return cls(len(s), *np.transpose(bits))
 
     @classmethod
     def single(cls, n: int, qubit: int, letter: str) -> "PauliOperator":
@@ -59,16 +66,8 @@ class PauliOperator:
         if not 0 <= qubit < n:
             raise IndexError(f"qubit {qubit} out of range for n={n}")
         bits = np.zeros((2, n), dtype=np.uint8)
-        bits[:, qubit] = _BITS[letter]
+        bits[:, qubit] = _bits_of(letter)
         return cls(n, *bits)
-
-    def to_string(self) -> str:
-        return "".join(
-            _LETTERS[(int(x), int(z))] for x, z in zip(self.x_bits, self.z_bits)
-        )
-
-    def __str__(self) -> str:
-        return self.to_string()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliOperator):
@@ -78,17 +77,3 @@ class PauliOperator:
             and np.array_equal(self.x_bits, other.x_bits)
             and np.array_equal(self.z_bits, other.z_bits)
         )
-
-    def __hash__(self) -> int:
-        return hash((self.num_qubits, self.x_bits.tobytes(), self.z_bits.tobytes()))
-
-    def __mul__(self, other: "PauliOperator") -> "PauliOperator":
-        return multiply(self, other)
-
-
-def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
-    """Phase-free Pauli group product: XOR of the bit vectors."""
-    if p.num_qubits != q.num_qubits:
-        raise ValueError(f"Pauli length mismatch: {p.num_qubits} vs {q.num_qubits}")
-    return PauliOperator(p.num_qubits, p.x_bits ^ q.x_bits, p.z_bits ^ q.z_bits)
-

@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from qnetcode.noise import BellDiagonalState, LABEL_OF, LABEL_XZ, NoiseModel, pauli_bits
-from qnetcode.pauli import PauliOperator
+from qnetcode.noise import BellDiagonalState, NoiseModel, pauli_bits
+from qnetcode.pauli import LABEL_OF, LABEL_XZ, PauliOperator
 from qnetcode.rng import TrialStreams
 from qnetcode.stabsim import StabilizerState, prepare_bell
 

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from qnetcode.ftec import ROUND_COST_T
-from qnetcode.noise import effective_error_rate
 
 
 @dataclass(frozen=True)
@@ -17,8 +16,6 @@ class RateConfig:
     code_n: int
     code_k: int
     cycle_T_units: int = ROUND_COST_T
-    p_c: float = 0.0
-    p_g: float = 0.0
 
     def __post_init__(self):
         if self.qubit_budget_Q < 1 or self.code_n < 1 or self.code_k < 0:
@@ -31,7 +28,6 @@ class RateConfig:
 class RateReport:
     blocks: int
     epr_units_per_T: Fraction
-    p_eff: float
 
 
 def blocks(Q: int, n: int) -> int:
@@ -49,7 +45,7 @@ def epr_rate(config: RateConfig) -> RateReport:
     """Information qubits corrected per T: k * blocks / cycle."""
     b = blocks(config.qubit_budget_Q, config.code_n)
     rate = Fraction(config.code_k * b, config.cycle_T_units)
-    return RateReport(blocks=b, epr_units_per_T=rate, p_eff=effective_error_rate(config.p_c, config.p_g))
+    return RateReport(blocks=b, epr_units_per_T=rate)
 
 
 def compare(config_a: RateConfig, config_b: RateConfig) -> Fraction:

@@ -47,6 +47,13 @@ def test_rate_json_format(capsys):
     assert code == 0
     rows = json.loads(out)
     assert rows[0]["rate_per_T"] == "39/2"
+    assert rows[0]["p_eff"] == 0.0
+    code, out, _ = run_cli(
+        capsys, "rate", "--qubits", "68200", "--code", "surface:17", "--code", "shor9",
+        "--pc", "0.05", "--pg", "0.001", "--format", "json",
+    )
+    assert code == 0
+    assert [row["p_eff"] for row in json.loads(out)] == [0.055, 0.055]
 
 
 def test_unknown_code_id_is_usage_error(capsys):

@@ -116,7 +116,9 @@ def test_mwpm_corrects_weight_two_on_d5():
     rng = stream(31)
     for _ in range(60):
         q1, q2 = rng.choice(code.n, 2, replace=False)
-        err = PauliOperator.single(code.n, int(q1), "X") * PauliOperator.single(code.n, int(q2), "X")
+        x = np.zeros(code.n, dtype=np.uint8)
+        x[[q1, q2]] = 1
+        err = PauliOperator(code.n, x)
         res = dec.decode(codes.syndrome(code, err))
         assert not logical_failure(code, err, res.correction)
 
@@ -126,7 +128,9 @@ def test_mwpm_handles_boundary_heavy_syndromes():
     own boundary rather than across the lattice."""
     code = codes.rotated_surface(5)
     dec = MatchingDecoder(code)
-    err = PauliOperator.single(code.n, 0, "X") * PauliOperator.single(code.n, 24, "X")
+    x = np.zeros(code.n, dtype=np.uint8)
+    x[[0, 24]] = 1
+    err = PauliOperator(code.n, x)
     res = dec.decode(codes.syndrome(code, err))
     assert not logical_failure(code, err, res.correction)
 

@@ -14,7 +14,8 @@ from qnetcode.netchain import (
     sample_chain_trial,
 )
 from qnetcode.ftec import KnillNoise, knill_residuals
-from qnetcode.noise import LABEL_OF, BellDiagonalState, NoiseModel, effective_error_rate, werner
+from qnetcode.noise import BellDiagonalState, NoiseModel, effective_error_rate, werner
+from qnetcode.pauli import LABEL_OF
 from qnetcode.protocols import purify_pair_dist
 from qnetcode.rng import stream, streams
 

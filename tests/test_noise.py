@@ -5,16 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qnetcode.noise import (
-    LABEL_OF,
-    LABEL_XZ,
-    LABELS,
     BellDiagonalState,
     NoiseModel,
     effective_error_rate,
     sample_error,
     werner,
 )
-from qnetcode.pauli import PauliOperator
+from qnetcode.pauli import LABEL_OF, LABEL_XZ, LABELS, PauliOperator
 from qnetcode.rng import stream
 
 

@@ -44,11 +44,6 @@ def test_epr_rate_zero_k():
     assert epr_rate(RateConfig(68200, 289, 0)).epr_units_per_T == 0
 
 
-def test_epr_rate_carries_effective_error():
-    rep = epr_rate(RateConfig(1000, 10, 1, p_c=0.05, p_g=0.001))
-    assert rep.p_eff == pytest.approx(0.055, abs=1e-15)
-
-
 def test_rate_config_validation():
     with pytest.raises(ValueError):
         RateConfig(0, 3, 1)

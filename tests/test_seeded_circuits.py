@@ -20,8 +20,8 @@ from qnetcode import cli, codes
 from qnetcode.decoders import LookupDecoder, MatchingDecoder
 from qnetcode.ftec import KnillNoise, knill_ec_round
 from qnetcode.netchain import ChainConfig, sample_chain_trial
-from qnetcode.noise import LABELS, BellDiagonalState, NoiseModel, werner
-from qnetcode.pauli import PauliOperator
+from qnetcode.noise import BellDiagonalState, NoiseModel, werner
+from qnetcode.pauli import LABELS, PauliOperator
 from qnetcode.protocols import purify_pair_sampled
 from qnetcode.rng import streams
 
