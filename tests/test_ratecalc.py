@@ -1,9 +1,12 @@
 from fractions import Fraction
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
-from qnetcode import ratecalc
+from qnetcode import cli, ratecalc
+from qnetcode.noise import effective_error_rate
 from qnetcode.ratecalc import RateConfig, blocks, compare, epr_rate, fold_description
 
 
@@ -42,6 +45,21 @@ def test_epr_rate_reference_values():
 
 def test_epr_rate_zero_k():
     assert epr_rate(RateConfig(68200, 289, 0)).epr_units_per_T == 0
+
+
+def test_epr_rate_carries_effective_error(capsys):
+    """The rate command reports p_eff = p_c + p_g next to each row, and the
+    noise leaves every rate field of the row unchanged."""
+    argv = ["rate", "--qubits", "1000", "--code", "surface:3", "--format", "json"]
+    assert cli.main(argv) == 0
+    (quiet,) = json.loads(capsys.readouterr().out)
+    assert cli.main(argv + ["--pc", "0.05", "--pg", "0.001"]) == 0
+    (noisy,) = json.loads(capsys.readouterr().out)
+    assert noisy["p_eff"] == effective_error_rate(0.05, 0.001)
+    assert noisy["p_eff"] == pytest.approx(0.055, abs=1e-15)
+    assert quiet["p_eff"] == 0.0
+    assert {**noisy, "p_eff": 0.0} == quiet
+    assert noisy["rate_per_T"] == str(epr_rate(RateConfig(1000, 9, 1)).epr_units_per_T)
 
 
 def test_rate_config_validation():
