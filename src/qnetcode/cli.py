@@ -23,7 +23,7 @@ from qnetcode import codes, ftec, ratecalc
 from qnetcode.codes import random_regular_check_matrix  # noqa: F401  (re-exported for callers of cli)
 from qnetcode.decoders import DECODERS, BpDecoder
 from qnetcode.ftec import KnillNoise, knill_residuals
-from qnetcode.netchain import MODES, ChainConfig, compare_latency, run_chain
+from qnetcode.netchain import MAX_PURIFY_ROUNDS, MODES, ChainConfig, compare_latency, run_chain
 from qnetcode.noise import NoiseModel, effective_error_rate, werner
 from qnetcode.pauli import LABEL_OF, LABELS
 from qnetcode.protocols import superdense, swap_chain, teleport
@@ -53,6 +53,7 @@ def _int_in(minimum: int, maximum: int | None = None):
 _positive_int = _int_in(1)
 _nonnegative_int = _int_in(0)
 _trial_count = _int_in(1, MAX_TRIALS)
+_purify_rounds = _int_in(0, MAX_PURIFY_ROUNDS)
 
 
 def _float_in(low: float, high: float, what: str):
@@ -328,7 +329,7 @@ def cmd_chain(args) -> list[dict]:
         raise UsageError(f"--config mode: must be one of {', '.join(MODES)}, got {mode!r}")
     m = pick("links", 4, _positive_int)
     fidelity = pick("fidelity", 0.95, _probability)
-    rounds = pick("rounds", 2, _nonnegative_int)
+    rounds = pick("rounds", 2, _purify_rounds)
     delay = pick("delay", 10.0, _nonnegative_float)
     code_id = pick("code_id", None, str)
     p_g = pick("p_g", 0.001, _probability)
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rate", help="EPR generation rate table")
     p.add_argument("--qubits", type=_positive_int, required=True)
     p.add_argument("--code", action="append", required=True, help="repeatable; custom:<n>:<k> allowed")
-    p.add_argument("--cycle", type=_positive_int, default=ftec.ROUND_COST_T)
+    p.add_argument("--cycle", type=_positive_int, default=ratecalc.ROUND_COST_T)
     p.add_argument("--pc", type=_probability, default=0.0)
     p.add_argument("--pg", type=_probability, default=0.0)
 
@@ -415,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--links", type=_positive_int, default=None)
     p.add_argument("--fidelity", type=_probability, default=None)
-    p.add_argument("--rounds", type=_nonnegative_int, default=None)
+    p.add_argument("--rounds", type=_purify_rounds, default=None)
     p.add_argument("--delay", type=_nonnegative_float, default=None)
     p.add_argument("--code", default=None)
     p.add_argument("--decoder", choices=DECODERS, default=None,

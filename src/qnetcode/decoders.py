@@ -78,20 +78,6 @@ def _one_row(syn: Syndrome) -> Syndrome:
     return tuple(np.asarray(s, dtype=np.uint8).reshape(1, -1) for s in syn)
 
 
-def _distinct_rows(syn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, inverse): the distinct rows of the (T, r) uint8 array syn in
-    order of first appearance, and the index into rows of each of its T
-    rows, so rows[inverse] is syn. Rows are told apart by their bytes,
-    which costs a few microseconds per row where np.unique(axis=0) costs
-    0.1 ms and more."""
-    index: dict[bytes, int] = {}
-    inverse = np.fromiter(
-        (index.setdefault(row.tobytes(), len(index)) for row in syn), dtype=np.intp, count=len(syn)
-    )
-    rows = np.frombuffer(b"".join(index), dtype=np.uint8).reshape(len(index), syn.shape[1])
-    return rows, inverse
-
-
 # --- lookup decoding -------------------------------------------------------
 
 
@@ -324,7 +310,7 @@ class MatchingDecoder:
         of a minimum total length matching of each distinct row's defects.
         The rows of one call share the subset DP's memo, which is dropped
         when the call returns."""
-        rows, inverse = _distinct_rows(syn)
+        rows, inverse = gf2.distinct_rows(syn)
         n = self.code.n
         solved = {0: (0, -1)}
         owner, qubits = [], []  # the qubits of every matched path, and the row of each
@@ -445,7 +431,7 @@ class BpDecoder:
         syn. Each distinct row runs once, and all of them run together: a
         row leaves the sweeps once its hard decision reproduces it, and
         the rows left at the cap keep their last decision."""
-        rows, inverse = _distinct_rows(syn)
+        rows, inverse = gf2.distinct_rows(syn)
         n = h.shape[1]
         decision = np.zeros((len(rows), n), dtype=np.uint8)
         converged = ~rows.any(axis=1)

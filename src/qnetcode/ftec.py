@@ -50,7 +50,6 @@ from qnetcode.pauli import PauliOperator
 from qnetcode.rng import TrialStreams, streams
 from qnetcode.stabsim import StabilizerState
 
-ROUND_COST_T = 4  # time units T of one Knill round: a node's default rate cycle
 # trials per batch of knill_residuals: bounds the memory of large runs
 FRAME_CHUNK = 4096
 
@@ -116,11 +115,11 @@ def prepare_logical_zero(state: StabilizerState, code: CssCode, offset: int, rng
         return
     n = code.n
     outcomes = np.stack([state.measure_pauli(PauliOperator(n, row), rngs, offset) for row in code.h_x], axis=1)
-    rows, inverse = np.unique(outcomes, axis=0, return_inverse=True)
+    rows, inverse = gf2.distinct_rows(outcomes)
     fixes = [gf2.solve(code.h_x, row) for row in rows]  # all-zero outcomes: no fixup
     if any(fix is None for fix in fixes):
         raise AssertionError("X-check outcomes inconsistent with h_x row space")
-    state.apply_pauli(np.zeros((state.trials, n)), np.array(fixes)[inverse.ravel()], offset)
+    state.apply_pauli(np.zeros((state.trials, n)), np.array(fixes)[inverse], offset)
 
 
 def prepare_logical_epr(state: StabilizerState, code: CssCode, offset: int, rngs: TrialStreams):

@@ -21,6 +21,17 @@ def matvec(a, v) -> np.ndarray:
     return matmul(a, np.asarray(v)[:, None])[:, 0]
 
 
+def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, inverse): the distinct rows of the 2D array a in order of
+    first appearance, and the index into rows of each row of a, so
+    rows[inverse] is a. Rows are told apart by their bytes, which costs a
+    few microseconds per row where np.unique(axis=0) costs 0.1 ms and more."""
+    index: dict[bytes, int] = {}
+    inverse = np.fromiter((index.setdefault(row.tobytes(), len(index)) for row in a), dtype=np.intp, count=len(a))
+    rows = np.frombuffer(b"".join(index), dtype=a.dtype).reshape(len(index), a.shape[1])
+    return rows, inverse
+
+
 def row_reduce(m) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (reduced matrix, pivot column list)."""
     a = asmatrix(m).copy()

@@ -31,6 +31,8 @@ from qnetcode.protocols import noisy_pairs, purify_pair_dist, purify_round, swap
 from qnetcode.rng import MAX_TRIALS, TrialStreams
 
 MODES = ("physical", "encoded_teleport", "encoded_direct")
+# R rounds consume 2**R raw pairs per link, a count that must convert to a float
+MAX_PURIFY_ROUNDS = 1023
 
 
 def compose_swap(a: BellDiagonalState, b: BellDiagonalState) -> BellDiagonalState:
@@ -63,8 +65,8 @@ class ChainConfig:
     def __post_init__(self):
         if self.num_links < 1:
             raise ValueError("num_links must be >= 1")
-        if self.purify_rounds < 0:
-            raise ValueError("purify_rounds must be >= 0")
+        if not 0 <= self.purify_rounds <= MAX_PURIFY_ROUNDS:
+            raise ValueError(f"purify_rounds must lie in [0, {MAX_PURIFY_ROUNDS}], got {self.purify_rounds}")
         if not 1 <= self.mc_trials <= MAX_TRIALS:
             raise ValueError(f"mc_trials must lie in [1, 2**32], got {self.mc_trials}")
         if self.hop_delay_D < 0:
@@ -111,41 +113,34 @@ def _fold(states: list[BellDiagonalState]) -> BellDiagonalState:
 
 
 def run_chain(config: ChainConfig) -> ChainReport:
+    """Purify the link, fold m channels by swapping, and count raw pairs and
+    survival from the link; the modes differ only in the channels they fold."""
     m = config.num_links
     log: list = []
+    # encoded_direct has no purification stage: 0 rounds, one raw pair that always survives
+    rounds = 0 if config.mode == "encoded_direct" else config.purify_rounds
+    link, survival_link = _purify_link(config.link_state, rounds, log)
     if config.mode == "physical":
-        link, survival_link = _purify_link(config.link_state, config.purify_rounds, log)
-        end = _fold([link] * m)
+        channels = [link] * m
         # two-way purification acks plus one-way forwarding of swap frames
-        latency = 2.0 * config.hop_delay_D * config.purify_rounds + (m - 1) * config.hop_delay_D
-        raw_pairs = 2 ** config.purify_rounds
-        survival = survival_link ** m
+        latency = 2.0 * config.hop_delay_D * rounds + (m - 1) * config.hop_delay_D
+    else:  # encoded modes: a logical channel per hop from seeded Knill rounds
+        if config.mode == "encoded_teleport":
+            p_x, p_z = link.probs @ LABEL_XZ
+            noise = KnillNoise(epr_error=NoiseModel.independent_xz(p_x, p_z), meas_flip=config.p_g)
+        else:  # p_c + 5 p_g already counts the Bell-measurement fault, so no readout flips
+            noise = KnillNoise(data_noise=NoiseModel.depolarizing(effective_error_rate(config.p_c, config.p_g)))
+        channels = []
+        for hop in range(m):
+            x_bad, z_bad, _ = knill_residuals(config.code, config.decoder, noise, config.seed, (900 + hop,), config.mc_trials)
+            counts = np.bincount(LABEL_OF[2 * x_bad + z_bad], minlength=4)
+            channels.append(BellDiagonalState(counts / counts.sum()))
+            log.append({"stage": "hop", "hop": hop, "logical_fidelity": channels[-1].fidelity})
+        latency = config.hop_delay_D * m  # one-way classical communication only
+    end = _fold(channels)
+    if config.mode == "physical":
         log.append({"stage": "swap", "links": m, "fidelity": end.fidelity})
-        return ChainReport(end, survival_link / raw_pairs, survival, latency, log)
-
-    # encoded modes: purified (or raw) links feed a logical channel per hop
-    if config.mode == "encoded_teleport":
-        link, survival_link = _purify_link(config.link_state, config.purify_rounds, log)
-        p_x, p_z = link.probs @ LABEL_XZ
-        noise = KnillNoise(
-            epr_error=NoiseModel.independent_xz(p_x, p_z),
-            meas_flip=config.p_g,
-        )
-        raw_pairs = 2 ** config.purify_rounds
-    else:  # encoded_direct: no purification stage, effective rate per hop
-        survival_link = 1.0
-        raw_pairs = 1
-        # p_c + 5 p_g already counts the Bell-measurement fault, so no readout flips
-        noise = KnillNoise(data_noise=NoiseModel.depolarizing(effective_error_rate(config.p_c, config.p_g)))
-    hops = []
-    for hop in range(m):  # each hop's logical error distribution from seeded Knill rounds
-        x_bad, z_bad, _ = knill_residuals(config.code, config.decoder, noise, config.seed, (900 + hop,), config.mc_trials)
-        counts = np.bincount(LABEL_OF[2 * x_bad + z_bad], minlength=4)
-        hops.append(BellDiagonalState(counts / counts.sum()))
-        log.append({"stage": "hop", "hop": hop, "logical_fidelity": hops[-1].fidelity})
-    end = _fold(hops)
-    latency = config.hop_delay_D * m  # one-way classical communication only
-    return ChainReport(end, survival_link / raw_pairs, survival_link ** m, latency, log)
+    return ChainReport(end, survival_link / 2 ** rounds, survival_link ** m, latency, log)
 
 
 def compare_latency(config: ChainConfig) -> tuple[float, float]:

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from qnetcode.ftec import ROUND_COST_T
+ROUND_COST_T = 4  # time units T of one Knill round: a node's default rate cycle
 
 
 @dataclass(frozen=True)

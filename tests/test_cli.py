@@ -334,6 +334,8 @@ KNILL = ["knill", "--code", "rep3", "--trials", "5"]
         (["chain", "--mode", "encoded_teleport", "--code", "rep3", "--trials", "4294967297"],
          "--trials: must be an integer <= 4294967296"),
         (["chain", "--mode", "physical", "--seed", "1"], "--seed: not read in chain mode physical"),
+        # R rounds consume 2**R raw pairs per link, a count that must convert to a float
+        (["chain", "--rounds", "1024"], "--rounds: must be an integer <= 1023"),
     ],
 )
 def test_bad_input_is_usage_error(capsys, argv, message):
@@ -379,6 +381,7 @@ def test_rate_accepts_a_code_without_logical_qubit(capsys):
         ("links", 0, "integer >= 1"),
         ("links", 2.5, "integer >= 1"),
         ("rounds", -1, "integer >= 0"),
+        ("rounds", 1024, "integer <= 1023"),
         ("delay", -1, "number >= 0"),
         ("delay", "soon", "number >= 0"),
         ("mode", "bogus", "must be one of"),
@@ -484,12 +487,17 @@ def test_knill_surface5_seeded_row_is_pinned(capsys):
           "--rounds", "2", "--seed", "1"], "b6e955e046324b01"),
         (["decode", "--code", "surface:5", "--decoder", "mwpm", "--p", "0.08", "--trials", "1500",
           "--seed", "41"], "9339d4c018a8e15e"),
+        (["chain", "--mode", "encoded_direct", "--links", "3", "--code", "surface:3", "--decoder", "mwpm",
+          "--pc", "0.02", "--pg", "0.002", "--rounds", "1", "--seed", "2"], "b339f96da5fc7439"),
+        (["chain", "--mode", "physical", "--links", "5", "--fidelity", "0.9", "--rounds", "3", "--delay", "7"],
+         "0dbb045db622b1ea"),
     ],
-    ids=["chain-encoded_teleport", "decode-surface5-mwpm"],
+    ids=["chain-encoded_teleport", "decode-surface5-mwpm", "chain-encoded_direct", "chain-physical"],
 )
 def test_seeded_monte_carlo_rows_are_pinned(capsys, argv, digest):
-    """Data rows (timing fields dropped) of two seeded runs whose every
-    trial draws from its own stream, hashed byte for byte."""
+    """Data rows (timing fields dropped), hashed byte for byte, of three
+    seeded runs whose every trial draws from its own stream and of one
+    exact run: the physical chain row is Bell-diagonal algebra, no draw."""
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
     rows = json.loads(out)

@@ -6,7 +6,6 @@ import pytest
 from qnetcode import codes, ftec, gf2
 from qnetcode.decoders import BpDecoder, LookupDecoder, MatchingDecoder
 from qnetcode.ftec import (
-    ROUND_COST_T,
     KnillNoise,
     _frame_account,
     _run_round,
@@ -72,7 +71,6 @@ def test_zero_noise_round_is_clean(code):
     rep = knill_ec_round(code, dec, PauliOperator.identity(code.n), NO_NOISE, streams(42, (), range(25)))
     assert not rep.s_x_checks.any() and not rep.s_z_checks.any()
     assert rep.decodable.all() and not rep.logical_failure.any()
-    assert ROUND_COST_T == 4
     assert not rep.residual_logical_x.any() and not rep.residual_logical_z.any()
 
 

@@ -103,6 +103,33 @@ def test_inverse_rejects_singular_and_nonsquare():
         gf2.inverse([[1, 0, 0], [0, 1, 0]])
 
 
+def test_distinct_rows_in_first_appearance_order():
+    a = np.array([[1, 0, 1], [0, 0, 0], [1, 0, 1], [0, 1, 1], [0, 0, 0]], dtype=np.uint8)
+    rows, inverse = gf2.distinct_rows(a)
+    assert rows.tolist() == [[1, 0, 1], [0, 0, 0], [0, 1, 1]]
+    assert inverse.tolist() == [0, 1, 0, 2, 1]
+    assert np.array_equal(rows[inverse], a)
+
+
+@given(matrices(max_rows=12, max_cols=3))
+def test_distinct_rows_round_trip(m):
+    rows, inverse = gf2.distinct_rows(m)
+    assert rows.dtype == m.dtype and np.array_equal(rows[inverse], m)
+    assert len(rows) == len(np.unique(m, axis=0))
+    # row k first appears before row k + 1
+    firsts = [int(np.flatnonzero(inverse == k)[0]) for k in range(len(rows))]
+    assert firsts == sorted(firsts)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
+def test_distinct_rows_of_empty_shapes(shape):
+    a = np.zeros(shape, dtype=np.uint8)
+    rows, inverse = gf2.distinct_rows(a)
+    assert rows.shape == (min(shape[0], 1), shape[1])
+    assert inverse.tolist() == [0] * shape[0]
+    assert rows[inverse].shape == shape
+
+
 def test_in_rowspan():
     m = [[1, 1, 0], [0, 1, 1]]
     assert in_rowspan([1, 0, 1], m)

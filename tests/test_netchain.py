@@ -6,6 +6,7 @@ import pytest
 from qnetcode import codes
 from qnetcode.decoders import LookupDecoder
 from qnetcode.netchain import (
+    MAX_PURIFY_ROUNDS,
     ChainConfig,
     compare_latency,
     compose_swap,
@@ -129,6 +130,11 @@ def test_config_validation():
         ChainConfig(num_links=2, link_state=werner(0.9), mode="encoded_teleport")
     with pytest.raises(ValueError):
         ChainConfig(num_links=2, link_state=werner(0.9), purify_rounds=-1)
+    # the bound is the last round count whose 2**R raw pairs per link convert to a float
+    deepest = run_chain(ChainConfig(num_links=2, link_state=werner(0.9), purify_rounds=MAX_PURIFY_ROUNDS))
+    assert MAX_PURIFY_ROUNDS == 1023 and 0.0 <= deepest.pairs_per_attempt < 2.0**-1022
+    with pytest.raises(ValueError, match=r"purify_rounds must lie in \[0, 1023\], got 1024"):
+        ChainConfig(num_links=2, link_state=werner(0.9), purify_rounds=1024)
     code = codes.rep3()
     with pytest.raises(ValueError):
         ChainConfig(num_links=2, link_state=werner(0.9), mode="encoded_teleport",

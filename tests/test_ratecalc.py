@@ -1,6 +1,10 @@
 from fractions import Fraction
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -34,6 +38,7 @@ def test_blocks_definition_and_monotonicity(q, n):
 
 
 def test_epr_rate_reference_values():
+    assert ratecalc.ROUND_COST_T == 4  # the default cycle: one Knill round
     rep = epr_rate(RateConfig(68200, 289, 1))
     assert rep.blocks == 78
     assert rep.epr_units_per_T == Fraction(39, 2)
@@ -60,6 +65,18 @@ def test_epr_rate_carries_effective_error(capsys):
     assert quiet["p_eff"] == 0.0
     assert {**noisy, "p_eff": 0.0} == quiet
     assert noisy["rate_per_T"] == str(epr_rate(RateConfig(1000, 9, 1)).epr_units_per_T)
+
+
+def test_import_loads_no_other_qnetcode_module():
+    """ratecalc is rate arithmetic alone: importing it loads no simulator module."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qnetcode.ratecalc; print(sorted(m for m in sys.modules if m.startswith('qnetcode.')))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "['qnetcode.ratecalc']"
 
 
 def test_rate_config_validation():
