@@ -162,6 +162,13 @@ def write_rows(rows: list[dict], out, fmt: str):
 # --- subcommands -------------------------------------------------------------
 
 
+def _to_float(value: Fraction, what: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise UsageError(f"{what} exceeds the float range") from None
+
+
 def cmd_rate(args) -> list[dict]:
     rows, configs = [], []
     p_eff = effective_error_rate(args.pc, args.pg)
@@ -178,14 +185,14 @@ def cmd_rate(args) -> list[dict]:
                 "Q": args.qubits,
                 "blocks": rep.blocks,
                 "rate_per_T": str(Fraction(rep.epr_units_per_T)),
-                "rate_decimal": float(rep.epr_units_per_T),
+                "rate_decimal": _to_float(rep.epr_units_per_T, f"--code {code_id}: rate_decimal"),
                 "p_eff": p_eff,
             }
         )
     if len(configs) >= 2 and rows[0]["rate_decimal"] > 0:
         ratio = ratecalc.compare(configs[0], configs[-1])
         print(
-            f"rate ratio (last/first): {ratio} = {float(ratio):.4f} "
+            f"rate ratio (last/first): {ratio} = {_to_float(ratio, 'rate ratio (last/first)'):.4f} "
             f"({ratecalc.fold_description(ratio)})",
             file=sys.stderr,
         )
@@ -346,15 +353,18 @@ def cmd_chain(args) -> list[dict]:
         kwargs = {"code": code, "decoder": decoder, "p_g": p_g, "p_c": p_c}
         if args.trials is not None:
             kwargs["mc_trials"] = args.trials
-    cfg = ChainConfig(
-        num_links=m,
-        link_state=werner(fidelity),
-        purify_rounds=rounds,
-        hop_delay_D=delay,
-        mode=mode,
-        seed=args.seed or 0,
-        **kwargs,
-    )
+    try:
+        cfg = ChainConfig(
+            num_links=m,
+            link_state=werner(fidelity),
+            purify_rounds=rounds,
+            hop_delay_D=delay,
+            mode=mode,
+            seed=args.seed or 0,
+            **kwargs,
+        )
+    except ValueError as e:  # the converters checked every setting but the latency the delay makes
+        raise UsageError(f"{given.get('delay', '--delay')}: {e}") from None
     report = run_chain(cfg)
     two_way, one_way = compare_latency(cfg)
     return [

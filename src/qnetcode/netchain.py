@@ -18,6 +18,7 @@ one-way total is D*m, the encoded latency (m=4, D=10, 2 rounds: 80 and 40).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -71,6 +72,8 @@ class ChainConfig:
             raise ValueError(f"mc_trials must lie in [1, 2**32], got {self.mc_trials}")
         if self.hop_delay_D < 0:
             raise ValueError("hop delay must be >= 0")
+        if not math.isfinite(compare_latency(self)[0]):  # the largest of the three latencies
+            raise ValueError(f"hop delay {self.hop_delay_D} puts the two-way latency past the float range")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.mode != "physical" and (self.code is None or self.decoder is None):
@@ -123,7 +126,7 @@ def run_chain(config: ChainConfig) -> ChainReport:
     if config.mode == "physical":
         channels = [link] * m
         # two-way purification acks plus one-way forwarding of swap frames
-        latency = 2.0 * config.hop_delay_D * rounds + (m - 1) * config.hop_delay_D
+        latency = 2.0 * rounds * config.hop_delay_D + (m - 1) * config.hop_delay_D
     else:  # encoded modes: a logical channel per hop from seeded Knill rounds
         if config.mode == "encoded_teleport":
             p_x, p_z = link.probs @ LABEL_XZ
@@ -147,7 +150,7 @@ def compare_latency(config: ChainConfig) -> tuple[float, float]:
     """(two_way_T, one_way_T) for the same chain geometry: D*m + 2*D*rounds
     and D*m, counted as the module docstring says."""
     m = config.num_links
-    two_way = config.hop_delay_D * m + 2.0 * config.hop_delay_D * config.purify_rounds
+    two_way = config.hop_delay_D * m + 2.0 * config.purify_rounds * config.hop_delay_D
     one_way = config.hop_delay_D * m
     return two_way, one_way
 

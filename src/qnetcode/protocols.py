@@ -1,20 +1,23 @@
 """LOCC protocols: teleportation, superdense coding, entanglement swapping,
 and recurrence-style entanglement purification.
 
-teleport, superdense and swap_chain run T trials at once on one tableau
-whose signs carry the trial axis (see stabsim): they take the trials'
-streams as one rng.TrialStreams object and return per-trial arrays.
-Every trial draws its noise as one row of rngs.random(m) before any
-measurement draws its outcomes, as a one-trial run of the same circuit
-on the trial's own stream would. Outcome pairs are (xx, zz) bits and a
-Pauli frame is its (x, z) bits.
+teleport, superdense and swap_chain sample Pauli frames (Knill,
+arXiv:quant-ph/0410199): Bell outcomes plus the XOR of the Paulis the
+pairs carried. A Bell measurement joining two pairs is uniformly random
+and draws its (xx, zz) bits with two rngs.bits() calls; one reading a
+whole noisy pair is deterministic and reads its Pauli (x, z) as (z, x).
+They take the trials' streams as one rng.TrialStreams object, draw each
+trial's noise as one row of rngs.random(m) before its outcome bits, as
+the same circuit on a stabilizer tableau would (the tests keep those
+tableau circuits as the oracle), and return per-trial arrays. Outcome
+pairs are (xx, zz) bits and a Pauli frame is its (x, z) bits.
 
-purify_pair_sampled and netchain's tableau cross-check batch their
-trials the same way, from noisy_pairs (labelled Bell pairs) through a
-repeater node's two tableau steps, purify_round and swap_readout; a
-trial whose comparison fails is masked, as its result is already fixed.
-Pauli-correction conventions are fixed once by the noiseless identity
-tests and pinned in the tests.
+purify_pair_sampled and netchain's tableau cross-check run T trials on
+one tableau whose signs carry the trial axis, from noisy_pairs (labelled
+Bell pairs) through a repeater node's two tableau steps, purify_round and
+swap_readout; a trial whose comparison fails is masked, as its result is
+already fixed. Pauli-correction conventions are fixed once by the
+noiseless identity tests and pinned in the tests.
 """
 
 from __future__ import annotations
@@ -24,54 +27,37 @@ from typing import Sequence
 import numpy as np
 
 from qnetcode.noise import BellDiagonalState, NoiseModel, pauli_bits
-from qnetcode.pauli import LABEL_OF, LABEL_XZ, PauliOperator
+from qnetcode.pauli import LABEL_OF, LABEL_XZ
 from qnetcode.rng import TrialStreams
 from qnetcode.stabsim import StabilizerState, prepare_bell
 
-Gate = tuple
-_Z = PauliOperator.from_string("Z")
-
-
-def _apply_prep(state: StabilizerState, prep: Sequence[Gate], qubit: int):
-    """Run a 1-qubit Clifford prep circuit, remapped onto ``qubit``."""
-    for gate in prep:
-        name = gate[0].upper()
-        if name not in ("H", "X", "Y", "Z") or any(q != 0 for q in gate[1:]):
-            raise ValueError(f"prep circuit must act on qubit 0 with 1-qubit gates, got {gate!r}")
-        state.apply_gate((name, qubit))
-
-
-def _unapply_prep(state: StabilizerState, prep: Sequence[Gate], qubit: int):
-    # H and Paulis are involutions, so the inverse is the reversed list
-    for gate in reversed(prep):
-        state.apply_gate((gate[0].upper(), qubit))
-
 
 def teleport(
-    input_prep: Sequence[Gate],
+    input_prep: Sequence[tuple],
     epr_noise: NoiseModel,
     rngs: TrialStreams,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Teleport the state prepared by ``input_prep`` through a (noisy) EPR
-    pair, once per trial of ``rngs``.
+    """Teleport the state prepared by ``input_prep``, 1-qubit gates
+    ('H'|'X'|'Y'|'Z', 0), through a (noisy) EPR pair, once per trial of
+    ``rngs``.
 
-    Qubit 0 is the payload, qubit 1 Alice's EPR half, qubit 2 Bob's.
-    Bob applies X^zz then Z^xx. Verification un-prepares Bob's qubit and
-    checks it is exactly |0>. Returns (outcomes (T, 1, 2), residual
-    frame (T, 2), verified (T,) bool).
+    Alice's Bell measurement is random; after Bob's X^zz Z^xx his qubit
+    holds the payload under the XOR of the EPR pair's Paulis, the frame.
+    Un-preparing it yields |0> iff frame bit h is 0, h the parity of the
+    prep's H gates. Returns (outcomes (T, 1, 2), residual frame (T, 2),
+    verified (T,) bool).
     """
-    state = StabilizerState(3, len(rngs))
-    prepare_bell(state, 1, 2)
     epr_x, epr_z = pauli_bits(epr_noise, rngs.random(epr_noise.uniforms(2)), 2)
-    state.apply_pauli(epr_x, epr_z, 1)
-    _apply_prep(state, input_prep, 0)
-    xx, zz = state.bell_measure(0, 1, rngs)
-    state.apply_pauli(zz[:, None], xx[:, None], 2)
-    # injected EPR errors commute through to a fixed frame on the output
+    h = 0
+    for gate in input_prep:
+        name = gate[0].upper()
+        if name not in ("H", "X", "Y", "Z") or any(q != 0 for q in gate[1:]):
+            raise ValueError(f"prep circuit must act on qubit 0 with 1-qubit gates, got {gate!r}")
+        h ^= name == "H"
+    xx = rngs.bits()
+    zz = rngs.bits()
     frame = np.stack([epr_x[:, 0] ^ epr_x[:, 1], epr_z[:, 0] ^ epr_z[:, 1]], axis=1)
-    _unapply_prep(state, input_prep, 2)
-    verified = state.expectation(_Z, 2) == 1
-    return np.stack([xx, zz], axis=1)[:, None], frame, verified
+    return np.stack([xx, zz], axis=1)[:, None], frame, frame[:, h] == 0
 
 
 def superdense(
@@ -84,17 +70,14 @@ def superdense(
     every trial or a (T, 2) array.
 
     Alice applies Z^a X^b to her half and sends it through the channel;
-    Bob decodes (a', b') from the (XX, ZZ) Bell outcomes. Returns
-    (outcomes (T, 1, 2), the channel Pauli on the sent qubit (T, 2)).
+    Bob's Bell measurement is deterministic: under the channel Pauli
+    (x, z) he decodes (a ^ z, b ^ x). Returns (outcomes (T, 1, 2), the
+    channel Pauli on the sent qubit (T, 2)).
     """
     bits = np.asarray(bits, dtype=np.uint8)
-    state = StabilizerState(2, len(rngs))
-    prepare_bell(state, 0, 1)
-    state.apply_pauli(bits[..., 1:], bits[..., :1])
     err_x, err_z = pauli_bits(channel_noise, rngs.random(channel_noise.uniforms(1)), 1)
-    state.apply_pauli(err_x, err_z)
-    xx, zz = state.bell_measure(0, 1, rngs)
-    return np.stack([xx, zz], axis=1)[:, None], np.concatenate([err_x, err_z], axis=1)
+    channel = np.concatenate([err_x, err_z], axis=1)
+    return (bits ^ channel[:, ::-1])[:, None], channel
 
 
 def swap_chain(
@@ -105,22 +88,21 @@ def swap_chain(
     """Fuse m noisy link pairs into one end-to-end pair via m-1 swaps,
     once per trial of ``rngs``.
 
-    Each trial draws each link's two-qubit error in link order. Returns the
-    swap outcomes (T, m, 2), readout last, and the end pair's error frame
-    (T, 2) from the final verification Bell measurement.
+    Each trial draws each link's two-qubit error in link order, then the
+    swaps' random (xx, zz) bits in chain order. The end pair carries the
+    XOR of all 2m Paulis, which the final Bell measurement reads. Returns
+    the swap outcomes (T, m, 2), readout last, and the end pair's error
+    frame (T, 2).
     """
     if num_links < 1:
         raise ValueError("num_links must be >= 1")
-    n, trials = 2 * num_links, len(rngs)
-    state = StabilizerState(n, trials)
-    pairs = [(q, q + 1) for q in range(0, n, 2)]
-    for a, b in pairs:
-        prepare_bell(state, a, b)
+    trials = len(rngs)
     m = link_noise.uniforms(2)
     u = rngs.random(num_links * m).reshape(trials, num_links, m)
     err_x, err_z = pauli_bits(link_noise, u, 2)
-    state.apply_pauli(err_x.reshape(trials, n), err_z.reshape(trials, n))
-    outcomes = swap_readout(state, pairs, rngs)
+    swaps = [rngs.bits() for _ in range(2 * (num_links - 1))]
+    readout = [np.bitwise_xor.reduce(e, axis=(1, 2)) for e in (err_z, err_x)]
+    outcomes = np.stack(swaps + readout, axis=1).reshape(trials, num_links, 2)
     return outcomes, outcomes[:, -1, ::-1]
 
 

@@ -19,6 +19,10 @@ measurement is random and which row is its pivot. So x and z are
 T one-trial tableaus would. For the same reason every trial makes the
 same random draws in the same order, so a batch draws its outcomes from
 one rng.TrialStreams object, all trials at one stream position.
+
+No CLI command runs the tableau: it is the oracle of the Pauli-frame
+engines (ftec.knill_ec_round, protocols.purify_pair_sampled,
+netchain.sample_chain_trial, and the protocol circuits in the tests).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 from qnetcode.pauli import PauliOperator
 from qnetcode.rng import TrialStreams
 
-_SINGLE = {letter: PauliOperator.from_string(letter) for letter in "XYZ"}
+_Z = PauliOperator.from_string("Z")
 
 
 def _phase_exponents(x1, z1, x2, z2) -> np.ndarray:
@@ -105,19 +109,6 @@ class StabilizerState:
         Conjugation by a Pauli only flips signs of anticommuting rows."""
         self.r ^= self._anticommutes(x_bits, z_bits, at)
 
-    def apply_gate(self, gate: tuple):
-        """Apply ('H', q), ('CNOT', c, t), ('X'|'Y'|'Z', q) on every trial."""
-        name = gate[0].upper()
-        if name == "H":
-            self.h(gate[1])
-        elif name == "CNOT":
-            self.cnot(gate[1], gate[2])
-        elif name in _SINGLE:
-            self._check_qubit(gate[1])
-            self.apply_pauli(_SINGLE[name].x_bits, _SINGLE[name].z_bits, gate[1])
-        else:
-            raise ValueError(f"unsupported gate {gate!r}")
-
     # --- row arithmetic ---------------------------------------------------
 
     def _rowsum_many(self, rows: np.ndarray, i: int):
@@ -190,7 +181,7 @@ class StabilizerState:
 
     def measure_z(self, q: int, rngs: TrialStreams) -> np.ndarray:
         self._check_qubit(q)
-        return self.measure_pauli(_SINGLE["Z"], rngs, q)
+        return self.measure_pauli(_Z, rngs, q)
 
     def bell_measure(self, q1: int, q2: int, rngs: TrialStreams) -> tuple[np.ndarray, np.ndarray]:
         """Joint XX/ZZ measurement of (q1, q2) via CNOT, H, two Z reads.

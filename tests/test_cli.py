@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from qnetcode import cli, codes, ftec
+from qnetcode import cli, codes, ftec, stabsim
 from qnetcode.decoders import logical_failure
 from qnetcode.noise import NoiseModel, sample_error
 from qnetcode.rng import stream
@@ -336,6 +336,12 @@ KNILL = ["knill", "--code", "rep3", "--trials", "5"]
         (["chain", "--mode", "physical", "--seed", "1"], "--seed: not read in chain mode physical"),
         # R rounds consume 2**R raw pairs per link, a count that must convert to a float
         (["chain", "--rounds", "1024"], "--rounds: must be an integer <= 1023"),
+        # every latency, and a rate row's rate_decimal and ratio, must be a finite float
+        (["chain", "--delay", "1e308"], "--delay: hop delay 1e+308 puts the two-way latency past the float range"),
+        (["rate", "--qubits", str(10**400), "--code", "custom:1:1"],
+         "--code custom:1:1: rate_decimal exceeds the float range"),
+        (["rate", "--qubits", str(10**310), "--cycle", "10000000000", "--code", f"custom:{10**309}:1",
+          "--code", "custom:1:1"], "rate ratio (last/first) exceeds the float range"),
     ],
 )
 def test_bad_input_is_usage_error(capsys, argv, message):
@@ -372,6 +378,33 @@ def test_rate_accepts_a_code_without_logical_qubit(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["protocol", "--name", "teleport", "--noise", "depolarizing:0.2", "--trials", "20"],
+        ["protocol", "--name", "superdense", "--noise", "depolarizing:0.2", "--trials", "20"],
+        ["protocol", "--name", "swap", "--links", "8", "--noise", "depolarizing:0.05", "--trials", "20"],
+        ["decode", "--code", "surface:3", "--decoder", "mwpm", "--p", "0.05", "--trials", "20"],
+        KNILL + ["--epr-noise", "depolarizing:0.05", "--meas-flip", "bit_flip:0.05"],
+        ["chain", "--links", "3", "--rounds", "1"],
+        ["chain", "--mode", "encoded_teleport", "--links", "2", "--code", "rep3", "--trials", "20"],
+        ["chain", "--mode", "encoded_direct", "--links", "2", "--code", "rep3", "--trials", "20"],
+        ["rate", "--qubits", "100", "--code", "rep3"],
+    ],
+    ids=["teleport", "superdense", "swap", "decode", "knill", "physical", "encoded_teleport",
+         "encoded_direct", "rate"],
+)
+def test_no_command_builds_a_tableau(capsys, monkeypatch, argv):
+    """Every command samples Pauli frames; the tableau is only their oracle."""
+    def no_tableau(*args, **kwargs):
+        raise AssertionError("a command built a StabilizerState")
+
+    monkeypatch.setattr(stabsim.StabilizerState, "__init__", no_tableau)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert out
+
+
+@pytest.mark.parametrize(
     "key,value,message",
     [
         ("fidelity", 1.5, "probability"),
@@ -384,6 +417,7 @@ def test_rate_accepts_a_code_without_logical_qubit(capsys):
         ("rounds", 1024, "integer <= 1023"),
         ("delay", -1, "number >= 0"),
         ("delay", "soon", "number >= 0"),
+        ("delay", 1e308, "two-way latency past the float range"),
         ("mode", "bogus", "must be one of"),
         ("linkz", 3, "unknown key"),
         ("schedule", "nested", "unknown key"),

@@ -194,6 +194,18 @@ def test_compare_latency():
     assert two_way > one_way
 
 
+def test_latency_of_a_huge_delay_is_finite_or_refused():
+    """Zero rounds cost no time at any delay, and a delay whose two-way
+    latency would be inf is refused when the config is made."""
+    cfg = ChainConfig(num_links=1, link_state=werner(0.9), hop_delay_D=1e308)
+    assert run_chain(cfg).latency == 0.0
+    assert compare_latency(cfg) == (1e308, 1e308)
+    with pytest.raises(ValueError, match="two-way latency past the float range"):
+        ChainConfig(num_links=2, link_state=werner(0.9), hop_delay_D=1e308)
+    with pytest.raises(ValueError, match="two-way latency past the float range"):
+        ChainConfig(num_links=1, link_state=werner(0.9), purify_rounds=1, hop_delay_D=1e308)
+
+
 def test_encoded_teleport_mode_runs():
     code = codes.rep3()
     cfg = ChainConfig(

@@ -4,15 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from qnetcode.noise import BellDiagonalState, NoiseModel, werner
+from qnetcode.noise import BellDiagonalState, NoiseModel, pauli_bits, werner
+from qnetcode.pauli import PauliOperator
 from qnetcode.protocols import (
     purify_pair_dist,
     purify_pair_sampled,
     superdense,
     swap_chain,
+    swap_readout,
     teleport,
 )
 from qnetcode.rng import stream, streams
+from qnetcode.stabsim import StabilizerState, prepare_bell
 
 from dense_oracle import ONE_QUBIT
 from trial_streams import trial_streams
@@ -145,6 +148,103 @@ def test_noisy_swap_chain_residual_distribution():
     target = 2 * q * (1 - q)
     sigma = math.sqrt(target * (1 - target) / trials)
     assert abs(flips / trials - target) < 3.5 * sigma
+
+
+# --- the tableau circuits are the frames' oracle ------------------------------
+
+
+def _tableau_prep(state, prep, qubit):
+    for gate in prep:
+        name = gate[0].upper()
+        if name == "H":
+            state.h(qubit)
+        else:
+            p = PauliOperator.from_string(name)
+            state.apply_pauli(p.x_bits, p.z_bits, qubit)
+
+
+def tableau_teleport(prep, epr_noise, rngs):
+    state = StabilizerState(3, len(rngs))
+    prepare_bell(state, 1, 2)
+    epr_x, epr_z = pauli_bits(epr_noise, rngs.random(epr_noise.uniforms(2)), 2)
+    state.apply_pauli(epr_x, epr_z, 1)
+    _tableau_prep(state, prep, 0)
+    xx, zz = state.bell_measure(0, 1, rngs)
+    state.apply_pauli(zz[:, None], xx[:, None], 2)
+    frame = np.stack([epr_x[:, 0] ^ epr_x[:, 1], epr_z[:, 0] ^ epr_z[:, 1]], axis=1)
+    _tableau_prep(state, prep[::-1], 2)  # H and the Paulis are involutions
+    verified = state.expectation(PauliOperator.from_string("Z"), 2) == 1
+    return np.stack([xx, zz], axis=1)[:, None], frame, verified
+
+
+def tableau_superdense(bits, channel_noise, rngs):
+    bits = np.asarray(bits, dtype=np.uint8)
+    state = StabilizerState(2, len(rngs))
+    prepare_bell(state, 0, 1)
+    state.apply_pauli(bits[..., 1:], bits[..., :1])
+    err_x, err_z = pauli_bits(channel_noise, rngs.random(channel_noise.uniforms(1)), 1)
+    state.apply_pauli(err_x, err_z)
+    xx, zz = state.bell_measure(0, 1, rngs)
+    return np.stack([xx, zz], axis=1)[:, None], np.concatenate([err_x, err_z], axis=1)
+
+
+def tableau_swap_chain(num_links, link_noise, rngs):
+    n, trials = 2 * num_links, len(rngs)
+    state = StabilizerState(n, trials)
+    pairs = [(q, q + 1) for q in range(0, n, 2)]
+    for a, b in pairs:
+        prepare_bell(state, a, b)
+    m = link_noise.uniforms(2)
+    u = rngs.random(num_links * m).reshape(trials, num_links, m)
+    err_x, err_z = pauli_bits(link_noise, u, 2)
+    state.apply_pauli(err_x.reshape(trials, n), err_z.reshape(trials, n))
+    outcomes = swap_readout(state, pairs, rngs)
+    return outcomes, outcomes[:, -1, ::-1]
+
+
+NOISES = [
+    NoiseModel.none(),
+    NoiseModel.bit_flip(0.3),
+    NoiseModel.phase_flip(0.3),
+    NoiseModel.depolarizing(0.6),
+    NoiseModel.independent_xz(0.2, 0.35),
+]
+
+
+def _assert_frames_equal_tableau(protocol, oracle, *args, seed):
+    """The frame run and the tableau run return equal arrays of equal dtypes
+    trial for trial, and leave their streams at the same place: equal
+    positions, and the same next bits() (a half-used word shows there)."""
+    rngs, oracle_rngs = streams(seed, (), range(64)), streams(seed, (), range(64))
+    got, want = protocol(*args, rngs), oracle(*args, oracle_rngs)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+    assert rngs.position == oracle_rngs.position
+    assert np.array_equal(rngs.bits(), oracle_rngs.bits())
+
+
+ORACLE_PREPS = PREPS + [[("h", 0), ("z", 0)], [("Y", 0), ("H", 0), ("Y", 0)]]
+
+
+@pytest.mark.parametrize("noise", NOISES, ids=lambda n: n.variant)
+def test_teleport_frames_equal_the_tableau(noise):
+    for i, prep in enumerate(ORACLE_PREPS):
+        _assert_frames_equal_tableau(teleport, tableau_teleport, prep, noise, seed=30 + i)
+
+
+@pytest.mark.parametrize("noise", NOISES, ids=lambda n: n.variant)
+def test_superdense_frames_equal_the_tableau(noise):
+    for i, pair in enumerate(itertools.product((0, 1), repeat=2)):
+        _assert_frames_equal_tableau(superdense, tableau_superdense, pair, noise, seed=40 + i)
+    sent = stream(44).integers(0, 2, (64, 2), dtype=np.uint8)
+    _assert_frames_equal_tableau(superdense, tableau_superdense, sent, noise, seed=45)
+
+
+@pytest.mark.parametrize("noise", NOISES, ids=lambda n: n.variant)
+def test_swap_chain_frames_equal_the_tableau(noise):
+    for m in (1, 2, 3, 8):
+        _assert_frames_equal_tableau(swap_chain, tableau_swap_chain, m, noise, seed=50 + m)
 
 
 # --- purification -------------------------------------------------------------
