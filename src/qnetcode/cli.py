@@ -23,7 +23,7 @@ from qnetcode import codes, ftec, ratecalc
 from qnetcode.codes import random_regular_check_matrix  # noqa: F401  (re-exported for callers of cli)
 from qnetcode.decoders import DECODERS, BpDecoder
 from qnetcode.ftec import KnillNoise, knill_residuals
-from qnetcode.netchain import MAX_PURIFY_ROUNDS, MODES, ChainConfig, compare_latency, run_chain
+from qnetcode.netchain import MAX_LINKS, MAX_PURIFY_ROUNDS, MODES, ChainConfig, compare_latency, run_chain
 from qnetcode.noise import NoiseModel, effective_error_rate, werner
 from qnetcode.pauli import LABEL_OF, LABELS
 from qnetcode.protocols import superdense, swap_chain, teleport
@@ -54,6 +54,7 @@ _positive_int = _int_in(1)
 _nonnegative_int = _int_in(0)
 _trial_count = _int_in(1, MAX_TRIALS)
 _purify_rounds = _int_in(0, MAX_PURIFY_ROUNDS)
+_link_count = _int_in(1, MAX_LINKS)
 
 
 def _float_in(low: float, high: float, what: str):
@@ -334,7 +335,7 @@ def cmd_chain(args) -> list[dict]:
     mode = pick("mode", "physical", str)
     if mode not in MODES:  # the flag has argparse choices; only a file value gets here
         raise UsageError(f"--config mode: must be one of {', '.join(MODES)}, got {mode!r}")
-    m = pick("links", 4, _positive_int)
+    m = pick("links", 4, _link_count)
     fidelity = pick("fidelity", 0.95, _probability)
     rounds = pick("rounds", 2, _purify_rounds)
     delay = pick("delay", 10.0, _nonnegative_float)
@@ -399,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--name", choices=("teleport", "superdense", "swap"), required=True)
     p.add_argument("--noise", type=_noise_spec, default="none")
-    p.add_argument("--links", type=_positive_int, default=None, help="swap only (default 3)")
+    p.add_argument("--links", type=_link_count, default=None, help="swap only (default 3)")
 
     p = sub.add_parser("decode", help="decoder benchmark")
     common(p)
@@ -424,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(seed=None)  # encoded modes only (default 0)
     p.add_argument("--config", default=None, help="JSON scenario file; flags win on conflict")
     p.add_argument("--mode", choices=MODES, default=None)
-    p.add_argument("--links", type=_positive_int, default=None)
+    p.add_argument("--links", type=_link_count, default=None)
     p.add_argument("--fidelity", type=_probability, default=None)
     p.add_argument("--rounds", type=_purify_rounds, default=None)
     p.add_argument("--delay", type=_nonnegative_float, default=None)

@@ -1,4 +1,9 @@
-"""Dense GF(2) linear algebra on numpy uint8 matrices."""
+"""GF(2) linear algebra on packed bits.
+
+Matrices go in and come out as numpy uint8 arrays. Inside, a row is a
+bit string with bit j for column j: `row_reduce` eliminates on rows held
+as Python ints, and `matmul` multiplies rows packed into uint64 words.
+"""
 
 from __future__ import annotations
 
@@ -11,9 +16,28 @@ def asmatrix(m) -> np.ndarray:
     return a
 
 
+def _pack(a: np.ndarray, word_bits: int) -> np.ndarray:
+    """The rows of the 0/1 matrix a as little-endian bit strings, each
+    zero-padded to whole words of word_bits bits: a uint8 array with one
+    row of bytes per row of a."""
+    rows, cols = a.shape
+    padded = np.zeros((rows, -(-cols // word_bits) * word_bits), dtype=np.uint8)
+    padded[:, :cols] = a
+    return np.packbits(padded, bitorder="little").reshape(rows, padded.shape[1] // 8)
+
+
 def matmul(a, b) -> np.ndarray:
-    """Matrix product over GF(2)."""
-    return (asmatrix(a).astype(np.int64) @ asmatrix(b).astype(np.int64) % 2).astype(np.uint8)
+    """Matrix product over GF(2). Entry (i, j) is the parity of the set
+    bits of row i of a AND column j of b, both packed into uint64 words."""
+    a, b = asmatrix(a), asmatrix(b)
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
+    a_words = _pack(a, 64).view(np.uint64)
+    b_words = _pack(b.T, 64).view(np.uint64)
+    fold = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint64)
+    for w in range(a_words.shape[1]):
+        fold ^= a_words[:, w, None] & b_words[:, w]
+    return np.bitwise_count(fold) & 1  # bitwise_count gives uint8
 
 
 def matvec(a, v) -> np.ndarray:
@@ -33,24 +57,38 @@ def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def row_reduce(m) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form; returns (reduced matrix, pivot column list)."""
-    a = asmatrix(m).copy()
+    """Reduced row echelon form; returns (reduced matrix, pivot column list).
+
+    Each row is one Python int. The rows enter a basis one at a time,
+    keyed by the lowest set bit (the pivot) of each basis row, and the
+    basis stays fully reduced: no basis row has another one's pivot bit.
+    The reduced row echelon form is unique, so this is the matrix that
+    Gauss-Jordan elimination column by column gives."""
+    a = asmatrix(m)
     rows, cols = a.shape
-    pivots: list[int] = []
-    for c in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        hit = np.flatnonzero(a[r:, c])
-        if hit.size == 0:
-            continue
-        p = r + hit[0]
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        elim = np.flatnonzero(a[:, c])
-        a[elim[elim != r]] ^= a[r]
-        pivots.append(c)
-    return a, pivots
+    width = -(-cols // 8)
+    packed = _pack(a, 8).tobytes()
+    basis: dict[int, int] = {}
+    pivot_bits = 0
+    for i in range(rows):
+        v = int.from_bytes(packed[i * width : (i + 1) * width], "little")
+        # no basis row holds another's pivot bit, so each XOR clears one hit
+        hit = v & pivot_bits
+        while hit:
+            low = hit & -hit
+            v ^= basis[low]
+            hit ^= low
+        if v:
+            low = v & -v
+            for pivot, row in basis.items():
+                if row & low:
+                    basis[pivot] = row ^ v
+            basis[low] = v
+            pivot_bits |= low
+    order = sorted(basis)
+    reduced = b"".join(basis[pivot].to_bytes(width, "little") for pivot in order).ljust(rows * width, b"\0")
+    red = np.unpackbits(np.frombuffer(reduced, dtype=np.uint8).reshape(rows, width), axis=1, count=cols, bitorder="little")
+    return red, [pivot.bit_length() - 1 for pivot in order]
 
 
 def rank(m) -> int:

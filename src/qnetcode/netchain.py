@@ -34,6 +34,10 @@ from qnetcode.rng import MAX_TRIALS, TrialStreams
 MODES = ("physical", "encoded_teleport", "encoded_direct")
 # R rounds consume 2**R raw pairs per link, a count that must convert to a float
 MAX_PURIFY_ROUNDS = 1023
+# chains and swaps cost time and memory linear in the link count (a
+# 1000-trial swap over 1024 links takes about 1 s and 0.1 GB); more links
+# than this is a typo, not a repeater network
+MAX_LINKS = 1024
 
 
 def compose_swap(a: BellDiagonalState, b: BellDiagonalState) -> BellDiagonalState:
@@ -64,8 +68,8 @@ class ChainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_links < 1:
-            raise ValueError("num_links must be >= 1")
+        if not 1 <= self.num_links <= MAX_LINKS:
+            raise ValueError(f"num_links must lie in [1, {MAX_LINKS}], got {self.num_links}")
         if not 0 <= self.purify_rounds <= MAX_PURIFY_ROUNDS:
             raise ValueError(f"purify_rounds must lie in [0, {MAX_PURIFY_ROUNDS}], got {self.purify_rounds}")
         if not 1 <= self.mc_trials <= MAX_TRIALS:

@@ -342,6 +342,13 @@ KNILL = ["knill", "--code", "rep3", "--trials", "5"]
          "--code custom:1:1: rate_decimal exceeds the float range"),
         (["rate", "--qubits", str(10**310), "--cycle", "10000000000", "--code", f"custom:{10**309}:1",
           "--code", "custom:1:1"], "rate ratio (last/first) exceeds the float range"),
+        # chains and swaps cost time and memory linear in the link count
+        (["protocol", "--name", "swap", "--links", "1000000000"], "--links: must be an integer <= 1024"),
+        (["chain", "--mode", "physical", "--links", str(10**400)], "--links: must be an integer <= 1024"),
+        (["chain", "--mode", "encoded_teleport", "--code", "shor9", "--links", str(10**20), "--trials", "1"],
+         "--links: must be an integer <= 1024"),
+        (["protocol", "--name", "swap", "--links", "1025"], "--links: must be an integer <= 1024"),
+        (["chain", "--links", "1025"], "--links: must be an integer <= 1024"),
     ],
 )
 def test_bad_input_is_usage_error(capsys, argv, message):
@@ -349,6 +356,21 @@ def test_bad_input_is_usage_error(capsys, argv, message):
     assert code == 1
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["protocol", "--name", "swap", "--links", "1024", "--trials", "2"],
+        ["chain", "--links", "1024"],
+        ["chain", "--mode", "encoded_direct", "--code", "rep3", "--links", "1024", "--trials", "2"],
+    ],
+    ids=["swap", "physical", "encoded_direct"],
+)
+def test_links_cap_is_a_valid_link_count(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out
 
 
 NO_LOGICAL = "hgp:0:3:3:1"  # [[18, 0]]: the code encodes no logical qubit
@@ -422,6 +444,8 @@ def test_no_command_builds_a_tableau(capsys, monkeypatch, argv):
         ("linkz", 3, "unknown key"),
         ("schedule", "nested", "unknown key"),
         ("fidelity", 0.9, "not read in chain mode encoded_direct"),
+        ("links", 1025, "integer <= 1024"),
+        ("links", 10**20, "integer <= 1024"),
     ],
 )
 def test_bad_chain_config_value_is_usage_error(tmp_path, capsys, key, value, message):

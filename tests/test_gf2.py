@@ -11,13 +11,17 @@ def in_rowspan(vec, m):
     return gf2.rank(m) == gf2.rank(np.concatenate([m, gf2.asmatrix(vec)], axis=0))
 
 
-def matrices(max_rows=6, max_cols=8):
+def int_rows(rows, cols):
+    """The 0/1 matrix whose row i has bit j of rows[i] in column j."""
+    return np.array([[(r >> j) & 1 for j in range(cols)] for r in rows], dtype=np.uint8).reshape(len(rows), cols)
+
+
+def matrices(max_rows=6, max_cols=130):
+    """Random 0/1 matrices; the default width crosses two 64-bit words."""
     return st.tuples(st.integers(1, max_rows), st.integers(1, max_cols)).flatmap(
-        lambda rc: st.lists(
-            st.lists(st.integers(0, 1), min_size=rc[1], max_size=rc[1]),
-            min_size=rc[0],
-            max_size=rc[0],
-        ).map(lambda rows: np.array(rows, dtype=np.uint8))
+        lambda rc: st.lists(st.integers(0, 2 ** rc[1] - 1), min_size=rc[0], max_size=rc[0]).map(
+            lambda rows: int_rows(rows, rc[1])
+        )
     )
 
 
@@ -79,7 +83,8 @@ def test_solve_shape_mismatch():
         gf2.solve([[1, 0]], [1, 0])
 
 
-@given(st.integers(1, 6), st.randoms(use_true_random=False))
+# a seeded Random: up to 520 row operations, each drawn through hypothesis, took seconds
+@given(st.integers(1, 130), st.randoms(use_true_random=True))
 def test_inverse_round_trip(n, rnd):
     # row operations on the identity always yield an invertible matrix
     m = np.eye(n, dtype=np.uint8)
@@ -189,7 +194,7 @@ def assert_same_array(got, want):
     assert np.array_equal(got, want)
 
 
-@given(matrices(max_rows=8, max_cols=10))
+@given(matrices(max_rows=8))
 def test_row_reduce_matches_reference_loop(m):
     red, pivots = gf2.row_reduce(m)
     want_red, want_pivots = reference_row_reduce(m)
@@ -198,7 +203,7 @@ def test_row_reduce_matches_reference_loop(m):
     assert all(type(p) is int for p in pivots)
 
 
-@given(matrices(max_rows=8, max_cols=10), st.data())
+@given(matrices(max_rows=8), st.data())
 def test_nullspace_and_solve_match_reference_loop(m, data):
     assert_same_array(gf2.nullspace(m), reference_nullspace(m))
     b = np.array(data.draw(st.lists(st.integers(0, 1), min_size=m.shape[0], max_size=m.shape[0])), dtype=np.uint8)
@@ -237,3 +242,113 @@ def test_logical_basis_matches_incremental_rank_loop(n, r_stab, r_comm, data):
 def test_logical_basis_edge_cases_match_reference(h_stab, h_comm):
     got = codes._logical_basis(h_stab, h_comm, 4)
     assert_same_array(got, reference_logical_basis(h_stab, h_comm, 4))
+
+
+def numpy_loop_row_reduce(m):
+    """The column-by-column numpy elimination that gf2.row_reduce ran
+    before it packed rows into ints."""
+    a = gf2.asmatrix(m).copy()
+    rows, cols = a.shape
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        hit = np.flatnonzero(a[r:, c])
+        if hit.size == 0:
+            continue
+        p = r + hit[0]
+        if p != r:
+            a[[r, p]] = a[[p, r]]
+        elim = np.flatnonzero(a[:, c])
+        a[elim[elim != r]] ^= a[r]
+        pivots.append(c)
+    return a, [int(c) for c in pivots]
+
+
+def int64_matmul(a, b):
+    """The int64 product that gf2.matmul ran before it packed words."""
+    return (gf2.asmatrix(a).astype(np.int64) @ gf2.asmatrix(b).astype(np.int64) % 2).astype(np.uint8)
+
+
+def old_results(monkeypatch, fn, *args):
+    """fn(*args) with gf2's elimination and product swapped for the old ones."""
+    with monkeypatch.context() as patch:
+        patch.setattr(gf2, "row_reduce", numpy_loop_row_reduce)
+        patch.setattr(gf2, "matmul", int64_matmul)
+        return fn(*args)
+
+
+def assert_matches_old(monkeypatch, m, b_cols=5, seed=0):
+    """row_reduce, rank, nullspace, solve, matmul and matvec on m equal the
+    old numpy loop and int64 product bit for bit."""
+    rng = np.random.default_rng(seed)
+    red, pivots = gf2.row_reduce(m)
+    want_red, want_pivots = numpy_loop_row_reduce(m)
+    assert_same_array(red, want_red)
+    assert pivots == want_pivots and all(type(p) is int for p in pivots)
+    assert gf2.rank(m) == len(want_pivots)
+    assert_same_array(gf2.nullspace(m), old_results(monkeypatch, gf2.nullspace, m))
+    rows, cols = gf2.asmatrix(m).shape
+    for b in (rng.integers(0, 2, rows), int64_matmul(m, rng.integers(0, 2, (cols, 1)))[:, 0]):
+        got, want = gf2.solve(m, b), old_results(monkeypatch, gf2.solve, m, b)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert_same_array(got, want)
+    other = rng.integers(0, 4, (cols, b_cols))
+    assert_same_array(gf2.matmul(m, other), int64_matmul(m, other))
+    assert_same_array(gf2.matmul(other.T, np.asarray(m).T), int64_matmul(other.T, np.asarray(m).T))
+    v = rng.integers(0, 2, cols)
+    assert_same_array(gf2.matvec(m, v), int64_matmul(m, v[:, None])[:, 0])
+
+
+WORD_EDGES = [1, 63, 64, 65, 128, 129, 225]
+
+
+@pytest.mark.parametrize("cols", WORD_EDGES)
+@pytest.mark.parametrize("rows", [1, 7, 70, 130])
+def test_packed_gf2_matches_old_loop_at_word_boundaries(monkeypatch, rows, cols):
+    rng = np.random.default_rng(1000 * rows + cols)
+    dense = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
+    assert_matches_old(monkeypatch, dense, seed=rows + cols)
+    # rank-deficient: every row a sum of three random rows
+    low_rank = int64_matmul(rng.integers(0, 2, (rows, 3)), rng.integers(0, 2, (3, cols)))
+    assert_matches_old(monkeypatch, low_rank, b_cols=cols, seed=rows * cols)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (0, 65), (5, 0), (70, 0)])
+def test_packed_gf2_matches_old_loop_on_empty_shapes(monkeypatch, shape):
+    assert_matches_old(monkeypatch, np.zeros(shape, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("cols", WORD_EDGES)
+def test_packed_gf2_reduces_entries_mod_2(monkeypatch, cols):
+    m = np.random.default_rng(cols).integers(0, 256, (9, cols), dtype=np.uint8)
+    assert_matches_old(monkeypatch, m, seed=cols)
+    assert_same_array(gf2.row_reduce(m)[0], gf2.row_reduce(m & 1)[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129])
+def test_packed_inverse_matches_old_loop(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    # an upper times a lower unitriangular matrix is invertible and dense
+    upper = np.triu(rng.integers(0, 2, (n, n), dtype=np.uint8), 1) | np.eye(n, dtype=np.uint8)
+    m = int64_matmul(upper, upper.T)
+    inv = gf2.inverse(m)
+    assert_same_array(inv, old_results(monkeypatch, gf2.inverse, m))
+    assert_same_array(gf2.matmul(m, inv), np.eye(n, dtype=np.uint8))
+
+
+CODE_IDS = ["hgp:2:9:12:4", "surface:3", "surface:5", "surface:7", "shor9", "rep3"]
+
+
+@pytest.mark.parametrize("code_id", CODE_IDS)
+def test_packed_gf2_matches_old_loop_on_code_matrices(monkeypatch, code_id):
+    """Every matrix a code build eliminates: h_x, h_z, and [h_stab; kernel]^T
+    of each logical basis."""
+    code = codes.from_id(code_id)
+    for h_stab, h_comm in ((code.h_x, code.h_z), (code.h_z, code.h_x)):
+        assert_matches_old(monkeypatch, h_stab, b_cols=code.h_x.shape[0])
+        assert_matches_old(monkeypatch, np.concatenate([h_stab, gf2.nullspace(h_comm)]).T)
+    assert_same_array(gf2.matmul(code.h_x, code.h_z.T), int64_matmul(code.h_x, code.h_z.T))
+    assert_same_array(gf2.matmul(code.logical_x, code.logical_z.T), np.eye(code.k, dtype=np.uint8))

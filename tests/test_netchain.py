@@ -6,6 +6,7 @@ import pytest
 from qnetcode import codes
 from qnetcode.decoders import LookupDecoder
 from qnetcode.netchain import (
+    MAX_LINKS,
     MAX_PURIFY_ROUNDS,
     ChainConfig,
     compare_latency,
@@ -122,6 +123,8 @@ def test_default_purify_schedule():
 def test_config_validation():
     with pytest.raises(ValueError):
         ChainConfig(num_links=0, link_state=werner(0.9))
+    with pytest.raises(ValueError, match=r"num_links must lie in \[1, 1024\], got 1025"):
+        ChainConfig(num_links=MAX_LINKS + 1, link_state=werner(0.9))
     with pytest.raises(ValueError):
         ChainConfig(num_links=2, link_state=werner(0.9), mode="warp")
     with pytest.raises(ValueError):
