@@ -12,7 +12,9 @@ import argparse
 import csv
 import errno
 import json
+import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -37,14 +39,22 @@ class UsageError(Exception):
 
 def _int_in(minimum: int, maximum: int | None = None):
     def convert(text: str) -> int:
+        shown = repr(text)
         try:
             value = int(text)
         except ValueError:
             value = minimum - 1
+            number = re.fullmatch(r"\s*([+-]?)(\d+)\s*", text)
+            if number:  # more digits than int() reads (sys.get_int_max_str_digits())
+                sign, digits = number.groups()
+                value = -math.inf if sign == "-" else math.inf
+                shown = f"{sign + digits[:10]!r}... ({len(digits)} digits)"
         if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {shown}")
         if maximum is not None and value > maximum:
-            raise argparse.ArgumentTypeError(f"must be an integer <= {maximum}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"must be an integer <= {maximum}, got {shown}")
+        if value == math.inf:
+            raise argparse.ArgumentTypeError(f"must be an integer of at most {sys.get_int_max_str_digits()} digits, got {shown}")
         return value
 
     return convert
@@ -72,6 +82,16 @@ def _float_in(low: float, high: float, what: str):
 
 _probability = _float_in(0.0, 1.0, "a probability in [0, 1]")
 _nonnegative_float = _float_in(0.0, sys.float_info.max, "a finite number >= 0")
+
+
+def _one_of(names: tuple[str, ...]):
+    def convert(text: str) -> str:
+        if text not in names:
+            raise argparse.ArgumentTypeError(f"must be one of {', '.join(names)}, got {text!r}")
+        return text
+
+    convert.metavar = "{" + ",".join(names) + "}"  # --help lists the names, as argparse choices do
+    return convert
 
 
 def _noise_spec(text: str) -> NoiseModel:
@@ -286,17 +306,23 @@ def cmd_knill(args) -> list[dict]:
     ]
 
 
-# --config keys and the flag (argparse dest) each one stands for
-_CHAIN_CONFIG_KEYS = {
-    "mode": "mode", "links": "links", "fidelity": "fidelity", "rounds": "rounds",
-    "delay": "delay", "code_id": "code", "p_c": "pc", "p_g": "pg",
-}
-# settings a chain mode never reads; decoder, trials and seed are flags only
-_CHAIN_UNREAD = {
-    "physical": ("code_id", "decoder", "p_c", "p_g", "trials", "seed"),
-    "encoded_teleport": ("p_c",),
-    "encoded_direct": ("fidelity",),
-}
+_ENCODED = MODES[1:]
+# chain's settings, one row each: (flag, --config key or None for a flag-only
+# setting, default, converter of the flag and of the file's value, modes that read it)
+_CHAIN_SETTINGS = (
+    ("--mode", "mode", "physical", _one_of(MODES), MODES),
+    ("--links", "links", 4, _link_count, MODES),
+    ("--fidelity", "fidelity", 0.95, _probability, ("physical", "encoded_teleport")),
+    ("--rounds", "rounds", 2, _purify_rounds, MODES),
+    ("--delay", "delay", 10.0, _nonnegative_float, MODES),
+    ("--code", "code_id", None, str, _ENCODED),
+    ("--decoder", None, "lookup", _one_of(tuple(DECODERS)), _ENCODED),
+    ("--pc", "p_c", 0.05, _probability, ("encoded_direct",)),
+    ("--pg", "p_g", 0.001, _probability, _ENCODED),
+    ("--trials", None, 400, _trial_count, _ENCODED),
+    ("--seed", None, 0, _nonnegative_int, _ENCODED),
+)
+_CHAIN_KEYS = [key for _, key, *_ in _CHAIN_SETTINGS if key]
 
 
 def cmd_chain(args) -> list[dict]:
@@ -311,67 +337,47 @@ def cmd_chain(args) -> list[dict]:
             raise UsageError(f"--config {args.config}: {e}") from None
         if not isinstance(file_cfg, dict):
             raise UsageError("--config must hold a JSON object")
-        unknown = sorted(set(file_cfg) - set(_CHAIN_CONFIG_KEYS))
+        unknown = sorted(set(file_cfg) - set(_CHAIN_KEYS))
         if unknown:
-            raise UsageError(f"--config {unknown[0]}: unknown key (known: {', '.join(_CHAIN_CONFIG_KEYS)})")
+            raise UsageError(f"--config {unknown[0]}: unknown key (known: {', '.join(_CHAIN_KEYS)})")
 
-    # where each setting was given: its flag or its --config key
-    given = {name: f"--{name}" for name in ("decoder", "trials", "seed") if getattr(args, name) is not None}
-
-    def pick(key, default, convert):
-        """The flag if given, else the file's value through the flag's converter."""
-        flag = _CHAIN_CONFIG_KEYS[key]
-        if getattr(args, flag) is not None:
-            given[key] = f"--{flag}"
-            return getattr(args, flag)
-        if key not in file_cfg:
-            return default
-        given[key] = f"--config {key}"
-        try:
-            return convert(str(file_cfg[key]))
-        except argparse.ArgumentTypeError as e:
-            raise UsageError(f"--config {key}: {e}") from None
-
-    mode = pick("mode", "physical", str)
-    if mode not in MODES:  # the flag has argparse choices; only a file value gets here
-        raise UsageError(f"--config mode: must be one of {', '.join(MODES)}, got {mode!r}")
-    m = pick("links", 4, _link_count)
-    fidelity = pick("fidelity", 0.95, _probability)
-    rounds = pick("rounds", 2, _purify_rounds)
-    delay = pick("delay", 10.0, _nonnegative_float)
-    code_id = pick("code_id", None, str)
-    p_g = pick("p_g", 0.001, _probability)
-    p_c = pick("p_c", 0.05, _probability)
-    for key in _CHAIN_UNREAD[mode]:
-        if key in given:
-            raise UsageError(f"{given[key]}: not read in chain mode {mode}")
-    kwargs = {}
-    if mode != "physical":
-        if not code_id:
+    # each setting from its flag, else from the file through the same converter, else its default
+    given = {}  # flag -> the flag or --config key that gave the setting
+    for flag, key, default, convert, _ in _CHAIN_SETTINGS:
+        dest = flag[2:]
+        if getattr(args, dest) is not None:
+            given[flag] = flag
+        elif key in file_cfg:
+            given[flag] = f"--config {key}"
+            try:
+                setattr(args, dest, convert(str(file_cfg[key])))
+            except argparse.ArgumentTypeError as e:
+                raise UsageError(f"{given[flag]}: {e}") from None
+        else:
+            setattr(args, dest, default)
+    for flag, _, _, _, modes in _CHAIN_SETTINGS:
+        if flag in given and args.mode not in modes:
+            raise UsageError(f"{given[flag]}: not read in chain mode {args.mode}")
+    code = decoder = None
+    if args.mode != "physical":
+        if not args.code:
             raise UsageError("encoded chain modes require --code")
-        code = parse_knill_code(code_id)
-        decoder = build_decoder(args.decoder or "lookup", code, 0.01)
-        kwargs = {"code": code, "decoder": decoder, "p_g": p_g, "p_c": p_c}
-        if args.trials is not None:
-            kwargs["mc_trials"] = args.trials
+        code = parse_knill_code(args.code)
+        decoder = build_decoder(args.decoder, code, 0.01)
     try:
         cfg = ChainConfig(
-            num_links=m,
-            link_state=werner(fidelity),
-            purify_rounds=rounds,
-            hop_delay_D=delay,
-            mode=mode,
-            seed=args.seed or 0,
-            **kwargs,
+            num_links=args.links, link_state=werner(args.fidelity), purify_rounds=args.rounds,
+            hop_delay_D=args.delay, mode=args.mode, code=code, decoder=decoder,
+            p_g=args.pg, p_c=args.pc, mc_trials=args.trials, seed=args.seed,
         )
     except ValueError as e:  # the converters checked every setting but the latency the delay makes
-        raise UsageError(f"{given.get('delay', '--delay')}: {e}") from None
+        raise UsageError(f"{given.get('--delay', '--delay')}: {e}") from None
     report = run_chain(cfg)
     two_way, one_way = compare_latency(cfg)
     return [
         {
-            "mode": mode,
-            "m": m,
+            "mode": args.mode,
+            "m": args.links,
             "F_end": report.end_state.fidelity,
             "survival": report.survival,
             "latency_T": report.latency,
@@ -385,9 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qnetcode", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trials_default=1000, trials_help=None):
+    def common(p):
         p.add_argument("--seed", type=_nonnegative_int, default=0)
-        p.add_argument("--trials", type=_trial_count, default=trials_default, help=trials_help)
+        p.add_argument("--trials", type=_trial_count, default=1000)
 
     p = sub.add_parser("rate", help="EPR generation rate table")
     p.add_argument("--qubits", type=_positive_int, required=True)
@@ -421,19 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pg", type=_probability, default=0.0)
 
     p = sub.add_parser("chain", help="repeater chain scenario")
-    common(p, trials_default=None, trials_help="Knill rounds per hop in the encoded modes (default 400)")
-    p.set_defaults(seed=None)  # encoded modes only (default 0)
     p.add_argument("--config", default=None, help="JSON scenario file; flags win on conflict")
-    p.add_argument("--mode", choices=MODES, default=None)
-    p.add_argument("--links", type=_link_count, default=None)
-    p.add_argument("--fidelity", type=_probability, default=None)
-    p.add_argument("--rounds", type=_purify_rounds, default=None)
-    p.add_argument("--delay", type=_nonnegative_float, default=None)
-    p.add_argument("--code", default=None)
-    p.add_argument("--decoder", choices=DECODERS, default=None,
-                   help="encoded modes only (default lookup)")
-    p.add_argument("--pc", type=_probability, default=None)
-    p.add_argument("--pg", type=_probability, default=None)
+    for flag, key, default, convert, modes in _CHAIN_SETTINGS:
+        text = "read in " + ("all modes" if modes == MODES else ", ".join(modes))
+        text += "; required" if default is None else f"; default {default}"
+        text += f"; --config key {key}" if key else ""
+        p.add_argument(flag, type=convert, default=None, metavar=getattr(convert, "metavar", None), help=text)
     for p in sub.choices.values():
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -261,15 +261,20 @@ def _random_hgp(code_id: str, seed: int, r: int, n: int, w: int) -> CssCode:
     return hypergraph_product(h, h, name=code_id)
 
 
-# family -> (id form with one ':'-separated integer field per parameter, builder
-# taking the id and those integers). Builders look constructors up by global name
-# at call time, so one replaced on this module after import (a tracer) still runs.
+# family -> (id form with one ':'-separated integer field per parameter, the code's
+# n from those integers, builder taking the id and those integers). Builders look
+# constructors up by global name at call time, so one replaced on this module after
+# import (a tracer) still runs.
 _FAMILIES = {
-    "rep3": ("rep3", lambda code_id: rep3()),
-    "shor9": ("shor9", lambda code_id: shor9()),
-    "surface": ("surface:<d>", lambda code_id, d: rotated_surface(d)),
-    "hgp": ("hgp:<seed>:<r>:<n>:<w>", _random_hgp),
+    "rep3": ("rep3", lambda: 3, lambda code_id: rep3()),
+    "shor9": ("shor9", lambda: 9, lambda code_id: shor9()),
+    "surface": ("surface:<d>", lambda d: d * d, lambda code_id, d: rotated_surface(d)),
+    "hgp": ("hgp:<seed>:<r>:<n>:<w>", lambda seed, r, n, w: n * n + r * r, _random_hgp),
 }
+# the most qubits from_id builds: hgp ids near it take up to 14 s and 0.42 GB
+# (hgp:0:63:1:1, k = 3844), surface:63 0.06 s and 81 MB; hgp:0:300:400:4 would
+# ask for 17.9 GiB
+MAX_N = 4096
 
 
 def from_id(code_id: str) -> CssCode:
@@ -279,11 +284,14 @@ def from_id(code_id: str) -> CssCode:
     family, *fields = code_id.split(":")
     if family not in _FAMILIES:
         raise CodeIdError(f"unknown code id {code_id!r}")
-    form, build = _FAMILIES[family]
+    form, size, build = _FAMILIES[family]
     if len(fields) != form.count(":"):
         raise CodeIdError(f"malformed code id {code_id!r}: expected {form}")
     try:
-        return build(code_id, *(int(f) for f in fields))
+        values = [int(f) for f in fields]
+        if min(values, default=0) >= 0 and size(*values) > MAX_N:  # a negative field fails in its builder
+            raise CodeIdError(f"code id {code_id!r} has n = {size(*values)}, above the cap of {MAX_N} qubits")
+        return build(code_id, *values)
     except CodeIdError:
         raise
     except ValueError as e:

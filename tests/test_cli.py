@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import sys
 
 import pytest
 
@@ -256,6 +257,9 @@ def test_custom_code_is_rate_only(capsys):
 
 
 KNILL = ["knill", "--code", "rep3", "--trials", "5"]
+HUGE = "9" * 5000
+HUGE_SHOWN = "'9999999999'... (5000 digits)"
+MAX_DIGITS = sys.get_int_max_str_digits()
 
 
 @pytest.mark.parametrize(
@@ -349,6 +353,24 @@ KNILL = ["knill", "--code", "rep3", "--trials", "5"]
          "--links: must be an integer <= 1024"),
         (["protocol", "--name", "swap", "--links", "1025"], "--links: must be an integer <= 1024"),
         (["chain", "--links", "1025"], "--links: must be an integer <= 1024"),
+        # int() reads at most sys.get_int_max_str_digits() digits; only a prefix is echoed
+        (["chain", "--links", HUGE], f"--links: must be an integer <= 1024, got {HUGE_SHOWN}"),
+        (KNILL + ["--seed", HUGE], f"--seed: must be an integer of at most {MAX_DIGITS} digits, got {HUGE_SHOWN}"),
+        (["rate", "--qubits", HUGE, "--code", "rep3"],
+         f"--qubits: must be an integer of at most {MAX_DIGITS} digits, got {HUGE_SHOWN}"),
+        (["protocol", "--name", "swap", "--seed", "-" + HUGE], "--seed: must be an integer >= 0, got '-9999999999'..."),
+        (["chain", "--mode", "encoded_teleport", "--code", "rep3", "--trials", "+" + HUGE],
+         "--trials: must be an integer <= 4294967296, got '+9999999999'... (5000 digits)"),
+        # codes.MAX_N caps the qubits a code id may ask for, checked before any matrix is built
+        (["rate", "--qubits", "100", "--code", "surface:301"], "code id 'surface:301' has n = 90601, above the cap of 4096 qubits"),
+        (["rate", "--qubits", "100", "--code", "hgp:0:300:400:4"],
+         "code id 'hgp:0:300:400:4' has n = 250000, above the cap of 4096 qubits"),
+        (["decode", "--code", "surface:65", "--decoder", "mwpm"], "code id 'surface:65' has n = 4225, above the cap"),
+        (["chain", "--mode", "encoded_direct", "--code", "hgp:0:64:64:4"], "has n = 8192, above the cap"),
+        # chain's --mode and --decoder say what --config mode says
+        (["chain", "--mode", "bogus"], "--mode: must be one of physical, encoded_teleport, encoded_direct, got 'bogus'"),
+        (["chain", "--mode", "encoded_direct", "--code", "rep3", "--decoder", "nope"],
+         "--decoder: must be one of lookup, mwpm, bp, got 'nope'"),
     ],
 )
 def test_bad_input_is_usage_error(capsys, argv, message):
@@ -526,6 +548,87 @@ def test_chain_trials_sets_rounds_per_hop(monkeypatch, capsys):
 def test_chain_seed_defaults_to_zero_in_encoded_modes(capsys, mode):
     argv = ["chain", "--mode", mode, "--links", "2", "--code", "rep3", "--trials", "50", "--format", "json"]
     assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--seed", "0")
+
+
+# The chain mode rule, stated here apart from cli's table: the settings
+# (argparse dests) each mode reads; any other setting given is a usage error.
+CHAIN_READS = {
+    "physical": {"mode", "links", "fidelity", "rounds", "delay"},
+    "encoded_teleport": {"mode", "links", "fidelity", "rounds", "delay", "code", "decoder", "pg", "trials", "seed"},
+    "encoded_direct": {"mode", "links", "rounds", "delay", "code", "decoder", "pc", "pg", "trials", "seed"},
+}
+# a valid value of every other chain setting, and the --config key of each that has one
+CHAIN_VALUES = {"links": 3, "fidelity": 0.9, "rounds": 1, "delay": 5.0, "code": "rep3", "decoder": "mwpm",
+                "pc": 0.02, "pg": 0.002, "trials": 50, "seed": 3}
+CHAIN_KEYS = {"mode": "mode", "links": "links", "fidelity": "fidelity", "rounds": "rounds", "delay": "delay",
+              "code": "code_id", "pc": "p_c", "pg": "p_g"}
+
+
+def _chain_rule_holds(capsys, argv, mode, setting, given):
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    if setting in CHAIN_READS[mode]:
+        assert (code, err) == (0, "")
+        assert json.loads(out)[0]["mode"] == mode
+    else:
+        assert (code, out) == (1, "")
+        assert f"{given}: not read in chain mode {mode}" in err
+
+
+@pytest.mark.parametrize("mode", list(CHAIN_READS))
+@pytest.mark.parametrize("setting", ["mode", *CHAIN_VALUES])
+def test_chain_flag_is_read_or_refused_by_mode(capsys, setting, mode):
+    argv = ["chain", "--mode", mode]
+    if setting != "mode":
+        argv += [f"--{setting}", str(CHAIN_VALUES[setting])]
+    if mode != "physical" and setting != "code":
+        argv += ["--code", "rep3"]
+    _chain_rule_holds(capsys, argv, mode, setting, f"--{setting}")
+
+
+@pytest.mark.parametrize("mode", list(CHAIN_READS))
+@pytest.mark.parametrize("setting", list(CHAIN_KEYS))
+def test_chain_config_key_is_read_or_refused_by_mode(tmp_path, capsys, setting, mode):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"mode": mode, **({} if setting == "mode" else {CHAIN_KEYS[setting]: CHAIN_VALUES[setting]})}))
+    argv = ["chain", "--config", str(cfg)]
+    if mode != "physical" and setting != "code":
+        argv += ["--code", "rep3"]
+    _chain_rule_holds(capsys, argv, mode, setting, f"--config {CHAIN_KEYS[setting]}")
+
+
+@pytest.mark.parametrize("mode", list(CHAIN_READS))
+def test_chain_defaults_equal_the_spelled_out_flags(capsys, mode):
+    defaults = {"links": "4", "fidelity": "0.95", "rounds": "2", "delay": "10", "pc": "0.05", "pg": "0.001",
+                "trials": "400", "seed": "0", "decoder": "lookup"}
+    argv = ["chain"] if mode == "physical" else ["chain", "--mode", mode, "--code", "rep3"]
+    spelled = ["chain", "--mode", "physical"] if mode == "physical" else list(argv)
+    for setting, value in defaults.items():
+        if setting in CHAIN_READS[mode]:
+            spelled += [f"--{setting}", value]
+    row = run_cli(capsys, *argv, "--format", "json")
+    assert row[0] == 0
+    assert run_cli(capsys, *spelled, "--format", "json") == row
+
+
+def test_chain_help_names_each_default(capsys):
+    code, out, _ = run_cli(capsys, "chain", "--help")
+    assert code == 0
+    assert "{physical,encoded_teleport,encoded_direct}" in out and "{lookup,mwpm,bp}" in out
+    text = " ".join(out.split())  # help lines wrap
+    for flag, default in [("mode", "physical"), ("links", "4"), ("fidelity", "0.95"), ("rounds", "2"),
+                          ("delay", "10.0"), ("decoder", "lookup"), ("pc", "0.05"), ("pg", "0.001"),
+                          ("trials", "400"), ("seed", "0")]:
+        entry = text.split(f" --{flag} ")[1].split(" --")[0]
+        assert f"default {default}" in entry, flag
+
+
+@pytest.mark.parametrize(
+    "argv", [["chain", "--links", HUGE], KNILL + ["--seed", HUGE], ["rate", "--qubits", HUGE, "--code", "rep3"]]
+)
+def test_huge_integer_is_echoed_as_a_prefix(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "(5000 digits)" in err and "9" * 11 not in err
 
 
 def test_knill_surface5_seeded_row_is_pinned(capsys):

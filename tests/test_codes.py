@@ -235,9 +235,31 @@ def test_from_id_family_forms(code_id, form):
         ("surface:x", "malformed code id 'surface:x': invalid literal for int()"),
         ("surface:4", "malformed code id 'surface:4': d must be an odd integer >= 3"),
         ("hgp:1:1:12:4", "code id 'hgp:1:1:12:4' needs r >= 1, n >= 1, 1 <= w <= n and r*w >= n"),
+        ("surface:65", "code id 'surface:65' has n = 4225, above the cap of 4096 qubits"),
+        ("hgp:0:40:60:4", "code id 'hgp:0:40:60:4' has n = 5200, above the cap of 4096 qubits"),
+        ("surface:-301", "malformed code id 'surface:-301': d must be an odd integer >= 3"),  # its builder says why
+        ("hgp:0:-300:4:2", "code id 'hgp:0:-300:4:2' needs r >= 1"),
     ],
 )
 def test_from_id_rejects_bad_ids(code_id, message):
     with pytest.raises(codes.CodeIdError) as info:
         codes.from_id(code_id)
     assert str(info.value).startswith(message)
+
+
+def test_from_id_caps_n_before_building(monkeypatch):
+    """n = d^2 for surface and n^2 + r^2 for hgp is checked against MAX_N
+    from the id's fields; at the cap the code builds, above it no builder runs."""
+    assert codes.from_id("surface:63").n == 3969 <= codes.MAX_N
+    monkeypatch.setattr(codes, "MAX_N", 225)
+    assert codes.from_id("hgp:2:9:12:4").n == 225
+
+    def never(*args):
+        raise AssertionError("a builder ran above the cap")
+
+    monkeypatch.setattr(codes, "MAX_N", 224)
+    monkeypatch.setattr(codes, "rotated_surface", never)
+    monkeypatch.setattr(codes, "random_regular_check_matrix", never)
+    for code_id, n in (("hgp:2:9:12:4", 225), ("surface:15", 225)):
+        with pytest.raises(codes.CodeIdError, match=f"has n = {n}, above the cap of 224 qubits"):
+            codes.from_id(code_id)
