@@ -18,6 +18,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -132,9 +133,9 @@ def parse_rate_code(code_id: str) -> tuple[int, int]:
             _, n, k = code_id.split(":")
             n, k = int(n), int(k)
         except ValueError:
-            raise UsageError(f"malformed code id {code_id!r}") from None
+            raise UsageError(f"malformed code id {codes.shown_id(code_id)}") from None
         if n < 1 or not 0 <= k <= n:
-            raise UsageError(f"code id {code_id!r} needs n >= 1 and 0 <= k <= n")
+            raise UsageError(f"code id {codes.shown_id(code_id)} needs n >= 1 and 0 <= k <= n")
         return n, k
     code = parse_code(code_id)
     return code.n, code.k
@@ -169,15 +170,27 @@ def _check_out(path: str):
 
 
 def write_rows(rows: list[dict], out, fmt: str):
-    if fmt == "json":
-        out.write(json.dumps(rows, indent=2, default=str))
-        out.write("\n")
+    """Write ``rows`` as CSV (a header, then one line per row) or as the JSON
+    list ``json.dumps(rows, indent=2, default=str)`` prints, byte for byte.
+    Every value goes through one C-encoder call (the indenting encoder is
+    pure Python), and each row fills one template; so the rows must be flat
+    (no list, tuple or dict value) and share the first row's str keys in its
+    order, or ValueError is raised."""
+    keys = list(rows[0]) if rows else []
+    values = list(chain.from_iterable(map(dict.values, rows)))
+    if list(chain.from_iterable(rows)) != keys * len(rows) or not all(type(k) is str for k in keys):
+        raise ValueError("rows must share the first row's str keys in its order")
+    if any(issubclass(kind, (list, tuple, dict)) for kind in set(map(type, values))):
+        raise ValueError("rows must be flat: a value is a list, tuple or dict")
+    if fmt == "csv":
+        if rows:
+            csv.writer(out).writerows([keys, *map(dict.values, rows)])
         return
-    if not rows:
-        return
-    writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    writer.writerows(rows)
+    # "\n" separates the items: no encoded scalar contains one
+    encoded = json.dumps(values, default=str, separators=("\n", ": "))[1:-1].split("\n") if values else []
+    fields = ",\n".join(f"    {json.dumps(key).replace('%', '%%')}: %s" for key in keys)
+    row = f"  {{\n{fields}\n  }}" if keys else "  {}"
+    out.write("[\n" + ",\n".join([row] * len(rows)) % tuple(encoded) + "\n]\n" if rows else "[]\n")
 
 
 # --- subcommands -------------------------------------------------------------
@@ -232,22 +245,19 @@ def cmd_protocol(args) -> list[dict]:
         if args.name == "teleport":
             outcomes, frame, success = teleport([("H", 0)], noise, rngs)
         elif args.name == "superdense":
-            sent = np.array([(t % 2, (t // 2) % 2) for t in trials], dtype=np.uint8)
+            t = np.arange(trials.start, trials.stop)
+            sent = np.stack([t % 2, t // 2 % 2], axis=1).astype(np.uint8)
             outcomes, frame = superdense(sent, noise, rngs)
             success = (outcomes[:, 0] == sent).all(axis=1)
         else:  # swap
             outcomes, frame = swap_chain(links, noise, rngs)
             success = ~frame.any(axis=1)
-        labels = LABEL_OF[2 * frame[:, 0] + frame[:, 1]].tolist()
+        digits = np.ascontiguousarray(outcomes.reshape(len(trials), -1) + ord("0"))
+        bits = digits.view(f"S{digits.shape[1]}").ravel().astype(str).tolist()
+        labels = np.array(LABELS)[LABEL_OF[2 * frame[:, 0] + frame[:, 1]]].tolist()
         rows += [
-            {
-                "trial_id": t,
-                "protocol": args.name,
-                "outcome_bits": "".join(map(str, bits.ravel().tolist())),
-                "success": int(ok),
-                "residual_frame": LABELS[label],
-            }
-            for t, bits, ok, label in zip(trials, outcomes, success, labels)
+            {"trial_id": t, "protocol": args.name, "outcome_bits": b, "success": ok, "residual_frame": label}
+            for t, b, ok, label in zip(trials, bits, success.astype(int).tolist(), labels)
         ]
     return rows
 

@@ -253,10 +253,16 @@ class CodeIdError(ValueError):
     """A code id that names no family or does not fit its family's form."""
 
 
+def shown_id(code_id: str, limit: int = 40) -> str:
+    """``code_id`` quoted for a message: whole up to ``limit`` characters, else
+    its first ``limit`` and its length, so a huge integer field is not echoed."""
+    return repr(code_id) if len(code_id) <= limit else f"{code_id[:limit]!r}... ({len(code_id)} characters)"
+
+
 def _random_hgp(code_id: str, seed: int, r: int, n: int, w: int) -> CssCode:
     if r < 1 or n < 1 or not 1 <= w <= n or r * w < n:
         # r rows of weight w cover at most r*w of the n columns
-        raise CodeIdError(f"code id {code_id!r} needs r >= 1, n >= 1, 1 <= w <= n and r*w >= n")
+        raise CodeIdError(f"code id {shown_id(code_id)} needs r >= 1, n >= 1, 1 <= w <= n and r*w >= n")
     h = random_regular_check_matrix(r, n, w, seed)
     return hypergraph_product(h, h, name=code_id)
 
@@ -283,17 +289,20 @@ def from_id(code_id: str) -> CssCode:
     with itself. Raises CodeIdError, quoting the id, if it is unknown or malformed."""
     family, *fields = code_id.split(":")
     if family not in _FAMILIES:
-        raise CodeIdError(f"unknown code id {code_id!r}")
+        raise CodeIdError(f"unknown code id {shown_id(code_id)}")
     form, size, build = _FAMILIES[family]
     if len(fields) != form.count(":"):
-        raise CodeIdError(f"malformed code id {code_id!r}: expected {form}")
+        raise CodeIdError(f"malformed code id {shown_id(code_id)}: expected {form}")
     try:
         values = [int(f) for f in fields]
-        if min(values, default=0) >= 0 and size(*values) > MAX_N:  # a negative field fails in its builder
-            raise CodeIdError(f"code id {code_id!r} has n = {size(*values)}, above the cap of {MAX_N} qubits")
+        n = size(*values) if min(values, default=0) >= 0 else 0  # a negative field fails in its builder
+        if n > MAX_N:
+            shown_n = n if n.bit_length() <= 64 else f"2^{n.bit_length() - 1} or more"
+            raise CodeIdError(f"code id {shown_id(code_id)} has n = {shown_n}, above the cap of {MAX_N} qubits")
         return build(code_id, *values)
     except CodeIdError:
         raise
-    except ValueError as e:
-        raise CodeIdError(f"malformed code id {code_id!r}: {e}") from None
+    except ValueError as e:  # int() quotes the bad field after a colon; a long one is left out
+        reason = str(e) if len(str(e)) <= 80 else str(e).split(":")[0]
+        raise CodeIdError(f"malformed code id {shown_id(code_id)}: {reason}") from None
 

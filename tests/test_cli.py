@@ -3,7 +3,9 @@ import hashlib
 import io
 import json
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qnetcode import cli, codes, ftec, stabsim
@@ -629,6 +631,105 @@ def test_huge_integer_is_echoed_as_a_prefix(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert "(5000 digits)" in err and "9" * 11 not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rate", "--qubits", "10", "--code", f"custom:{HUGE}:1"],
+        ["rate", "--qubits", "10", "--code", f"custom:-{HUGE[:3000]}:1"],
+        ["rate", "--qubits", "10", "--code", f"rep3:{HUGE}"],
+        ["knill", "--code", f"shor9{HUGE}"],
+        ["knill", "--code", f"surface:{HUGE[:1000]}"],
+        ["knill", "--code", f"surface:{HUGE}"],
+        ["knill", "--code", f"surface:{HUGE[:1000]}x"],
+        ["knill", "--code", f"hgp:1:{HUGE[:2000]}:12:4"],
+        ["decode", "--decoder", "bp", "--code", f"hgp:{HUGE}:9:12:4"],
+        ["chain", "--mode", "encoded_direct", "--code", f"hgp:1:9:12:{HUGE[:2000]}"],
+    ],
+    ids=["custom-n", "custom-negative-n", "rep3", "shor9", "surface-cap", "surface-digits", "surface-literal",
+         "hgp-cap", "hgp-seed", "hgp-w"],
+)
+def test_long_code_id_is_echoed_as_a_prefix(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert len(err) < 200 and "characters)" in err and "9" * 41 not in err
+
+
+def oracle_write_rows(rows, fmt):
+    """What write_rows printed before it encoded values in one C-encoder call."""
+    out = io.StringIO()
+    if fmt == "json":
+        out.write(json.dumps(rows, indent=2, default=str) + "\n")
+    elif rows:
+        writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
+    return out.getvalue()
+
+
+def write_rows_text(rows, fmt):
+    out = io.StringIO()
+    cli.write_rows(rows, out, fmt)
+    return out.getvalue()
+
+
+EDGE_ROWS = [
+    {"nan": float("nan"), "inf": float("inf"), "-inf": -float("inf"), "zero": -0.0, "text": "naïve ✓ π",
+     "quoted": 'say "a, b"\nthen\r\n%s', "flag": True, "none": None, "fraction": Fraction(39, 2),
+     "int64": np.int64(-7), "float64": np.float64(0.1), "ключ %s": 3},
+    {"nan": 1e300, "inf": 5e-324, "-inf": 0, "zero": 0.0, "text": "", "quoted": "\t\\\"", "flag": False,
+     "none": "None", "fraction": Fraction(-1, 3), "int64": np.int64(2**62), "float64": np.float64(-2.5), "ключ %s": -1},
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "rows", [EDGE_ROWS, EDGE_ROWS[:1], EDGE_ROWS * 3, [], [{}], [{}, {}], [{"only": "%"}]],
+    ids=["edge", "one-row", "repeated", "no-rows", "empty-row", "empty-rows", "one-key"],
+)
+def test_write_rows_equals_its_oracle_on_edge_rows(rows, fmt):
+    assert write_rows_text(rows, fmt) == oracle_write_rows(rows, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{"a": 1, "b": [2]}],
+        [{"a": 1, "b": []}],
+        [{"a": 1, "b": (2, 3)}],
+        [{"a": 1, "b": {"c": 2}}],
+        [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
+        [{"a": 1, "b": 2}, {"a": 1}],
+        [{"a": 1}, {"a": 1, "b": 2}],
+        [{"a": 1}, {"c": 1}],
+        [{1: "a"}],
+    ],
+    ids=["list", "empty-list", "tuple", "dict", "second-order", "fewer-keys", "more-keys", "other-key", "int-key"],
+)
+def test_write_rows_refuses_nested_or_unequal_rows(rows, fmt):
+    with pytest.raises(ValueError):
+        cli.write_rows(rows, io.StringIO(), fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rate", "--qubits", "68200", "--code", "surface:17", "--code", "custom:3786:946", "--pc", "0.05"],
+        ["protocol", "--name", "swap", "--links", "4", "--noise", "depolarizing:0.1", "--trials", "300", "--seed", "2"],
+        ["decode", "--code", "surface:3", "--decoder", "mwpm", "--p", "0.05", "--trials", "50", "--seed", "1"],
+        ["knill", "--code", "shor9", "--pc", "0.01", "--trials", "50", "--seed", "1"],
+        ["chain", "--mode", "encoded_teleport", "--code", "rep3", "--links", "2", "--trials", "20", "--seed", "1"],
+    ],
+    ids=["rate", "protocol", "decode", "knill", "chain"],
+)
+def test_each_command_writes_the_oracle_bytes(argv, fmt):
+    args = cli.build_parser().parse_args([*argv, "--format", fmt])
+    rows = cli._COMMANDS[args.command](args)
+    assert rows
+    assert write_rows_text(rows, fmt) == oracle_write_rows(rows, fmt)
 
 
 def test_knill_surface5_seeded_row_is_pinned(capsys):

@@ -46,6 +46,25 @@ def test_protocol_rows_are_pinned(capsys, argv, digest):
     assert _digest(rows) == digest
 
 
+@pytest.mark.parametrize(
+    "argv,json_digest,csv_digest",
+    [
+        (["--name", "swap", "--links", "8", "--noise", "depolarizing:0.05"], "736589f8f4a6d218", "765c9d3d479e4507"),
+        (["--name", "swap", "--links", "1", "--noise", "independent_xz:0.1,0.2"], "9edd275489403db2", "c82cfc5ecc561da8"),
+        (["--name", "swap", "--links", "3", "--noise", "bit_flip:0.1"], "a8d35a15f3904034", "62903eb9460d08c8"),
+        (["--name", "teleport", "--noise", "depolarizing:0.1"], "9e17e109c5cad9dc", "20e6889753086adf"),
+        (["--name", "superdense", "--noise", "depolarizing:0.2"], "231618a176971b67", "52449286f2f48d36"),
+    ],
+)
+def test_protocol_stdout_bytes_are_pinned(capsys, argv, json_digest, csv_digest):
+    """The raw stdout of the runs above, in both formats: the layout of
+    every row (indentation, separators, float text) is pinned, not only
+    the parsed values."""
+    for fmt, digest in (("json", json_digest), ("csv", csv_digest)):
+        assert cli.main(["protocol", *argv, "--trials", "200", "--seed", "3", "--format", fmt]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest, fmt
+
+
 def _purify_record(basis: str, trials=range(300)) -> list:
     a = werner(0.8)
     b = BellDiagonalState([0.7, 0.1, 0.05, 0.15])
