@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import functools
 import json
 import math
 import os
@@ -141,16 +142,37 @@ def parse_rate_code(code_id: str) -> tuple[int, int]:
     return code.n, code.k
 
 
+def _bp_prior(kind: str, p: float) -> float | None:
+    """BP's prior: p when 0 < p < 0.5 and 0.01 otherwise; None for the others."""
+    return (p if 0 < p < 0.5 else 0.01) if DECODERS[kind] is BpDecoder else None
+
+
 def build_decoder(kind: str, code: codes.CssCode, p: float):
-    """Decoder ``kind`` (a DECODERS name) for ``code``. BP's prior is p when
-    0 < p < 0.5 and 0.01 otherwise; the others take none. ``decode`` passes
-    its --p, while ``knill`` and the encoded chain modes always pass 0.01."""
-    cls = DECODERS[kind]
-    prior = (p if 0 < p < 0.5 else 0.01,) if cls is BpDecoder else ()
+    """Decoder ``kind`` (a DECODERS name) for ``code``, with BP's prior
+    ``_bp_prior(kind, p)``. ``decode`` passes its --p, while ``knill`` and
+    the encoded chain modes always pass 0.01."""
+    prior = _bp_prior(kind, p)
     try:
-        return cls(code, *prior)
+        return DECODERS[kind](code, *(() if prior is None else (prior,)))
     except ValueError as e:  # the decoder cannot handle this code
         raise UsageError(f"decoder {kind} cannot decode {code.name}: {e}") from None
+
+
+KEPT_DECODERS = 4  # (code, decoder) pairs a process keeps; a code may have codes.MAX_N qubits
+
+
+def knill_code_and_decoder(code_id: str, kind: str, p: float):
+    """parse_knill_code's code and build_decoder's decoder, built once per
+    (code id, decoder, BP prior) among the KEPT_DECODERS last used; a failed
+    build is not kept. Neither holds per-call state: a code's arrays are
+    read-only, and a decoder sets all of its state when built."""
+    return _code_and_decoder(code_id, kind, _bp_prior(kind, p))
+
+
+@functools.lru_cache(maxsize=KEPT_DECODERS)
+def _code_and_decoder(code_id: str, kind: str, prior: float | None):
+    code = parse_knill_code(code_id)
+    return code, build_decoder(kind, code, prior)
 
 
 def _check_out(path: str):
@@ -265,8 +287,7 @@ def cmd_protocol(args) -> list[dict]:
 def _knill_failures(args, noise: KnillNoise, prior: float):
     """Run args.trials seeded Knill rounds of --code with --decoder (BP prior
     ``prior``) under ``noise``: (code, failures, per-trial iterations, seconds)."""
-    code = parse_knill_code(args.code)
-    decoder = build_decoder(args.decoder, code, prior)
+    code, decoder = knill_code_and_decoder(args.code, args.decoder, prior)
     t0 = time.perf_counter()
     x_bad, z_bad, iterations = knill_residuals(code, decoder, noise, args.seed, (), args.trials)
     failures = int(np.count_nonzero(x_bad | z_bad))
@@ -372,8 +393,7 @@ def cmd_chain(args) -> list[dict]:
     if args.mode != "physical":
         if not args.code:
             raise UsageError("encoded chain modes require --code")
-        code = parse_knill_code(args.code)
-        decoder = build_decoder(args.decoder, code, 0.01)
+        code, decoder = knill_code_and_decoder(args.code, args.decoder, 0.01)
     try:
         cfg = ChainConfig(
             num_links=args.links, link_state=werner(args.fidelity), purify_rounds=args.rounds,
@@ -397,6 +417,7 @@ def cmd_chain(args) -> list[dict]:
     ]
 
 
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qnetcode", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -58,5 +58,9 @@ def compare(config_a: RateConfig, config_b: RateConfig) -> Fraction:
 
 
 def fold_description(ratio: Fraction) -> str:
-    """Integer-fold rendering, rounded down: Fraction(2838, 39) -> '≈72-fold'."""
-    return f"≈{int(ratio)}-fold"
+    """Integer-fold rendering, rounded down: Fraction(2838, 39) -> '≈72-fold'.
+    A ratio below 1 reads by its inverse (1/5 -> '≈5-fold lower'), and 0 as
+    'no rate'."""
+    if ratio == 0:
+        return "no rate"
+    return f"≈{int(1 / ratio)}-fold lower" if ratio < 1 else f"≈{int(ratio)}-fold"

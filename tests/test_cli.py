@@ -35,6 +35,15 @@ def test_rate_reference_rows(capsys):
     assert err == "rate ratio (last/first): 946/13 = 72.7692 (≈72-fold)\n"
 
 
+@pytest.mark.parametrize("last,line", [
+    ("shor9", "1/5 = 0.2000 (≈5-fold lower)"),
+    ("surface:5", "0 = 0.0000 (no rate)"),  # no surface:5 block fits in 50 qubits
+])
+def test_rate_ratio_below_one(capsys, last, line):
+    code, _, err = run_cli(capsys, "rate", "--qubits", "50", "--code", "rep3", "--code", last)
+    assert (code, err) == (0, f"rate ratio (last/first): {line}\n")
+
+
 @pytest.mark.parametrize("first", ["custom:50:1", "custom:10:0"])  # no block fits; k = 0
 def test_rate_prints_no_ratio_after_a_zero_first_rate(capsys, first):
     code, out, err = run_cli(capsys, "rate", "--qubits", "100", "--code", first, "--code", "rep3")
@@ -248,6 +257,7 @@ def test_failed_validation_is_a_runtime_failure(monkeypatch, capsys):
         raise AssertionError("forced violation")
 
     monkeypatch.setattr(codes, "validate", broken)
+    cli._code_and_decoder.cache_clear()  # build the code, and so validate it, in this test
     code, out, err = run_cli(capsys, "decode", "--code", "hgp:1:3:12:4", "--decoder", "bp", "--trials", "1")
     assert (code, out, err) == (2, "", "runtime failure: forced violation\n")
 
@@ -785,3 +795,67 @@ def test_tight_check_matrix_is_repaired(seed):
     code = cli.parse_code(f"hgp:{seed}:3:12:4")
     assert code.n == 12 * 12 + 3 * 3
     codes.validate(code)
+
+
+def clear_caches():
+    cli.build_parser.cache_clear()
+    cli._code_and_decoder.cache_clear()
+
+
+def data_rows(capsys, argv):
+    """The JSON rows of one successful call, timing fields dropped."""
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    rows = json.loads(out)
+    for row in rows:
+        row.pop("wall_time_ms", None)
+        row.pop("seconds", None)
+    return rows
+
+
+CACHED_SEQUENCE = [
+    ["knill", "--code", "surface:5", "--decoder", "mwpm", "--pc", "0.01", "--trials", "200", "--seed", "5"],
+    ["decode", "--code", "hgp:2:9:12:4", "--decoder", "bp", "--p", "0.01", "--trials", "30", "--seed", "6"],
+    ["decode", "--code", "hgp:2:9:12:4", "--decoder", "bp", "--p", "0.03", "--trials", "30", "--seed", "6"],
+    ["chain", "--mode", "encoded_teleport", "--code", "shor9", "--links", "3", "--seed", "7"],
+    ["knill", "--code", "surface:5", "--decoder", "mwpm", "--pc", "0.01", "--trials", "200", "--seed", "8"],
+]
+
+
+def test_cached_parser_and_decoders_give_the_uncached_rows(capsys):
+    """One process's calls share a parser and each (code id, decoder, BP
+    prior)'s code and decoder; their rows equal those of the same calls
+    made each from empty caches."""
+    clear_caches()
+    shared = [data_rows(capsys, argv) for argv in CACHED_SEQUENCE]
+    info = cli._code_and_decoder.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 4, 4)  # two BP priors are two entries
+    fresh = []
+    for argv in CACHED_SEQUENCE:
+        clear_caches()
+        fresh.append(data_rows(capsys, argv))
+    assert shared == fresh
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["knill", "--code", "hgp:0:3:3:1"], "code hgp:0:3:3:1 encodes no logical qubit (k = 0)"),
+    (["decode", "--code", "hgp:2:9:12:4", "--decoder", "lookup"], "decoder lookup cannot decode hgp:2:9:12:4"),
+])
+def test_failed_builds_are_not_cached(capsys, argv, message):
+    clear_caches()
+    results = [run_cli(capsys, *argv, "--trials", "2") for _ in range(2)]
+    assert results[0] == results[1]
+    code, out, err = results[0]
+    assert (code, out) == (1, "") and err.startswith(f"error: {message}")
+    assert cli._code_and_decoder.cache_info().currsize == 0
+
+
+def test_one_parser_keeps_no_value_between_calls(capsys):
+    assert run_cli(capsys, *KNILL, "--bogus")[0] == 1
+    assert run_cli(capsys, *KNILL)[0] == 0
+    assert cli.main(["rate", "--qubits", "100", "--code", "rep3", "--code", "shor9"]) == 0
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "rate", "--qubits", "100", "--code", "surface:3")
+    assert code == 0 and [row["code_id"] for row in parse_csv(out)] == ["surface:3"]
+    assert data_rows(capsys, [*KNILL, "--noise", "depolarizing:0.1"])[0]["p_eff"] == 0.1
+    assert data_rows(capsys, KNILL)[0]["p_eff"] == 0.0

@@ -547,3 +547,49 @@ def test_decode_batch_rejects_wrong_shapes():
         dec.decode_batch(np.zeros((2, code.r_x)), np.zeros((3, code.r_z)))
     with pytest.raises(ValueError):
         dec.decode_batch(np.zeros(code.r_x), np.zeros(code.r_z))
+
+
+# --- decoding leaves a decoder as it was built --------------------------------
+
+
+def same_state(a, b) -> bool:
+    """Arrays by dtype and value, lists, tuples and dicts item by item,
+    anything else by identity or ==."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same_state, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return a is b or a == b
+
+
+# (code, decoder, p, shots, seed, whether a batch reaches the rare path)
+UNCHANGED_CASES = [
+    (lambda: codes.rotated_surface(7), MatchingDecoder, 0.3, 200, 80,
+     lambda s_x, s_z, out: (np.maximum(s_x.sum(axis=1), s_z.sum(axis=1)) > decoders.DP_MAX_DEFECTS).any()),
+    (small_hgp, lambda code: BpDecoder(code, 0.05, max_iters=10), 0.1, 80, 70,
+     lambda s_x, s_z, out: (out[4] == 10).any()),
+    (lambda: codes.from_id("hgp:1:2:4:2"), LookupDecoder, 0.1, 100, 81,
+     lambda s_x, s_z, out: not out[2].all()),
+]
+
+
+@pytest.mark.parametrize("make_code,make,p,shots,seed,rare", UNCHANGED_CASES,
+                         ids=["mwpm-blossom", "bp-at-cap", "lookup-undecodable"])
+def test_decoding_leaves_the_decoder_unchanged(make_code, make, p, shots, seed, rare):
+    """The CLI shares one decoder among its calls: after batches with side
+    syndromes past DP_MAX_DEFECTS (blossom), BP rows run to the iteration
+    cap and undecodable lookup rows, every attribute equals that of a
+    freshly built decoder, and the code's arrays are still read-only."""
+    code = make_code()
+    dec = make(code)
+    for part in range(2):
+        s_x, s_z = syndrome_batch(code, p, shots, seed + part)
+        assert rare(s_x, s_z, dec.decode_batch(s_x, s_z))
+    fresh = vars(make(code))
+    assert vars(dec).keys() == fresh.keys()
+    for name, value in vars(dec).items():
+        assert same_state(value, fresh[name]), name
+    for name in ("h_x", "h_z", "logical_x", "logical_z"):
+        assert not getattr(code, name).flags.writeable, name

@@ -95,6 +95,11 @@ def test_compare_reference_ratio():
     assert ratio == Fraction(946, 13)
     assert 72 <= ratio <= 73
     assert fold_description(ratio) == "≈72-fold"
+    # below 1 by the inverse, rounded down as above; zero has no fold
+    assert fold_description(Fraction(1, 5)) == "≈5-fold lower"
+    assert fold_description(Fraction(13, 946)) == "≈72-fold lower"
+    assert fold_description(Fraction(1)) == "≈1-fold"
+    assert fold_description(Fraction(0)) == "no rate"
 
 
 def test_compare_identical_and_zero_baseline():
