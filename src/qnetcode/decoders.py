@@ -18,12 +18,14 @@ and (T, r_z) uint8 syndrome arrays and returns
 and per shot whether the syndrome was decodable (False only where the
 lookup table has no entry), whether BP converged, and BP's iteration
 count (0 for the other decoders). ``decode(syn)`` is the one-row case,
-returned as a DecodeResult. MWPM and BP decode each distinct side
-syndrome of a batch once, all of a side's together: BP sweeps them as
-rows of one array, dropping each as it converges, and MWPM's subset DP
-keeps one memo per side for the call, keyed by defect sets, so the
-syndromes share their subproblems. Lookup is one gather from a dense
-table.
+returned as a DecodeResult. Lookup is one gather from a dense table, and
+so is MWPM on a side of at most DP_MAX_DEFECTS checks: its table, built
+once per decoder, holds the subset DP's correction of every defect set.
+BP, and MWPM on larger sides, decode each distinct side syndrome of a
+batch once, all of a side's together: BP sweeps them as rows of one
+array, dropping each as it converges, and MWPM's subset DP keeps one memo
+per side for the call, keyed by defect sets, so the syndromes share their
+subproblems.
 """
 
 from __future__ import annotations
@@ -163,10 +165,11 @@ class LookupDecoder:
 _BOUNDARY = "boundary"
 
 # Side syndromes with at most this many defects are matched by the subset DP,
-# larger ones by networkx's blossom. The DP's cost depends on the defect count
-# alone and doubles or more per defect. The crossover, mean per syndrome over
-# 30 random defect sets on surface:11 (2-core Intel Xeon): DP 0.4 ms against
-# blossom 2.7 ms at 10 defects, 4.3–4.9 against 5.5–7.0 ms at 15,
+# larger ones by networkx's blossom; a side with at most this many checks is
+# decoded from a table of the DP's corrections. The DP's cost depends on the
+# defect count alone and doubles or more per defect. The crossover, mean per
+# syndrome over 30 random defect sets on surface:11 (2-core Intel Xeon): DP
+# 0.4 ms against blossom 2.7 ms at 10 defects, 4.3–4.9 against 5.5–7.0 ms at 15,
 # 5.2–7.7 against 5.0–6.1 ms at 16, and 10–15 against 7.5–8.1 ms at 17.
 DP_MAX_DEFECTS = 15
 
@@ -248,10 +251,17 @@ class MatchingDecoder:
     change a matching and the decoder takes none.
 
     The shortest paths from every check, and the path length tables the
-    subset DP reads, are found once, here; a batch runs one matching per
-    distinct side syndrome: the subset DP for at most DP_MAX_DEFECTS
-    defects, blossom above. Both find a minimum total path length; they
-    may pick different matchings of equal length."""
+    subset DP reads, are found once, here. A side of r <= DP_MAX_DEFECTS
+    checks has only syndromes the subset DP decodes, so it also gets a
+    read-only correction table, built here by _correction_table and
+    decoded by one gather: 2**r rows of n bytes, 4096 x 25 B = 100 KiB
+    per side on surface:5, and at most 2**15 x 34 B = 1.06 MiB per side
+    among the ids codes.from_id builds that MWPM decodes
+    (hgp:<seed>:3:5:2 and hgp:<seed>:5:3:1, whose sides have 15 checks
+    on 34 qubits). On a larger side a batch runs one matching per
+    distinct side syndrome (_match_side): the subset DP for at most
+    DP_MAX_DEFECTS defects, blossom above. Both find a minimum total path
+    length; they may pick different matchings of equal length."""
 
     def __init__(self, code: CssCode):
         self.code = code
@@ -263,6 +273,8 @@ class MatchingDecoder:
                 raise ValueError(f"check {cut[0]} of {name} has no path to the boundary")
         self._lengths_x_side = self._path_lengths(self._paths_x_side)
         self._lengths_z_side = self._path_lengths(self._paths_z_side)
+        self._table_x_side = self._correction_table(self._paths_x_side, self._lengths_x_side)
+        self._table_z_side = self._correction_table(self._paths_z_side, self._lengths_z_side)
 
     @staticmethod
     def _shortest_paths(h: np.ndarray) -> dict:
@@ -305,6 +317,47 @@ class MatchingDecoder:
         to_boundary = [len(paths[c][_BOUNDARY]) for c in checks]
         return to_boundary, [[len(paths[a][c]) for c in checks] for a in checks]
 
+    def _correction_table(self, paths: dict, lengths: tuple) -> Optional[np.ndarray]:
+        """The read-only (2**r, n) correction table of a side with r <=
+        DP_MAX_DEFECTS checks, or None above: row S is the correction
+        _dp_matching's pairs give the defect set S, check c at bit c.
+
+        It runs _dp_matching's recurrence over every defect set at once,
+        one popcount layer at a time, since f(S) reads only the layers of
+        |S| - 1 and |S| - 2 defects. With i the lowest defect of S,
+        candidate 0 sends i to the boundary and candidate 1 + j pairs it
+        with check j; a j outside S - i is priced out, so argmin keeps the
+        first minimum over the boundary, then partners in ascending order,
+        as the DP's strict < does. A set's correction is its remainder's
+        XOR the path from i to its pick."""
+        r, n = len(paths), self.code.n
+        if r > DP_MAX_DEFECTS:
+            return None
+        to_boundary, dist = lengths
+        step = np.array([[b, *row] for b, row in zip(to_boundary, dist)], dtype=np.int64).reshape(r, r + 1)
+        path = np.zeros((r, r + 1, n), dtype=np.uint8)  # the qubits of candidate c's path from check i
+        for i in range(r):
+            for c, target in enumerate([_BOUNDARY, *range(r)]):
+                path[i, c, paths[i][target]] = 1
+        flip = np.concatenate([[0], 1 << np.arange(r, dtype=np.int64)])  # candidate c's partner bit
+        sets = np.arange(2**r, dtype=np.int64)
+        size = np.bitwise_count(sets)
+        lowest = np.bitwise_count((sets & -sets) - 1).astype(np.intp)
+        cost = np.zeros(2**r, dtype=np.int64)
+        table = np.zeros((2**r, n), dtype=np.uint8)
+        for k in range(1, r + 1):
+            s = sets[size == k]
+            i = lowest[s]
+            rest = (s ^ (1 << i))[:, None]
+            left = rest ^ flip  # the defects candidate c leaves; above rest where c is no partner
+            totals = np.where(left <= rest, step[i] + cost[left], np.iinfo(np.int64).max)
+            pick = totals.argmin(axis=1)
+            row = np.arange(len(s))
+            cost[s] = totals[row, pick]
+            table[s] = table[left[row, pick]] ^ path[i, pick]
+        table.flags.writeable = False
+        return table
+
     def _match_side(self, paths: dict, lengths: tuple, syn: np.ndarray) -> np.ndarray:
         """(T, n) corrections of the (T, r) side syndromes syn: the paths
         of a minimum total length matching of each distinct row's defects.
@@ -330,10 +383,17 @@ class MatchingDecoder:
                            minlength=len(rows) * n)
         return (hits.reshape(len(rows), n) & 1).astype(np.uint8)[inverse]
 
+    def _decode_side(self, table: Optional[np.ndarray], paths: dict, lengths: tuple, syn: np.ndarray) -> np.ndarray:
+        """(T, n) corrections of the (T, r) side syndromes syn: one gather
+        from the side's table if it has one, else _match_side."""
+        if table is None:
+            return self._match_side(paths, lengths, syn)
+        return table[syn @ (1 << np.arange(syn.shape[1], dtype=np.int64))]
+
     def decode_batch(self, s_x, s_z) -> Batch:
         s_x, s_z = _as_batch(self.code, s_x, s_z)
-        corr_x = self._match_side(self._paths_x_side, self._lengths_x_side, s_z)
-        corr_z = self._match_side(self._paths_z_side, self._lengths_z_side, s_x)
+        corr_x = self._decode_side(self._table_x_side, self._paths_x_side, self._lengths_x_side, s_z)
+        corr_z = self._decode_side(self._table_z_side, self._paths_z_side, self._lengths_z_side, s_x)
         ok = np.ones(len(s_x), dtype=bool)
         return corr_x, corr_z, ok, ok.copy(), np.zeros(len(s_x), dtype=np.int64)
 

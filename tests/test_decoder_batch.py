@@ -438,6 +438,38 @@ def test_mwpm_dp_matches_brute_force(d, p, shots):
     assert_batch_equals(MatchingDecoder(code).decode_batch(s_x, s_z), reference)
 
 
+def side_syndromes_by_index(r):
+    """Every side syndrome of r checks, row S with check c at bit c."""
+    return ((np.arange(2**r)[:, None] >> np.arange(r)) & 1).astype(np.uint8)
+
+
+@pytest.mark.parametrize("code_id", ["rep3", "shor9", "surface:3", "surface:5", "hgp:1:2:4:2"])
+def test_mwpm_table_equals_the_subset_dp(code_id):
+    """Each side's correction table, built by the vectorized DP, is
+    _match_side's correction bit for bit on every side syndrome, and
+    decode_batch reads its rows."""
+    code = codes.from_id(code_id)
+    dec = MatchingDecoder(code)
+    sides = [(dec._table_x_side, dec._paths_x_side, dec._lengths_x_side, code.r_z),
+             (dec._table_z_side, dec._paths_z_side, dec._lengths_z_side, code.r_x)]
+    for table, paths, lengths, r in sides:
+        assert table.shape == (2**r, code.n)
+        assert np.array_equal(table, dec._match_side(paths, lengths, side_syndromes_by_index(r)))
+    every_z = side_syndromes_by_index(code.r_z)
+    rows = np.arange(len(every_z)) % 2**code.r_x
+    corr_x, corr_z, _, _, _ = dec.decode_batch(side_syndromes_by_index(code.r_x)[rows], every_z)
+    assert np.array_equal(corr_x, dec._table_x_side) and np.array_equal(corr_z, dec._table_z_side[rows])
+
+
+def test_mwpm_builds_no_table_above_the_cap():
+    """surface:7 has 24 checks per side, past DP_MAX_DEFECTS: no table,
+    and each batch runs _match_side."""
+    code = codes.rotated_surface(7)
+    assert code.r_x == code.r_z == 24
+    dec = MatchingDecoder(code)
+    assert dec._table_x_side is None and dec._table_z_side is None
+
+
 BFS_CODES = ["rep3", "shor9", *(f"surface:{d}" for d in range(3, 14, 2)),
              "hgp:1:2:4:2", "hgp:0:3:6:2", "hgp:0:4:5:2"]
 
@@ -568,6 +600,8 @@ def same_state(a, b) -> bool:
 UNCHANGED_CASES = [
     (lambda: codes.rotated_surface(7), MatchingDecoder, 0.3, 200, 80,
      lambda s_x, s_z, out: (np.maximum(s_x.sum(axis=1), s_z.sum(axis=1)) > decoders.DP_MAX_DEFECTS).any()),
+    (lambda: codes.rotated_surface(5), MatchingDecoder, 0.1, 100, 82,
+     lambda s_x, s_z, out: min(s_x.sum(axis=1).max(), s_z.sum(axis=1).max()) >= 5),
     (small_hgp, lambda code: BpDecoder(code, 0.05, max_iters=10), 0.1, 80, 70,
      lambda s_x, s_z, out: (out[4] == 10).any()),
     (lambda: codes.from_id("hgp:1:2:4:2"), LookupDecoder, 0.1, 100, 81,
@@ -576,12 +610,14 @@ UNCHANGED_CASES = [
 
 
 @pytest.mark.parametrize("make_code,make,p,shots,seed,rare", UNCHANGED_CASES,
-                         ids=["mwpm-blossom", "bp-at-cap", "lookup-undecodable"])
+                         ids=["mwpm-blossom", "mwpm-table", "bp-at-cap", "lookup-undecodable"])
 def test_decoding_leaves_the_decoder_unchanged(make_code, make, p, shots, seed, rare):
     """The CLI shares one decoder among its calls: after batches with side
-    syndromes past DP_MAX_DEFECTS (blossom), BP rows run to the iteration
-    cap and undecodable lookup rows, every attribute equals that of a
-    freshly built decoder, and the code's arrays are still read-only."""
+    syndromes past DP_MAX_DEFECTS (blossom), batches of surface:5 side
+    syndromes of five or more defects (MWPM's correction tables), BP rows
+    run to the iteration cap and undecodable lookup rows, every attribute
+    equals that of a freshly built decoder, and the code's arrays and
+    MWPM's tables are still read-only."""
     code = make_code()
     dec = make(code)
     for part in range(2):
@@ -593,3 +629,5 @@ def test_decoding_leaves_the_decoder_unchanged(make_code, make, p, shots, seed, 
         assert same_state(value, fresh[name]), name
     for name in ("h_x", "h_z", "logical_x", "logical_z"):
         assert not getattr(code, name).flags.writeable, name
+    if isinstance(dec, MatchingDecoder) and code.r_x <= decoders.DP_MAX_DEFECTS:
+        assert not dec._table_x_side.flags.writeable and not dec._table_z_side.flags.writeable
