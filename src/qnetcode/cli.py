@@ -111,22 +111,6 @@ def _flip_spec(text: str) -> float:
     return model.p
 
 
-def parse_code(code_id: str) -> codes.CssCode:
-    """The code named by ``code_id`` (see codes.from_id)."""
-    try:
-        return codes.from_id(code_id)
-    except codes.CodeIdError as e:
-        raise UsageError(str(e)) from None
-
-
-def parse_knill_code(code_id: str) -> codes.CssCode:
-    """The code of a command that runs Knill rounds: it must encode a logical qubit."""
-    code = parse_code(code_id)
-    if code.k < 1:
-        raise UsageError(f"code {code_id} encodes no logical qubit (k = 0); only rate takes such a code")
-    return code
-
-
 def parse_rate_code(code_id: str) -> tuple[int, int]:
     """(n, k) of ``code_id``; rate also accepts custom:<n>:<k>, which has no check matrices."""
     if code_id.startswith("custom:"):
@@ -134,45 +118,37 @@ def parse_rate_code(code_id: str) -> tuple[int, int]:
             _, n, k = code_id.split(":")
             n, k = int(n), int(k)
         except ValueError:
-            raise UsageError(f"malformed code id {codes.shown_id(code_id)}") from None
+            raise codes.CodeIdError(f"malformed code id {codes.shown_id(code_id)}") from None
         if n < 1 or not 0 <= k <= n:
-            raise UsageError(f"code id {codes.shown_id(code_id)} needs n >= 1 and 0 <= k <= n")
+            raise codes.CodeIdError(f"code id {codes.shown_id(code_id)} needs n >= 1 and 0 <= k <= n")
         return n, k
-    code = parse_code(code_id)
+    code = codes.from_id(code_id)
     return code.n, code.k
 
 
 def _bp_prior(kind: str, p: float) -> float | None:
-    """BP's prior: p when 0 < p < 0.5 and 0.01 otherwise; None for the others."""
+    """BP's prior: p when 0 < p < 0.5 and 0.01 otherwise; None for the others.
+    ``decode`` passes its --p, while ``knill`` and the encoded chain modes pass 0.01."""
     return (p if 0 < p < 0.5 else 0.01) if DECODERS[kind] is BpDecoder else None
-
-
-def build_decoder(kind: str, code: codes.CssCode, p: float):
-    """Decoder ``kind`` (a DECODERS name) for ``code``, with BP's prior
-    ``_bp_prior(kind, p)``. ``decode`` passes its --p, while ``knill`` and
-    the encoded chain modes always pass 0.01."""
-    prior = _bp_prior(kind, p)
-    try:
-        return DECODERS[kind](code, *(() if prior is None else (prior,)))
-    except ValueError as e:  # the decoder cannot handle this code
-        raise UsageError(f"decoder {kind} cannot decode {code.name}: {e}") from None
 
 
 KEPT_DECODERS = 4  # (code, decoder) pairs a process keeps; a code may have codes.MAX_N qubits
 
 
-def knill_code_and_decoder(code_id: str, kind: str, p: float):
-    """parse_knill_code's code and build_decoder's decoder, built once per
-    (code id, decoder, BP prior) among the KEPT_DECODERS last used; a failed
-    build is not kept. Neither holds per-call state: a code's arrays are
-    read-only, and a decoder sets all of its state when built."""
-    return _code_and_decoder(code_id, kind, _bp_prior(kind, p))
-
-
 @functools.lru_cache(maxsize=KEPT_DECODERS)
 def _code_and_decoder(code_id: str, kind: str, prior: float | None):
-    code = parse_knill_code(code_id)
-    return code, build_decoder(kind, code, prior)
+    """The code ``code_id`` names, which must encode a logical qubit, and decoder
+    ``kind`` (a DECODERS name) for it with BP prior ``prior`` (``_bp_prior``), built
+    once per (code id, decoder, prior) among the KEPT_DECODERS last used; a failed
+    build is not kept. Neither holds per-call state: a code's arrays are read-only,
+    and a decoder sets all of its state when built."""
+    code = codes.from_id(code_id)
+    if code.k < 1:
+        raise UsageError(f"code {code_id} encodes no logical qubit (k = 0); only rate takes such a code")
+    try:
+        return code, DECODERS[kind](code, *(() if prior is None else (prior,)))
+    except ValueError as e:  # the decoder cannot handle this code
+        raise UsageError(f"decoder {kind} cannot decode {code.name}: {e}") from None
 
 
 def _check_out(path: str):
@@ -284,10 +260,10 @@ def cmd_protocol(args) -> list[dict]:
     return rows
 
 
-def _knill_failures(args, noise: KnillNoise, prior: float):
-    """Run args.trials seeded Knill rounds of --code with --decoder (BP prior
-    ``prior``) under ``noise``: (code, failures, per-trial iterations, seconds)."""
-    code, decoder = knill_code_and_decoder(args.code, args.decoder, prior)
+def _knill_failures(args, noise: KnillNoise, p: float):
+    """Run args.trials seeded Knill rounds of --code under ``noise``, decoded by --decoder with BP
+    prior ``_bp_prior(args.decoder, p)``: (code, failures, per-trial iterations, seconds)."""
+    code, decoder = _code_and_decoder(args.code, args.decoder, _bp_prior(args.decoder, p))
     t0 = time.perf_counter()
     x_bad, z_bad, iterations = knill_residuals(code, decoder, noise, args.seed, (), args.trials)
     failures = int(np.count_nonzero(x_bad | z_bad))
@@ -393,7 +369,7 @@ def cmd_chain(args) -> list[dict]:
     if args.mode != "physical":
         if not args.code:
             raise UsageError("encoded chain modes require --code")
-        code, decoder = knill_code_and_decoder(args.code, args.decoder, 0.01)
+        code, decoder = _code_and_decoder(args.code, args.decoder, _bp_prior(args.decoder, 0.01))
     try:
         cfg = ChainConfig(
             num_links=args.links, link_state=werner(args.fidelity), purify_rounds=args.rounds,
@@ -497,7 +473,7 @@ def main(argv=None) -> int:
                 raise UsageError(f"--out {args.out}: {e.strerror or e}") from None
         else:
             write_rows(rows, sys.stdout, args.format)
-    except UsageError as e:
+    except (UsageError, codes.CodeIdError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # runtime failure

@@ -231,8 +231,10 @@ def random_regular_check_matrix(r: int, n: int, row_weight: int, seed: int) -> n
     and returns the first that covers every column. If none does, the
     last draw is repaired: each uncovered column takes over a row slot
     of the most-covered column. That keeps every row weight and always
-    succeeds when r * row_weight >= n.
+    succeeds when r * row_weight >= n; a smaller product raises ValueError.
     """
+    if r * row_weight < n:  # refused before any draw: none could cover every column
+        raise ValueError(f"{r} rows of weight {row_weight} cannot cover {n} columns")
     g = stream(seed, 777)
     for _ in range(1000):
         h = np.zeros((r, n), dtype=np.uint8)
@@ -240,8 +242,6 @@ def random_regular_check_matrix(r: int, n: int, row_weight: int, seed: int) -> n
             h[i, g.choice(n, row_weight, replace=False)] = 1
         if h.sum(axis=0).min() > 0:
             return h
-    if r * row_weight < n:
-        raise ValueError(f"{r} rows of weight {row_weight} cannot cover {n} columns")
     for col in np.flatnonzero(h.sum(axis=0) == 0):
         donor = int(np.argmax(h.sum(axis=0)))  # covered at least twice
         row = int(np.flatnonzero(h[:, donor])[0])

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -169,8 +170,8 @@ def test_protocol_rows_equal_in_chunks_of_37_and_4096(capsys, monkeypatch, argv)
 )
 def test_decode_rows_match_per_trial_reference(capsys, code_id, decoder, p, trials, seed):
     """decode runs the Knill frame engine; a plain per-trial loop is its oracle."""
-    code = cli.parse_code(code_id)
-    dec = cli.build_decoder(decoder, code, p)
+    code = codes.from_id(code_id)
+    _, dec = cli._code_and_decoder(code_id, decoder, cli._bp_prior(decoder, p))
     noise = NoiseModel.independent_xz(p, p)
     failures = iterations = 0
     for t in range(trials):
@@ -506,6 +507,20 @@ def test_unreadable_chain_config_is_usage_error(tmp_path, capsys, content, reaso
     assert f"--config {cfg}: {reason}" in err
 
 
+@pytest.mark.parametrize("content", ["[1, 2]", "3", "null"])
+def test_chain_config_that_is_not_an_object_is_usage_error(tmp_path, capsys, content):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(content)
+    assert run_cli(capsys, "chain", "--config", str(cfg)) == (1, "", "error: --config must hold a JSON object\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_out_that_fails_on_write_is_usage_error(capsys):
+    """/dev/full passes the check before the run; the write itself fails."""
+    code, out, err = run_cli(capsys, "rate", "--qubits", "100", "--code", "rep3", "--out", "/dev/full")
+    assert (code, out, err) == (1, "", "error: --out /dev/full: No space left on device\n")
+
+
 def test_unwritable_out_is_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "rows.csv"
     code, out, err = run_cli(capsys, "rate", "--qubits", "100", "--code", "rep3", "--out", str(target))
@@ -792,7 +807,7 @@ def test_tight_check_matrix_is_repaired(seed):
     """r*w == n: a covering draw is rare, so the last draw is repaired."""
     h = cli.random_regular_check_matrix(3, 12, 4, seed)
     assert (h.sum(axis=1) == 4).all() and (h.sum(axis=0) >= 1).all()
-    code = cli.parse_code(f"hgp:{seed}:3:12:4")
+    code = codes.from_id(f"hgp:{seed}:3:12:4")
     assert code.n == 12 * 12 + 3 * 3
     codes.validate(code)
 
@@ -835,6 +850,27 @@ def test_cached_parser_and_decoders_give_the_uncached_rows(capsys):
         clear_caches()
         fresh.append(data_rows(capsys, argv))
     assert shared == fresh
+
+
+@pytest.mark.parametrize("sequence", [
+    [
+        ["knill", "--code", "hgp:2:9:12:4", "--decoder", "bp"],
+        ["decode", "--code", "hgp:2:9:12:4", "--decoder", "bp", "--p", "0"],
+        ["decode", "--code", "hgp:2:9:12:4", "--decoder", "bp", "--p", "0.6"],
+    ],
+    [
+        ["decode", "--code", "surface:5", "--decoder", "mwpm", "--p", "0.08"],
+        ["knill", "--code", "surface:5", "--decoder", "mwpm"],
+    ],
+], ids=["bp-prior-0.01", "mwpm"])
+def test_commands_share_a_decoder_of_one_prior(capsys, sequence):
+    """knill and decode share a code and decoder when their BP prior is the
+    same: knill's 0.01 equals decode's at --p 0 or --p >= 0.5, and MWPM takes none."""
+    clear_caches()
+    for argv in sequence:
+        assert run_cli(capsys, *argv, "--trials", "5")[0] == 0
+    info = cli._code_and_decoder.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, len(sequence) - 1, 1)
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from qnetcode import cli, codes, gf2
+from qnetcode import codes, gf2
 from qnetcode.pauli import PauliOperator
 
 
@@ -174,7 +174,7 @@ def test_hypergraph_product_bases_are_pinned(code_id, k, digest):
     if code_id == "rep-product":
         code = codes.hypergraph_product(REP_CODE, REP_CODE)
     else:
-        code = cli.parse_code(code_id)
+        code = codes.from_id(code_id)
     assert code.k == k
     assert code_digest(code) == digest
 
@@ -189,7 +189,7 @@ def test_hypergraph_product_build_eliminates_once_per_question(monkeypatch):
         return row_reduce(m)
 
     monkeypatch.setattr(gf2, "row_reduce", counting)
-    cli.parse_code("hgp:2:9:12:4")
+    codes.from_id("hgp:2:9:12:4")
     assert len(calls) <= 7
 
 
@@ -263,3 +263,15 @@ def test_from_id_caps_n_before_building(monkeypatch):
     for code_id, n in (("hgp:2:9:12:4", 225), ("surface:15", 225)):
         with pytest.raises(codes.CodeIdError, match=f"has n = {n}, above the cap of 224 qubits"):
             codes.from_id(code_id)
+
+
+@pytest.mark.parametrize("r,n,w", [(2, 10, 3), (40, 400, 9)])
+def test_uncoverable_check_matrix_is_refused_before_drawing(monkeypatch, r, n, w):
+    """r rows of weight w cover at most r*w columns: with r*w < n no draw is made."""
+
+    def never(*args):
+        raise AssertionError("a check matrix was drawn")
+
+    monkeypatch.setattr(codes, "stream", never)
+    with pytest.raises(ValueError, match=f"^{r} rows of weight {w} cannot cover {n} columns$"):
+        codes.random_regular_check_matrix(r, n, w, 0)

@@ -292,7 +292,5 @@ def test_mwpm_pinned_outputs(d):
 @pytest.mark.parametrize("code_id", ["shor9", "hgp:1:2:4:2"])
 def test_lookup_pinned_table(code_id):
     """The whole table, read through decode on every syndrome."""
-    from qnetcode.cli import parse_code
-
-    code = parse_code(code_id)
+    code = codes.from_id(code_id)
     assert _table_digest(LookupDecoder(code), code) == PINNED_LOOKUP[code_id]
