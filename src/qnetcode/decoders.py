@@ -424,46 +424,62 @@ def serial_levels(h: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(level == lv) for lv in range(level.max(initial=-1) + 1)]
 
 
+def _padded_supports(h: np.ndarray) -> np.ndarray:
+    """Row c: check c's variables in order, then the dummy n up to the largest row weight."""
+    order = np.argsort(h == 0, axis=1, kind="stable")[:, : int(h.sum(axis=1).max(initial=0))]
+    return np.where(np.take_along_axis(h, order, axis=1) != 0, order, h.shape[1])
+
+
 def _bp_steps(h: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
     """Per level: (checks, slots, pad). Row i of slots lists the variables
     of checks[i], padded to the level's largest row weight with the dummy
     variable n; pad marks the padding (None if the level has none)."""
-    n = h.shape[1]
     steps = []
     for checks in serial_levels(h):
-        adj = [np.flatnonzero(h[c]) for c in checks]
-        slots = np.full((len(checks), max(map(len, adj))), n, dtype=np.intp)
-        for i, vs in enumerate(adj):
-            slots[i, : len(vs)] = vs
-        pad = slots == n
+        slots = _padded_supports(h[checks])
+        pad = slots == h.shape[1]
         steps.append((checks, slots, pad if pad.any() else None))
     return steps
 
 
-def _level_update(total, slots, pad, check_sign, c2v):
-    """One level of the serial sweep on S rows at once, in place: each
-    check of the level replaces its check-to-variable messages c2v
-    (S, m, W) and moves its variables' totals (S, n + 1) by the change.
-    check_sign (S, m, 1) is -1 where the check's syndrome bit is set and
-    +1 elsewhere. A zero message divides by zero; the caller silences
-    that with np.errstate."""
-    # np.minimum(np.maximum(...)) is np.clip without its Python wrapper,
-    # whose overhead cost about 8% of a BP decode
-    t = np.tanh(np.minimum(np.maximum(total[:, slots] - c2v, -30.0), 30.0) / 2.0)
-    if pad is not None:
-        np.copyto(t, 1.0, where=pad)  # exact in the product
-    prod = t.prod(axis=2, keepdims=True)
-    leave_one_out = prod / t
-    if not prod.all():
-        # a check's single zeroed message gets the product of the rest;
-        # with two or more zeros every zeroed one gets 0
-        zero = t == 0.0
-        lone = zero & (zero.sum(axis=2, keepdims=True) == 1)
-        rest = np.where(zero, 1.0, t).prod(axis=2, keepdims=True)
-        leave_one_out = np.where(zero, np.where(lone, rest, 0.0), leave_one_out)
-    new = 2.0 * np.arctanh(np.minimum(np.maximum(check_sign * leave_one_out, -1 + 1e-12), 1 - 1e-12))
-    total[:, slots] += new - c2v
-    c2v[...] = new
+def _sweep(total: np.ndarray, levels: list, slots_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One serial sweep on the (S, n + 1) half-LLR totals of S rows, in
+    place; returns the hard decision on the n variables and its parity on
+    the checks' slots (slots_t = _padded_supports(h).T; dummy column n read
+    as 0). A level is [idx, pad, check_sign, c2v]: row i of idx (S, m, W)
+    indexes row i of the raveled totals, check_sign (S, m, 1) is -1 where
+    the syndrome bit is set, and the new messages replace c2v. Halving is
+    exact, so ±15 clipping and no /2 or 2* around tanh and arctanh is the
+    serial loop's arithmetic; zero messages divide by zero under errstate."""
+    flat = total.reshape(-1)
+    for level in levels:
+        idx, pad, check_sign, c2v = level
+        g = flat[idx]
+        t = np.subtract(g, c2v)
+        np.maximum(t, -15.0, out=t)  # np.clip without its Python wrapper
+        np.minimum(t, 15.0, out=t)
+        np.tanh(t, out=t)
+        if pad is not None:
+            np.copyto(t, 1.0, where=pad)  # exact in the product
+        prod = np.multiply.reduce(t, axis=2, keepdims=True)
+        new = prod / t
+        if np.count_nonzero(prod) != prod.size:
+            # a check's single zeroed message gets the product of the rest;
+            # with two or more zeros every zeroed one gets 0
+            zero = t == 0.0
+            lone = zero & (zero.sum(axis=2, keepdims=True) == 1)
+            rest = np.where(zero, 1.0, t).prod(axis=2, keepdims=True)
+            new = np.where(zero, np.where(lone, rest, 0.0), new)
+        np.multiply(check_sign, new, out=new)
+        np.maximum(new, -1 + 1e-12, out=new)
+        np.minimum(new, 1 - 1e-12, out=new)
+        np.arctanh(new, out=new)
+        np.subtract(new, c2v, out=c2v)  # each variable's change
+        flat[idx] = np.add(g, c2v, out=g)
+        level[3] = new
+    hard = total < 0.0
+    hard[:, -1] = False
+    return hard[:, :-1], np.bitwise_xor.reduce(hard.take(slots_t, axis=1), axis=1)
 
 
 class BpDecoder:
@@ -480,53 +496,52 @@ class BpDecoder:
     def __init__(self, code: CssCode, channel_prior: float, max_iters: int = 100):
         if not 0.0 < channel_prior < 0.5:
             raise ValueError(f"channel prior must lie in (0, 0.5), got {channel_prior}")
+        if max_iters < 1:
+            raise ValueError(f"iteration cap must be at least 1, got {max_iters}")
         self.code = code
         self.p = channel_prior
         self.max_iters = max_iters
-        self._steps_z = _bp_steps(code.h_z)
-        self._steps_x = _bp_steps(code.h_x)
+        self._steps_z, self._slots_z = _bp_steps(code.h_z), _padded_supports(code.h_z).T.copy()
+        self._steps_x, self._slots_x = _bp_steps(code.h_x), _padded_supports(code.h_x).T.copy()
 
-    def _bp(self, h: np.ndarray, steps: list, syn: np.ndarray):
+    def _bp(self, steps: list, slots_t: np.ndarray, syn: np.ndarray):
         """(decision, converged, iterations) of the (T, r) side syndromes
         syn. Each distinct row runs once, and all of them run together: a
         row leaves the sweeps once its hard decision reproduces it, and
         the rows left at the cap keep their last decision."""
         rows, inverse = gf2.distinct_rows(syn)
-        n = h.shape[1]
+        n = self.code.n
         decision = np.zeros((len(rows), n), dtype=np.uint8)
         converged = ~rows.any(axis=1)
         iterations = np.zeros(len(rows), dtype=np.int64)
         active = np.flatnonzero(~converged)  # the rows still sweeping
         rows = rows[active]
-        l0 = float(np.log((1.0 - self.p) / self.p))
-        total = np.full((len(rows), n + 1), l0)  # column n: the padding slots' dummy variable
-        sign = 1.0 - 2.0 * rows
-        levels = [(slots, pad, sign[:, checks, None], np.zeros((len(rows), *slots.shape)))
-                  for checks, slots, pad in steps]
+        # half-LLRs; column n: the padding slots' dummy variable
+        total = np.full((len(rows), n + 1), float(np.log((1.0 - self.p) / self.p)) / 2.0)
+        base, sign = (n + 1) * np.arange(len(rows))[:, None, None], 1.0 - 2.0 * rows
+        levels = [[base + slots, pad, sign[:, checks, None], np.zeros((len(rows), *slots.shape))] for checks, slots, pad in steps]
         hard = decision[active]
         with np.errstate(divide="ignore", invalid="ignore"):
             for it in range(1, self.max_iters + 1):
                 if not len(active):
                     break
-                for level in levels:
-                    _level_update(total, *level)
-                hard = (total[:, :n] < 0.0).astype(np.uint8)
-                done = (gf2.matmul(hard, h.T) == rows).all(axis=1)
+                hard, parity = _sweep(total, levels, slots_t)
+                done = (parity == rows).all(axis=1)
                 if done.any():
                     decision[active[done]] = hard[done]
                     converged[active[done]] = True
                     iterations[active[done]] = it
                     keep = ~done
                     active, rows, total, hard = active[keep], rows[keep], total[keep], hard[keep]
-                    levels = [(slots, pad, sign[keep], c2v[keep]) for slots, pad, sign, c2v in levels]
+                    levels = [[idx[: len(active)], pad, sign[keep], c2v[keep]] for idx, pad, sign, c2v in levels]
         decision[active] = hard
         iterations[active] = self.max_iters
         return decision[inverse], converged[inverse], iterations[inverse]
 
     def decode_batch(self, s_x, s_z) -> Batch:
         s_x, s_z = _as_batch(self.code, s_x, s_z)
-        corr_x, conv_x, it_x = self._bp(self.code.h_z, self._steps_z, s_z)
-        corr_z, conv_z, it_z = self._bp(self.code.h_x, self._steps_x, s_x)
+        corr_x, conv_x, it_x = self._bp(self._steps_z, self._slots_z, s_z)
+        corr_z, conv_z, it_z = self._bp(self._steps_x, self._slots_x, s_x)
         return corr_x, corr_z, np.ones(len(s_x), dtype=bool), conv_x & conv_z, np.maximum(it_x, it_z)
 
     def decode(self, syn: Syndrome) -> DecodeResult:

@@ -778,13 +778,25 @@ def test_knill_surface5_seeded_row_is_pinned(capsys):
           "--pc", "0.02", "--pg", "0.002", "--rounds", "1", "--seed", "2"], "b339f96da5fc7439"),
         (["chain", "--mode", "physical", "--links", "5", "--fidelity", "0.9", "--rounds", "3", "--delay", "7"],
          "0dbb045db622b1ea"),
+        (["decode", "--code", "hgp:2:9:12:4", "--decoder", "bp", "--p", "0.01", "--trials", "400",
+          "--seed", "3"], "70c6a97ccc152d4b"),
+        (["decode", "--code", "hgp:2:9:12:4", "--decoder", "bp", "--p", "0.03", "--trials", "200",
+          "--seed", "4"], "23abcde60d72f2c0"),
+        (["knill", "--code", "hgp:2:9:12:4", "--decoder", "bp", "--pc", "0.005", "--pg", "0.001",
+          "--trials", "200", "--seed", "2"], "94cb5903f07b0d64"),
+        (["chain", "--mode", "encoded_direct", "--links", "2", "--code", "hgp:1:2:4:2", "--decoder", "bp",
+          "--pc", "0.02", "--pg", "0.001", "--trials", "100", "--seed", "5"], "85aef06af2ac89a2"),
     ],
-    ids=["chain-encoded_teleport", "decode-surface5-mwpm", "chain-encoded_direct", "chain-physical"],
+    ids=["chain-encoded_teleport", "decode-surface5-mwpm", "chain-encoded_direct", "chain-physical",
+         "decode-hgp-bp-p01", "decode-hgp-bp-p03", "knill-hgp-bp", "chain-encoded_direct-hgp-bp"],
 )
 def test_seeded_monte_carlo_rows_are_pinned(capsys, argv, digest):
-    """Data rows (timing fields dropped), hashed byte for byte, of three
-    seeded runs whose every trial draws from its own stream and of one
-    exact run: the physical chain row is Bell-diagonal algebra, no draw."""
+    """Data rows (timing fields dropped), hashed byte for byte, of seeded
+    runs whose every trial draws from its own stream and of one exact run:
+    the physical chain row is Bell-diagonal algebra, no draw. The BP runs
+    pin the batched path: three of them repeat side syndromes, which
+    decode once, and on hgp:2:9:12:4 rows leave the sweeps at 5 to 15
+    different iterations per side."""
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
     rows = json.loads(out)

@@ -211,10 +211,13 @@ def test_level_update_matches_serial_checks_with_zero_messages():
         [0.0, 0.0, -1.3, 0.5, 1.1, 2.0, -0.4, 0.9, 5.0],
     ])
     syn = np.array([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 0]], dtype=np.uint8)
-    c2v = np.zeros((len(total), *slots.shape))
-    batch_total = total.copy()
+    idx = total.shape[1] * np.arange(len(total))[:, None, None] + slots  # into the raveled totals
+    levels = [[idx, pad, (1.0 - 2.0 * syn)[:, checks, None], np.zeros((len(total), *slots.shape))]]
+    batch_total = total / 2.0  # the kernel keeps half-LLRs
     with np.errstate(divide="ignore", invalid="ignore"):
-        decoders._level_update(batch_total, slots, pad, (1.0 - 2.0 * syn)[:, checks, None], c2v)
+        decoders._sweep(batch_total, levels, decoders._padded_supports(h).T)
+    batch_total *= 2.0
+    c2v = 2.0 * levels[0][3]
 
     adj = [np.flatnonzero(row) for row in h]
     for row in range(len(total)):
@@ -225,6 +228,26 @@ def test_level_update_matches_serial_checks_with_zero_messages():
         assert np.array_equal(batch_total[row, :8], ref_total), row
         for i, vs in enumerate(adj):
             assert np.array_equal(c2v[row, i, : len(vs)], ref_c2v[i]), (row, i)
+
+
+def test_sweep_parity_check_equals_gf2_matmul():
+    """The per-sweep check's parity of random hard decisions equals
+    gf2.matmul(hard, h.T) on both sides of hgp:2:9:12:4, whose rows have
+    several weights, so many checks have padded slots. The dummy column's
+    total is set negative and positive: a check that read it would flip
+    the parity of every padded check in one of the two."""
+    code = sparse_hgp()
+    rng = np.random.default_rng(5)
+    for h in (code.h_x, code.h_z):
+        slots = decoders._padded_supports(h)
+        assert (slots == code.n).any()
+        total = rng.normal(size=(40, code.n + 1))
+        expected = gf2.matmul((total[:, : code.n] < 0.0).astype(np.uint8), h.T)
+        for dummy in (-1.0, 1.0):
+            total[:, code.n] = dummy
+            hard, parity = decoders._sweep(total, [], slots.T.copy())  # no level: the check alone
+            assert np.array_equal(hard, total[:, : code.n] < 0.0)
+            assert np.array_equal(parity, expected), dummy
 
 
 def test_serial_levels_structure():

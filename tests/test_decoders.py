@@ -161,6 +161,14 @@ def test_bp_prior_validation():
             BpDecoder(code, bad)
 
 
+def test_bp_refuses_an_iteration_cap_below_one():
+    """A cap of 0 would run no sweep and -1 would report -1 iterations."""
+    code = small_hgp()
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="iteration cap"):
+            BpDecoder(code, 0.05, max_iters=bad)
+
+
 def test_bp_corrects_single_errors():
     code = sparse_hgp()
     dec = BpDecoder(code, 0.01)
